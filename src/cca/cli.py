@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import builders, recipes
@@ -31,14 +32,31 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _split_labels(text: str) -> list[str]:
+    """Split on the commas outside parentheses, so that product-group labels
+    such as (i,0) stay whole."""
+    tokens, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            tokens.append(text[start:i])
+            start = i + 1
+    tokens.append(text[start:])
+    return [t.strip() for t in tokens if t.strip()]
+
+
 def _resolve_set(G, text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(G.label_index(tok))
-    return out
+    return [G.label_index(tok) for tok in _split_labels(text)]
+
+
+def _jobs(text: str) -> int:
+    """A worker count between 1 and the number of CPUs."""
+    jobs = int(text)
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {limit}, got {jobs}")
+    return jobs
 
 
 def _graph_from_args(args) -> ColouredCayleyGraph:
@@ -135,7 +153,7 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("reproduce", help="run a named end-to-end computation")
     r.add_argument("example", choices=sorted(recipes.RECIPES))
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_jobs, default=1)
     r.add_argument("--slow", action="store_true")
     r.set_defaults(fn=_cmd_reproduce)
 
@@ -145,7 +163,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--mode", choices=["full", "canonical-pruned"],
                    default="canonical-pruned")
     e.add_argument("--slow", action="store_true")
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=_jobs, default=1)
     e.add_argument("--format", choices=["json", "csv"], default="json")
     e.set_defaults(fn=_cmd_enumerate)
     return p
@@ -161,9 +179,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CCAError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except KeyError as exc:
-        sys.stderr.write(f"error: unknown key {exc}\n")
         return 2
     except Exception as exc:   # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"internal error: {exc}\n")

@@ -1,21 +1,26 @@
 """Colour-preserving automorphism groups of Cayley graphs and the CCA verdict.
 
-The stabiliser search follows the graph: vertices are processed in BFS order
-from the identity vertex, and the image of a vertex reached along an s-edge
-is forced into {s*w, s^-1*w}, giving a binary branching with heavy pruning
-from previously assigned neighbours.  Aut_{+-1} is computed independently by
-group-automorphism backtracking, so the two routes cross-validate.
+One stabiliser search decides everything.  It follows the graph: vertices are
+processed in BFS order from the identity vertex, and the image of a vertex
+reached along an s-edge is forced into {s*w, s^-1*w}, giving a binary
+branching with heavy pruning from previously assigned neighbours.  For the
+stabiliser A_1 it finds, |Aut_c| = n*|A_1|; G_R is normal iff every element of
+A_1 is a group automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c
+itself is closed from G_R and A_1 only on first access; the tests check this
+route against the closure and normality test it replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
 from .groups import (FiniteGroup, close_generators, find_isomorphism,
-                     is_normal, normal_subgroups)
-from .perms import Perm, identity, pconj
+                     normal_subgroups)
+from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
 
@@ -64,7 +69,8 @@ def _bfs_tree(n, conn, left):
 def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     """Enumerate all colour-preserving automorphisms fixing vertex 0.
 
-    Calls on_found(img) per automorphism; a False return aborts the search."""
+    Calls on_found(img) per automorphism; a False return aborts the search,
+    and the search then returns False."""
     order, pos = _bfs_tree(n, conn, left)
     # constraints[v]: incident edges {v, x} with x earlier in BFS order
     constraints: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -78,17 +84,14 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     used = [False] * n
     used[0] = True
     count = 0
-    aborted = False
 
     def rec(k: int) -> bool:
-        nonlocal count, aborted
+        nonlocal count
         if k == len(order):
             count += 1
             if count > cap:
                 raise StabiliserTooLarge(f"stabiliser exceeds cap {cap}")
-            if not on_found(tuple(img)):
-                aborted = True
-            return not aborted
+            return on_found(tuple(img))
         v, u, s = order[k]
         w = img[u]
         c1 = left[s][w]
@@ -111,7 +114,7 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
                 img[v] = -1
         return True
 
-    rec(0)
+    return rec(0)
 
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm]:
@@ -129,22 +132,22 @@ def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm
     return found
 
 
-def _is_multiplicative(b, n, conn, right, inv) -> bool:
-    """b fixes vertex 0; true iff b(g*s) = b(g)*b(s) for all g and s in the
+def _is_multiplicative(b, n, conn, left) -> bool:
+    """b fixes vertex 0; true iff b(s*g) = b(s)*b(g) for all g and s in the
     connection set, which (S generating) makes b a group automorphism."""
     for s in conn:
-        bs = b[s]
-        col = right[s]
-        col_bs = right[bs]
+        row = left[s]
+        row_bs = left[b[s]]
         for g in range(n):
-            if b[col[g]] != col_bs[b[g]]:
+            if b[row[g]] != row_bs[b[g]]:
                 return False
     return True
 
 
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
-    """Aut_{+-1}(G, S) as a permutation group on G's element indices,
-    computed by generator-image backtracking constrained to s -> s^{+-1}."""
+    """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
+    every choice of generator images s -> s^{+-1} that extends to an
+    automorphism."""
     inv = G.inverse
     gens: list[int] = []
     closure = {0}
@@ -154,29 +157,16 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
             closure = {G.index[p] for p in
                        G.subgroup([G.elements[i] for i in gens]).elements}
     assert len(closure) == G.order, "S must generate G"
-    sset = set(S)
     found: list[Perm] = []
-
-    def try_images(imgs):
+    for imgs in product(*[(s,) if inv[s] == s else (s, inv[s]) for s in gens]):
         phi = _extend_endo(G, gens, imgs)
-        if phi is None or len(set(phi)) != G.order:
-            return
-        if all(phi[s] == s or phi[s] == inv[s] for s in sset):
+        if (phi is not None and len(set(phi)) == G.order
+                and all(phi[s] in (s, inv[s]) for s in S)):
             found.append(tuple(phi))
-
-    def rec(k, imgs):
-        if k == len(gens):
-            try_images(imgs)
-            return
-        s = gens[k]
-        for cand in ((s,) if inv[s] == s else (s, inv[s])):
-            rec(k + 1, imgs + [cand])
-
-    rec(0, [])
     return close_generators(found, G.order, cap=max(len(found) + 1, 2))
 
 
-def _extend_endo(G: FiniteGroup, gens: list[int], imgs: list[int]):
+def _extend_endo(G: FiniteGroup, gens: list[int], imgs: tuple[int, ...]):
     """Extend gen -> img to a map on all of G by word replay; None if the
     extension is inconsistent or not a homomorphism."""
     phi = [-1] * G.order
@@ -206,18 +196,33 @@ def _extend_endo(G: FiniteGroup, gens: list[int], imgs: list[int]):
 @dataclass
 class AutcResult:
     graph: ColouredCayleyGraph
-    stabiliser: list[Perm]
-    full_group: FiniteGroup
+    stabiliser: list[Perm]       # A_1, in search order
     aut_pm1: FiniteGroup
     verdict: str                 # "CCA" | "NonCCA"
     witness: Perm | None
+
+    @property
+    def autc_order(self) -> int:
+        """|Aut_c| = n*|A_1| by orbit-stabiliser."""
+        return self.graph.n * len(self.stabiliser)
+
+    @cached_property
+    def full_group(self) -> FiniteGroup:
+        """All of Aut_c, closed from G_R and A_1 on first access."""
+        G = self.graph.group
+        gens = [G.right_row(G.index[g]) for g in G.generators]
+        full = close_generators(gens + self.stabiliser, G.order,
+                                cap=max(10_000, self.autc_order + 1))
+        if full.order != self.autc_order:
+            raise RuntimeError("internal error: |Aut_c| != n*|A_1|")
+        return full
 
     def to_json_dict(self) -> dict:
         from .graphs import to_json_dict
         d = {
             "graph": to_json_dict(self.graph),
             "stabiliser_order": len(self.stabiliser),
-            "full_group_order": self.full_group.order,
+            "full_group_order": self.autc_order,
             "aut_pm1_order": self.aut_pm1.order,
             "verdict": self.verdict,
         }
@@ -226,33 +231,23 @@ class AutcResult:
         return d
 
 
-def autc_group(Gamma: ColouredCayleyGraph, cap: int | None = None) -> AutcResult:
-    G = Gamma.group
-    n = G.order
+def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
+    """Aut_c(Gamma) from the stabiliser A_1 of the identity vertex.  A NonCCA
+    witness is the first element of A_1 that is not a group automorphism,
+    which for a map fixing the identity means it does not normalise G_R."""
+    n, conn, left, _ = _graph_context(Gamma)
     stab = autc_stabiliser(Gamma)
-    reg_gens = [G.right_row(G.index[g]) for g in G.generators]
-    G_R = close_generators(reg_gens, n, cap=n + 1)
-    assert G_R.order == n
-    full = close_generators(reg_gens + stab, n,
-                            cap=cap or max(10_000, n * len(stab) + 1))
-    assert full.order == n * len(stab)
-    pm1 = aut_pm1_group(G, Gamma.conn)
-    verdict = "CCA" if is_normal(G_R, full) else "NonCCA"
+    pm1: list[Perm] = []
     witness = None
-    if verdict == "NonCCA":
-        grset = G_R.index
-        for b in stab:
-            if any(pconj(h, b) not in grset for h in G_R.generators):
-                witness = b
-                break
-        assert witness is not None
-    # cross-validation: non-normality must coincide with a stabiliser element
-    # falling outside Aut_{+-1}
-    pm1set = set(pm1.elements)
-    outside = any(b not in pm1set for b in stab)
-    if outside != (verdict == "NonCCA"):
-        raise RuntimeError("internal error: verdict routes disagree")
-    return AutcResult(Gamma, stab, full, pm1, verdict, witness)
+    for b in stab:
+        if _is_multiplicative(b, n, conn, left):
+            pm1.append(b)
+        elif witness is None:
+            witness = b
+    verdict = "CCA" if witness is None else "NonCCA"
+    # the search finds the identity first, so pm1[0] is the identity
+    return AutcResult(Gamma, stab, FiniteGroup(pm1, pm1[1:]), verdict,
+                      witness)
 
 
 # -- classification of Aut_c on complete Cayley graphs ---------------------
@@ -333,17 +328,7 @@ def fast_cca_verdict(n: int, table, inv: list[int], conn: list[int]) -> str:
     The search aborts at the first stabiliser element that fails to be a
     group automorphism (equivalently: fails to normalise G_R)."""
     left = {s: table[s] for s in conn}
-    right = {}
-    for s in set(conn):
-        right[s] = [table[g][s] for g in range(n)]
     invmap = {s: inv[s] for s in conn}
-    result = {"verdict": "CCA"}
-
-    def on_found(b):
-        if not _is_multiplicative(b, n, conn, right, invmap):
-            result["verdict"] = "NonCCA"
-            return False
-        return True
-
-    _search_stabiliser(n, conn, left, invmap, on_found)
-    return result["verdict"]
+    complete = _search_stabiliser(
+        n, conn, left, invmap, lambda b: _is_multiplicative(b, n, conn, left))
+    return "CCA" if complete else "NonCCA"

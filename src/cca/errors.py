@@ -21,6 +21,12 @@ class InvalidSpec(CCAError):
     pass
 
 
+class UnknownLabel(CCAError, KeyError):
+    """No group element has this label; still a KeyError for older callers."""
+
+    __str__ = CCAError.__str__
+
+
 class IncompatibleGroup(CCAError):
     pass
 

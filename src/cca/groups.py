@@ -11,7 +11,8 @@ import os
 from functools import cached_property
 from math import lcm
 
-from .errors import BoundExceeded, ClosureExceedsCap, NotASubgroup
+from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
+                     UnknownLabel)
 from .perms import Perm, identity, is_perm, pconj, pinv, pmul, porder
 
 DEFAULT_CAP = 10_000
@@ -60,13 +61,12 @@ class FiniteGroup:
 
     def label_index(self, lab: str) -> int:
         if self.labels is None:
-            if lab.startswith("e") and lab[1:].isdigit():
-                return int(lab[1:])
-            raise KeyError(lab)
-        try:
+            i = lab[1:]
+            if lab[:1] == "e" and i.isdigit() and int(i) < self.order:
+                return int(i)
+        elif lab in self.labels:
             return self.labels.index(lab)
-        except ValueError:
-            raise KeyError(lab) from None
+        raise UnknownLabel(f"unknown element label {lab!r}")
 
     # -- index arithmetic -------------------------------------------------
 

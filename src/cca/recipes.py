@@ -39,7 +39,7 @@ def _result_summary(Gamma, res, embedded=None):
         "vertices": Gamma.n,
         "connection_size": len(Gamma.conn),
         "verdict": res.verdict,
-        "autc_order": res.full_group.order,
+        "autc_order": res.autc_order,
         "stabiliser_order": len(res.stabiliser),
         "aut_pm1_order": res.aut_pm1.order,
     }
@@ -129,7 +129,7 @@ def thm45_sweep(max_order: int = 32) -> dict:
     for name, G in builders.catalog(max_order):
         pred = predicted_autc_complete(G)
         res = autc_group(complete_cayley(G))
-        cap = max(pred.predicted_order, res.full_group.order) + 1
+        cap = max(pred.predicted_order, res.autc_order) + 1
         predicted = close_generators(pred.predicted_generators, G.order,
                                      cap=cap)
         match = (predicted.order == pred.predicted_order
@@ -137,7 +137,7 @@ def thm45_sweep(max_order: int = 32) -> dict:
         rows.append({"spec": name,
                      "order": G.order, "case": pred.case,
                      "predicted_order": pred.predicted_order,
-                     "autc_order": res.full_group.order, "match": match})
+                     "autc_order": res.autc_order, "match": match})
     return {"example": "thm45-sweep", "groups": rows,
             "all_match": all(r["match"] for r in rows)}
 

@@ -516,7 +516,7 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
             "orbit_size": int(counts[m]),
             "connected": True,
             "verdict": "NonCCA",
-            "autc_order": res.full_group.order,
+            "autc_order": res.autc_order,
         })
     return EnumerationReport(
         base=base, mode=mode, scanned=1 << k,

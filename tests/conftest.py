@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from cca import builders
-from cca.engine import is_colour_preserving
+from cca.engine import aut_pm1_group, autc_stabiliser, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph
-from cca.groups import FiniteGroup, close_generators
-from cca.perms import pinv, pmul
+from cca.groups import FiniteGroup, close_generators, is_normal
+from cca.perms import pconj, pinv, pmul
 
 
 def brute_force_stabiliser(Gamma):
@@ -107,3 +108,31 @@ def group_pool(max_order: int):
         if G.order <= max_order:
             pool.append(G)
     return pool
+
+
+def reference_autc(Gamma):
+    """The closure route to Aut_c, independent of the engine's multiplicative
+    test: close G_R and G_R + A_1 by tuple products, decide normality with
+    is_normal, take the first stabiliser element that does not normalise G_R
+    as the witness, and backtrack Aut_pm1 over generator images."""
+    G = Gamma.group
+    n = G.order
+    stab = autc_stabiliser(Gamma)
+    reg_gens = [G.right_row(G.index[g]) for g in G.generators]
+    G_R = close_generators(reg_gens, n, cap=n + 1)
+    assert G_R.order == n
+    full = close_generators(reg_gens + stab, n,
+                            cap=max(10_000, n * len(stab) + 1))
+    assert full.order == n * len(stab)
+    assert {a for a in full.elements if a[0] == 0} == set(stab)
+    pm1 = aut_pm1_group(G, Gamma.conn)
+    verdict = "CCA" if is_normal(G_R, full) else "NonCCA"
+    witness = next((b for b in stab
+                    if any(pconj(h, b) not in G_R.index
+                           for h in G_R.generators)), None)
+    assert (witness is None) == (verdict == "CCA")
+    # non-normality must coincide with a stabiliser element outside Aut_pm1
+    pm1set = set(pm1.elements)
+    assert any(b not in pm1set for b in stab) == (verdict == "NonCCA")
+    return SimpleNamespace(stabiliser=stab, full_group=full, aut_pm1=pm1,
+                           verdict=verdict, witness=witness)

@@ -19,7 +19,7 @@ from cca.structure import (_colour_units, _generates, _mask_conn,
 
 from conftest import (brute_force_stabiliser, generating_connection_sets,
                       group_pool, is_power_of_two, random_connected_cayley,
-                      stabiliser_shape_allowed)
+                      reference_autc, stabiliser_shape_allowed)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ def test_agl17_named_sets_and_random_consistency():
         if not _generates(conn, table, n):
             continue
         fast = fast_cca_verdict(n, table, inv, conn)
-        slow = autc_group(ColouredCayleyGraph(G, conn)).verdict
+        slow = reference_autc(ColouredCayleyGraph(G, conn)).verdict
         assert fast == slow, conn
         compared += 1
     assert compared > 9000

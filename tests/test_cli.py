@@ -1,6 +1,12 @@
 import json
+import os
 
+import pytest
+
+from cca import builders, cli, structure
 from cca.cli import main
+from cca.engine import autc_group
+from cca.graphs import ColouredCayleyGraph
 
 
 def run(capsys, argv):
@@ -39,6 +45,17 @@ def test_check_verdicts(capsys):
     assert d["verdict"] == "NonCCA"
     assert d["full_group_order"] == 168
     assert "witness_permutation" in d
+
+
+def test_check_labels_with_commas(capsys):
+    labels = ["(i,0)", "(-i,0)", "(j,1)", "(-j,1)", "(1,1)"]
+    code, out, _ = run(capsys,
+                       ["check", "q8xz2^1", "--set", ",".join(labels)])
+    assert code == 0
+    G = builders.build_spec("q8xz2^1")
+    res = autc_group(ColouredCayleyGraph(G, [G.label_index(l)
+                                             for l in labels]))
+    assert out == json.dumps(res.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def test_check_output_is_deterministic(capsys):
@@ -88,6 +105,28 @@ def test_precondition_errors_exit_2(capsys):
 def test_unknown_label_exit_2(capsys):
     code, _, err = run(capsys, ["check", "z6", "--set", "banana"])
     assert code == 2
+    assert "banana" in err
+
+
+def test_internal_key_error_exit_1(capsys, monkeypatch):
+    def broken(Gamma):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "autc_group", broken)
+    code, _, err = run(capsys, ["check", "z6", "--set", "1,5"])
+    assert code == 1 and "internal error" in err
+
+
+@pytest.mark.parametrize("argv", [["reproduce", "prop56-f21"],
+                                  ["enumerate", "f21"]])
+def test_jobs_out_of_range_exit_64(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(structure, "ProcessPoolExecutor", no_pool)
+    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+        code, _, err = run(capsys, argv + ["--jobs", str(jobs)])
+        assert code == 64 and "--jobs" in err
 
 
 def test_enumerate_f21(capsys):

@@ -6,14 +6,15 @@ from cca import builders
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         fast_cca_verdict, is_colour_preserving,
                         predicted_autc_complete)
-from cca.errors import NotConnected
+from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import ColouredCayleyGraph, complete_cayley, quotient_graph
 from cca.groups import close_generators, is_normal, normal_subgroups
 from cca.perms import identity, pconj
 from cca.structure import canonical_sets
 
-from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
-                      random_connected_cayley, stabiliser_shape_allowed)
+from conftest import (brute_force_stabiliser, colour_units, group_pool,
+                      is_power_of_two, random_connected_cayley,
+                      reference_autc, stabiliser_shape_allowed)
 
 
 def test_colour_preserving_basics():
@@ -32,6 +33,12 @@ def test_stabiliser_z4():
     stab = autc_stabiliser(Gamma)
     assert sorted(stab) == brute_force_stabiliser(Gamma)
     assert len(stab) == 2
+
+
+def test_stabiliser_cap_refuses():
+    # the complete graph on Q8 has a stabiliser of order 8
+    with pytest.raises(StabiliserTooLarge):
+        autc_stabiliser(complete_cayley(builders.quaternion8()), cap=4)
 
 
 def test_stabiliser_requires_connected():
@@ -208,12 +215,44 @@ def test_two_kernel_acts_semiregularly_without_order_four_colours():
                     assert a == identity(Gamma.n)
 
 
+def _assert_matches_reference(Gamma):
+    res = autc_group(Gamma)
+    ref = reference_autc(Gamma)
+    assert res.verdict == ref.verdict
+    assert res.witness == ref.witness
+    assert res.stabiliser == ref.stabiliser
+    assert set(res.aut_pm1.elements) == set(ref.aut_pm1.elements)
+    assert res.autc_order == ref.full_group.order
+    assert res.full_group.order == ref.full_group.order
+    assert set(res.full_group.elements) == set(ref.full_group.elements)
+
+
 def test_verdict_routes_cross_validate():
     rng = random.Random(23)
     pool = group_pool(20)
     for _ in range(20):
-        Gamma = random_connected_cayley(rng, pool)
-        res = autc_group(Gamma)
-        pm1set = set(res.aut_pm1.elements)
-        outside = any(b not in pm1set for b in res.stabiliser)
-        assert outside == (res.verdict == "NonCCA")
+        _assert_matches_reference(random_connected_cayley(rng, pool))
+
+
+def _sparse_cayley(rng, G, most=4):
+    """A connected Cayley graph on at most `most` colours; few colours give
+    the large stabilisers and the NonCCA verdicts."""
+    units = colour_units(G)
+    while True:
+        conn = sorted(s for u in rng.sample(units, rng.randint(1, most))
+                      for s in u)
+        gens = [G.elements[s] for s in conn]
+        if close_generators(gens, G.degree, cap=G.order + 1).order == G.order:
+            return ColouredCayleyGraph(G, conn)
+
+
+def test_autc_group_matches_reference_oracle():
+    rng = random.Random(31)
+    for spec in ("f21", "agl17", "f21xz2", "q8xz2^1", "psl27"):
+        G = builders.build_spec(spec)
+        for _ in range(6):
+            _assert_matches_reference(_sparse_cayley(rng, G))
+    named = canonical_sets()
+    for name in ("S21", "S42_1", "S42_2"):
+        G, S = named[name]
+        _assert_matches_reference(ColouredCayleyGraph(G, S))

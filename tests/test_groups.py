@@ -1,7 +1,8 @@
 import pytest
 
 from cca import builders
-from cca.errors import ClosureExceedsCap, NotASubgroup
+from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
+                        UnknownLabel)
 from cca.groups import (are_conjugate_subsets, are_isomorphic,
                         centralizer, close_generators, conjugacy_classes,
                         find_isomorphism, generating_sequence, is_normal,
@@ -41,6 +42,16 @@ def test_identity_first_and_index_arithmetic():
         for j in range(G.order):
             assert G.elements[G.imul(i, j)] == pmul(G.elements[i], G.elements[j])
         assert G.imul(i, G.inverse[i]) == 0
+
+
+def test_label_index_rejects_unknown_labels():
+    G = close_generators([(1, 2, 0)], 3)           # unlabelled: e0, e1, e2
+    assert G.label_index("e2") == 2
+    for lab in ("e3", "x", ""):
+        with pytest.raises(UnknownLabel):
+            G.label_index(lab)
+    with pytest.raises(KeyError):                  # older callers still work
+        builders.cyclic(4).label_index("banana")
 
 
 def test_rows_and_table():
@@ -130,6 +141,14 @@ def test_normal_subgroups_s4():
 def test_normal_subgroups_simple_group():
     orders = [N.order for N in normal_subgroups(builders.psl27())]
     assert orders == [1, 168]
+
+
+def test_bounds_refuse_large_groups():
+    G = builders.symmetric(4)
+    with pytest.raises(BoundExceeded):
+        find_isomorphism(G, G, bound=G.order - 1)
+    with pytest.raises(BoundExceeded):
+        normal_subgroups(G, cap=G.order - 1)
 
 
 def test_generating_sequence():

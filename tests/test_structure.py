@@ -1,8 +1,9 @@
 import pytest
 
-from cca import builders
+from cca import builders, structure
 from cca.engine import autc_group
-from cca.errors import HypothesesNotMet, HypothesisViolated
+from cca.errors import (DecompositionNotFound, HypothesesNotMet,
+                        HypothesisViolated)
 from cca.graphs import ColouredCayleyGraph
 from cca.groups import are_isomorphic, is_normal
 from cca.structure import (canonical_sets, converse_build,
@@ -47,6 +48,20 @@ def test_decompose_f21():
     fset, hset, rset, hr = dec.element_sets()
     assert fset == set(range(21))
     assert hset == rset == hr == {0}
+
+
+def test_decompose_without_psl27_copy_fails(monkeypatch):
+    G, S = canonical_sets()["S21"]
+    Gamma = ColouredCayleyGraph(G, S)
+    res = autc_group(Gamma)
+    found = structure.normal_subgroups
+
+    def without_psl27(A):
+        return [N for N in found(A) if N.order != 168]
+
+    monkeypatch.setattr(structure, "normal_subgroups", without_psl27)
+    with pytest.raises(DecompositionNotFound):
+        decompose_structure(Gamma, res)
 
 
 def test_decompose_agl17_sets():
