@@ -1,13 +1,15 @@
 """Colour-preserving automorphism groups of Cayley graphs and the CCA verdict.
 
 One stabiliser search decides everything.  It follows the graph: vertices are
-processed in BFS order from the identity vertex, and the image of a vertex
-reached along an s-edge is forced into {s*w, s^-1*w}, giving a binary
-branching with heavy pruning from previously assigned neighbours.  For the
-stabiliser A_1 it finds, |Aut_c| = n*|A_1|; G_R is normal iff every element of
-A_1 is a group automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c
-itself is closed from G_R and A_1 only on first access; the tests check this
-route against the closure and normality test it replaced.
+processed in the order of groups.bfs_tree from the identity vertex, the same
+BFS that graphs.is_connected runs, so a disconnected graph raises NotConnected
+before any search.  The image of a vertex reached along an s-edge is forced
+into {s*w, s^-1*w}, giving a binary branching with heavy pruning from
+previously assigned neighbours.  For the stabiliser A_1 it finds,
+|Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
+automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c itself is
+closed from G_R and A_1 only on first access; the tests check this route
+against the closure and normality test it replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from itertools import product
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
-from .groups import (FiniteGroup, close_generators, find_isomorphism,
+from .groups import (FiniteGroup, bfs_tree, close_generators,
+                     extend_isomorphism, find_isomorphism, generating_sequence,
                      normal_subgroups)
 from .perms import Perm, identity
 
@@ -45,33 +48,15 @@ def _graph_context(Gamma: ColouredCayleyGraph):
     return Gamma.n, conn, left, inv
 
 
-def _bfs_tree(n, conn, left):
-    """BFS order from vertex 0; entry (v, parent, s) with v = s*parent."""
-    order = []
-    pos = [-1] * n
-    pos[0] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for s in conn:
-            v = left[s][u]
-            if pos[v] == -1:
-                pos[v] = len(queue)
-                order.append((v, u, s))
-                queue.append(v)
-    if len(queue) != n:
-        raise NotConnected("graph is not connected")
-    return order, pos
-
-
 def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     """Enumerate all colour-preserving automorphisms fixing vertex 0.
 
     Calls on_found(img) per automorphism; a False return aborts the search,
-    and the search then returns False."""
-    order, pos = _bfs_tree(n, conn, left)
+    and the search then returns False.  Raises NotConnected, from the BFS
+    alone, when the connection set does not generate the group."""
+    order, pos = bfs_tree(n, conn, left)
+    if len(order) != n - 1:
+        raise NotConnected("graph is not connected")
     # constraints[v]: incident edges {v, x} with x earlier in BFS order
     constraints: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for v in range(n):
@@ -147,50 +132,15 @@ def _is_multiplicative(b, n, conn, left) -> bool:
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
     every choice of generator images s -> s^{+-1} that extends to an
-    automorphism."""
+    automorphism.  Raises NotConnected unless S generates G."""
     inv = G.inverse
-    gens: list[int] = []
-    closure = {0}
-    for s in S:
-        if s not in closure:
-            gens.append(s)
-            closure = {G.index[p] for p in
-                       G.subgroup([G.elements[i] for i in gens]).elements}
-    assert len(closure) == G.order, "S must generate G"
+    gens = generating_sequence(G, S)
     found: list[Perm] = []
     for imgs in product(*[(s,) if inv[s] == s else (s, inv[s]) for s in gens]):
-        phi = _extend_endo(G, gens, imgs)
-        if (phi is not None and len(set(phi)) == G.order
-                and all(phi[s] in (s, inv[s]) for s in S)):
+        phi = extend_isomorphism(G, G, gens, imgs)
+        if phi is not None and all(phi[s] in (s, inv[s]) for s in S):
             found.append(tuple(phi))
     return close_generators(found, G.order, cap=max(len(found) + 1, 2))
-
-
-def _extend_endo(G: FiniteGroup, gens: list[int], imgs: tuple[int, ...]):
-    """Extend gen -> img to a map on all of G by word replay; None if the
-    extension is inconsistent or not a homomorphism."""
-    phi = [-1] * G.order
-    phi[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g, im in zip(gens, imgs):
-                f = G.imul(e, g)
-                cand = G.imul(phi[e], im)
-                if phi[f] == -1:
-                    phi[f] = cand
-                    nxt.append(f)
-                elif phi[f] != cand:
-                    return None
-        frontier = nxt
-    if -1 in phi:
-        return None
-    for e in range(G.order):
-        for g, im in zip(gens, imgs):
-            if phi[G.imul(e, g)] != G.imul(phi[e], im):
-                return None
-    return phi
 
 
 @dataclass
@@ -210,8 +160,8 @@ class AutcResult:
     def full_group(self) -> FiniteGroup:
         """All of Aut_c, closed from G_R and A_1 on first access."""
         G = self.graph.group
-        gens = [G.right_row(G.index[g]) for g in G.generators]
-        full = close_generators(gens + self.stabiliser, G.order,
+        full = close_generators(G.right_regular.generators + self.stabiliser,
+                                G.order,
                                 cap=max(10_000, self.autc_order + 1))
         if full.order != self.autc_order:
             raise RuntimeError("internal error: |Aut_c| != n*|A_1|")
@@ -288,7 +238,7 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
     from . import builders
 
     n = G.order
-    reg_gens = [G.right_row(G.index[g]) for g in G.generators]
+    reg_gens = G.right_regular.generators
     inv_perm = tuple(G.inverse)
     if G.is_abelian():
         if G.exponent() <= 2:

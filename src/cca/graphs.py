@@ -10,7 +10,8 @@ from collections import deque
 
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)
-from .groups import FiniteGroup, close_generators, is_normal, is_subgroup
+from .groups import (FiniteGroup, bfs_tree, close_generators, is_normal,
+                     is_subgroup)
 from .perms import Perm, identity, pmul
 
 
@@ -169,6 +170,20 @@ def graph_automorphisms(P: PlainGraph, max_n: int = 50) -> list[Perm]:
 
 # -- coloured Cayley graphs ------------------------------------------------
 
+def colour_units(G: FiniteGroup, conn) -> list[tuple[int, ...]]:
+    """The colours of an inverse-closed set: inverse pairs (s, s^-1) and
+    involution singletons (s,), in order of first appearance."""
+    units = []
+    seen = set()
+    for s in conn:
+        if s in seen:
+            continue
+        si = G.inverse[s]
+        seen.update((s, si))
+        units.append((s,) if si == s else (s, si))
+    return units
+
+
 class ColouredCayleyGraph:
     """Cay(G, S): vertices are G's element indices, an edge {g, sg} for every
     g and s in S, coloured by the inverse pair {s, s^-1}."""
@@ -189,17 +204,7 @@ class ColouredCayleyGraph:
                 raise NotInverseClosed(
                     f"connection set is not inverse-closed at {group.label(s)}")
         self.conn = conn_list
-        # colour classes: inverse pairs in first-appearance order
-        self.colour_classes: list[tuple[int, ...]] = []
-        class_of: dict[int, int] = {}
-        for s in conn_list:
-            if s in class_of:
-                continue
-            si = group.inverse[s]
-            cls = (s,) if si == s else (s, si)
-            class_of[s] = len(self.colour_classes)
-            class_of[si] = len(self.colour_classes)
-            self.colour_classes.append(cls)
+        self.colour_classes = colour_units(group, conn_list)
         self.n = n
         self.adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self.edge_colour: dict[tuple[int, int], int] = {}
@@ -229,22 +234,12 @@ def cayley(G: FiniteGroup, S) -> ColouredCayleyGraph:
 
 
 def is_connected(Gamma: ColouredCayleyGraph) -> bool:
-    """Graph-side BFS cross-checked against <S> = G."""
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v, _, _ in Gamma.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    graph_side = len(seen) == Gamma.n
-    gens = [Gamma.group.elements[s] for s in Gamma.conn]
-    group_side = close_generators(gens, Gamma.group.degree,
-                                  cap=Gamma.n).order == Gamma.n if gens else Gamma.n == 1
-    if graph_side != group_side:
-        raise RuntimeError("internal error: graph/group connectivity disagree")
-    return graph_side
+    """True iff <S> = G: the BFS over left rows from the identity vertex,
+    the one the engine's stabiliser search walks, reaches every vertex."""
+    G = Gamma.group
+    order, _ = bfs_tree(Gamma.n, Gamma.conn,
+                        {s: G.left_row(s) for s in Gamma.conn})
+    return len(order) == Gamma.n - 1
 
 
 def complete_cayley(G: FiniteGroup) -> ColouredCayleyGraph:

@@ -7,12 +7,11 @@ explicit element lists, which keeps every operation exactly verifiable.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from math import lcm
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
-                     UnknownLabel)
+                     NotConnected, UnknownLabel)
 from .perms import Perm, identity, is_perm, pconj, pinv, pmul, porder
 
 DEFAULT_CAP = 10_000
@@ -102,11 +101,14 @@ class FiniteGroup:
 
     # -- derived groups ---------------------------------------------------
 
+    @cached_property
     def right_regular(self) -> "FiniteGroup":
-        """The right-regular representation G_R acting on element indices."""
+        """The right-regular representation G_R acting on element indices,
+        closed from the images of the generators."""
         gens = [self.right_row(self.index[g]) for g in self.generators]
         G = close_generators(gens, self.order, cap=max(DEFAULT_CAP, self.order))
-        assert G.order == self.order
+        if G.order != self.order:
+            raise RuntimeError("internal error: generators do not generate G")
         return G
 
     def subgroup(self, gens: list[Perm], cap: int | None = None) -> "FiniteGroup":
@@ -134,13 +136,9 @@ def trivial_group(degree: int) -> FiniteGroup:
     return FiniteGroup([identity(degree)], [])
 
 
-def close_generators(gens, degree: int, cap: int | None = None) -> FiniteGroup:
+def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Breadth-first closure from the identity, generators applied in input
-    order; the resulting element ordering is deterministic.
-
-    The default cap can be overridden with the CCA_ENUM_CAP env variable."""
-    if cap is None:
-        cap = int(os.environ.get("CCA_ENUM_CAP", DEFAULT_CAP))
+    order; the resulting element ordering is deterministic."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = [tuple(g) for g in gens]
@@ -162,6 +160,32 @@ def close_generators(gens, degree: int, cap: int | None = None) -> FiniteGroup:
                 index[f] = len(elements)
                 elements.append(f)
     return FiniteGroup(elements, gens)
+
+
+def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Breadth-first search from the identity along left multiplication by
+    the elements of conn, where left[s] is the row x -> s*x.
+
+    Returns the reached elements other than the identity as (v, u, s) with
+    v = s*u, in visiting order, and pos with pos[v] the place of v in the
+    queue (pos[0] = 0, -1 where unreached).  The reached elements form the
+    subgroup <conn>, so all n are reached iff conn generates the group, that
+    is iff Cay(G, conn) is connected."""
+    order = []
+    pos = [-1] * n
+    pos[0] = 0
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for s in conn:
+            v = left[s][u]
+            if pos[v] == -1:
+                pos[v] = len(queue)
+                order.append((v, u, s))
+                queue.append(v)
+    return order, pos
 
 
 def is_subgroup(H: FiniteGroup, G: FiniteGroup) -> bool:
@@ -341,18 +365,52 @@ def _order_histogram(G: FiniteGroup) -> dict[int, int]:
     return hist
 
 
-def generating_sequence(G: FiniteGroup) -> list[int]:
-    """A small deterministic generating sequence: repeatedly adjoin the first
-    element outside the current closure."""
+def generating_sequence(G: FiniteGroup, candidates=None) -> list[int]:
+    """A small deterministic generating sequence: adjoin each candidate (by
+    default every element, in index order) that lies outside the subgroup
+    generated so far.  Raises NotConnected if the candidates do not generate
+    G."""
     gens: list[int] = []
-    closed = {identity(G.degree)}
-    while len(closed) < G.order:
-        for i in range(1, G.order):
-            if G.elements[i] not in closed:
-                gens.append(i)
-                closed = set(G.subgroup([G.elements[j] for j in gens]).elements)
-                break
+    left: dict[int, tuple[int, ...]] = {}
+    pos = [0] + [-1] * (G.order - 1)
+    for c in range(1, G.order) if candidates is None else candidates:
+        if pos[c] == -1:
+            gens.append(c)
+            left[c] = G.left_row(c)
+            _, pos = bfs_tree(G.order, gens, left)
+    if -1 in pos:
+        raise NotConnected("the candidates do not generate the group")
     return gens
+
+
+def extend_isomorphism(G: FiniteGroup, H: FiniteGroup, gens: list[int],
+                       imgs) -> list[int] | None:
+    """Extend gens[i] -> imgs[i] to a bijective homomorphism G -> H between
+    groups of equal order, as a list mapping G-indices to H-indices, or None
+    if there is none.
+
+    Word replay along a BFS from the identity sets phi(e*g) = phi(e)*phi(g)
+    and checks it wherever e*g is reached again.  Every pair (e, g) is
+    replayed once, so a consistent replay that reaches all of G is a
+    homomorphism."""
+    phi = [-1] * G.order
+    phi[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g, im in zip(gens, imgs):
+                f = G.imul(e, g)
+                cand = H.imul(phi[e], im)
+                if phi[f] == -1:
+                    phi[f] = cand
+                    nxt.append(f)
+                elif phi[f] != cand:
+                    return None
+        frontier = nxt
+    if -1 in phi or len(set(phi)) != G.order:
+        return None
+    return phi
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
@@ -369,21 +427,6 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
     gens = generating_sequence(G)
     if not gens:
         return [0]
-    # BFS words for every element of G over the generating sequence.
-    word_of: dict[int, tuple[int, int]] = {}  # elem -> (prev elem, gen position)
-    frontier = [0]
-    known = {0}
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for pos, g in enumerate(gens):
-                f = G.imul(e, g)
-                if f not in known:
-                    known.add(f)
-                    word_of[f] = (e, pos)
-                    nxt.append(f)
-        frontier = nxt
-    assert len(known) == G.order
 
     g_orders = G.element_orders
     h_orders = H.element_orders
@@ -397,34 +440,9 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
 
     imgs: list[int] = []
 
-    def build_phi() -> list[int] | None:
-        phi = [-1] * G.order
-        phi[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for pos, g in enumerate(gens):
-                    f = G.imul(e, g)
-                    cand = H.imul(phi[e], imgs[pos])
-                    if phi[f] == -1:
-                        phi[f] = cand
-                        nxt.append(f)
-                    elif phi[f] != cand:
-                        return None
-            frontier = nxt
-        if len(set(phi)) != G.order:
-            return None
-        # Homomorphism on (all elements) x (generators) suffices.
-        for e in range(G.order):
-            for pos, g in enumerate(gens):
-                if phi[G.imul(e, g)] != H.imul(phi[e], imgs[pos]):
-                    return None
-        return phi
-
     def extend(k: int) -> list[int] | None:
         if k == len(gens):
-            return build_phi()
+            return extend_isomorphism(G, H, gens, imgs)
         for cand in h_by_order.get(g_orders[gens[k]], []):
             imgs.append(cand)
             sub = H.subgroup([H.elements[i] for i in imgs])

@@ -67,7 +67,7 @@ def agl17_subdivision() -> dict:
 def knn_q8() -> dict:
     """L(K_{8,8}) as a 64-vertex non-CCA Cayley graph on Q8 x Q8."""
     A = builders.q8_times_z2(0)
-    AR = A.right_regular()
+    AR = A.right_regular
     sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
     B = close_generators(list(AR.generators) + sigmas, 8, cap=65)
     assert B.order == 64

@@ -18,8 +18,8 @@ import numpy as np
 from . import builders
 from .engine import AutcResult, autc_group, fast_cca_verdict
 from .errors import (DecompositionNotFound, HypothesesNotMet,
-                     HypothesisViolated, InvalidSpec)
-from .graphs import ColouredCayleyGraph, cayley, is_connected
+                     HypothesisViolated, InvalidSpec, NotConnected)
+from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from .groups import (FiniteGroup, are_isomorphic, close_generators,
                      is_normal, is_sylow_cyclic_order_not_div_4,
                      normal_subgroups, sylow_subgroup, trivial_group)
@@ -49,7 +49,7 @@ class StructureDecomposition:
         h = {p[0] for p in self.H.elements}
         r = {p[0] for p in self.R.elements}
         hr_group = close_generators(self.H.elements + self.R.elements,
-                                    self.F.degree)
+                                    self.F.degree, cap=self.G_R.order + 1)
         return f, h, r, {p[0] for p in hr_group.elements}
 
     def to_json_dict(self) -> dict:
@@ -64,13 +64,19 @@ class StructureDecomposition:
         }
 
 
-def _subgroup_from_indices(A: FiniteGroup, members: list) -> FiniteGroup:
-    elems = sorted(members)
-    if not elems:
-        return trivial_group(A.degree)
-    G = close_generators(elems, A.degree, cap=len(elems) + 1)
-    assert G.order == len(elems)
-    return G
+def _known_subgroup(elems: list, degree: int,
+                    labelled_by: FiniteGroup | None = None) -> FiniteGroup:
+    """The group on a known element set (which must contain the identity),
+    closed from its elements in the given order; with labelled_by, it
+    carries that group's labels and spec."""
+    sub = close_generators(elems, degree, cap=len(elems) + 1)
+    if sub.order != len(elems):
+        raise RuntimeError("internal error: element set is not a subgroup")
+    if labelled_by is not None:
+        sub.labels = [labelled_by.label(labelled_by.index[p])
+                      for p in sub.elements]
+        sub.meta = {"spec": labelled_by.meta.get("spec")}
+    return sub
 
 
 def decompose_structure(Gamma: ColouredCayleyGraph,
@@ -90,8 +96,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
 
     A = res.full_group
     n = G.order
-    G_R = close_generators([G.right_row(G.index[g]) for g in G.generators], n,
-                           cap=n + 1)
+    G_R = G.right_regular
 
     normals = normal_subgroups(A)
     psl = builders.psl27()
@@ -116,7 +121,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
         R = close_generators([G.right_row(r)], n, cap=3)
 
     tset = set(T.elements)
-    F = _subgroup_from_indices(A, [p for p in G_R.elements if p in tset])
+    F = _known_subgroup(sorted(p for p in G_R.elements if p in tset), n)
     f21g = builders.f21()
 
     candidates = sorted(
@@ -126,7 +131,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
         key=lambda N: (N.order, sorted(N.elements)))
     for J in candidates:
         jset = set(J.elements)
-        H = _subgroup_from_indices(A, [p for p in G_R.elements if p in jset])
+        H = _known_subgroup(sorted(p for p in G_R.elements if p in jset), n)
         span = close_generators(T.elements + J.elements + R.elements, n,
                                 cap=A.order + 1)
         if span.order != A.order:
@@ -175,17 +180,6 @@ class ReductionData:
         }
 
 
-def _carried_subgroup(G: FiniteGroup, members: set) -> FiniteGroup:
-    """The subgroup of G on the listed element indices, as a standalone group
-    carrying G's labels."""
-    elems = [G.elements[i] for i in sorted(members)]
-    sub = close_generators(elems, G.degree, cap=len(elems) + 1)
-    assert sub.order == len(elems)
-    sub.labels = [G.label(G.index[p]) for p in sub.elements]
-    sub.meta = {"spec": G.meta.get("spec")}
-    return sub
-
-
 def reduction_gamma_prime(Gamma: ColouredCayleyGraph,
                           dec: StructureDecomposition) -> ReductionData:
     """Compute Y = S minus (F union H x| R), the reduced connection set
@@ -198,9 +192,10 @@ def reduction_gamma_prime(Gamma: ColouredCayleyGraph,
     sq = {G.imul(s, s) for s in Y}
     S_prime = sorted((set(S) & fset) | ({dec.r} if dec.r != 0 else set()) | sq)
 
-    fr = close_generators(dec.F.elements + dec.R.elements, G.order)
-    fr_idx = {p[0] for p in fr.elements}
-    FR = _carried_subgroup(G, fr_idx)
+    fr = close_generators(dec.F.elements + dec.R.elements, G.order,
+                          cap=G.order + 1)
+    fr_idx = sorted({p[0] for p in fr.elements})
+    FR = _known_subgroup([G.elements[i] for i in fr_idx], G.degree, G)
     gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
 
     factor_ok = True
@@ -255,8 +250,8 @@ def converse_build(F: FiniteGroup, H: FiniteGroup, R: FiniteGroup, S):
     r = next((i for i, t in enumerate(tuples)
               if t[0] == 0 and t[1] == 0 and t[2] != 0), 0)
 
-    if close_generators([G.elements[s] for s in S], G.degree,
-                        cap=G.order + 1).order != G.order:
+    graph = ColouredCayleyGraph(G, S)
+    if not is_connected(graph):
         raise HypothesisViolated("S does not generate the assembled group")
 
     Y = [s for s in S if s not in fset and s not in hr]
@@ -269,8 +264,8 @@ def converse_build(F: FiniteGroup, H: FiniteGroup, R: FiniteGroup, S):
     if Y and R.order != 2:
         raise HypothesisViolated("condition (3): Y nonempty but |R| != 2")
 
-    frset = {i for i, t in enumerate(tuples) if t[1] == 0}
-    FR = _carried_subgroup(G, frset)
+    FR = _known_subgroup([G.elements[i] for i, t in enumerate(tuples)
+                          if t[1] == 0], G.degree, G)
     S_prime = sorted((set(S) & fset) | ({r} if r else set())
                      | {G.imul(s, s) for s in Y})
     gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
@@ -279,9 +274,10 @@ def converse_build(F: FiniteGroup, H: FiniteGroup, R: FiniteGroup, S):
     if autc_group(gamma_prime).verdict != "NonCCA":
         raise HypothesisViolated("condition (1): reduced graph is CCA")
 
-    graph = ColouredCayleyGraph(G, S)
     res = autc_group(graph)
-    assert res.verdict == "NonCCA", "engine disagrees with predicted verdict"
+    if res.verdict != "NonCCA":
+        raise RuntimeError("internal error: engine disagrees with the "
+                           "predicted NonCCA verdict")
     return graph, res
 
 
@@ -367,19 +363,6 @@ def _base_and_ambient(base: str):
     raise InvalidSpec(f"unknown enumeration base {base!r}")
 
 
-def _colour_units(G: FiniteGroup):
-    """Inverse pairs and involution singletons, ordered by least member."""
-    units = []
-    seen = set()
-    for s in range(1, G.order):
-        if s in seen:
-            continue
-        si = G.inverse[s]
-        seen.update((s, si))
-        units.append((s,) if si == s else (s, si))
-    return units
-
-
 def _unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
     """Distinct permutations of the unit list induced by ambient conjugation."""
     unit_of = {}
@@ -422,27 +405,18 @@ def _mask_conn(mask: int, units) -> list[int]:
     return sorted(conn)
 
 
-def _generates(conn, table, n) -> bool:
-    seen = [False] * n
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in conn:
-                w = table[s][v]
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    return count == n
+def _verdict(n, table, inv, conn) -> str | None:
+    """The CCA verdict, or None when conn does not generate the group: the
+    search's own BFS raises NotConnected before any search."""
+    try:
+        return fast_cca_verdict(n, table, inv, conn)
+    except NotConnected:
+        return None
 
 
 def _verdict_chunk(payload):
     n, table, inv, jobs_conn = payload
-    return [fast_cca_verdict(n, table, inv, conn) for conn in jobs_conn]
+    return [_verdict(n, table, inv, conn) for conn in jobs_conn]
 
 
 def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
@@ -457,7 +431,7 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
     G, Amb = _base_and_ambient(base)
     n = G.order
-    units = _colour_units(G)
+    units = colour_units(G, range(1, n))
     k = len(units)
     ws = _unit_action(G, Amb, units)
     canon = _canonical_masks(k, ws)
@@ -467,12 +441,7 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     table = G.table
     inv = G.inverse
 
-    rep_conn = {}
-    for m in reps:
-        m = int(m)
-        conn = _mask_conn(m, units)
-        if conn and _generates(conn, table, n):
-            rep_conn[m] = conn
+    rep_conn = {m: _mask_conn(m, units) for m in map(int, reps)}
 
     def run_verdicts(items):
         if jobs > 1 and len(items) > jobs:
@@ -485,30 +454,30 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
                 for (m, _), v in zip(ch, vs):
                     out[m] = v
             return out
-        return {m: fast_cca_verdict(n, table, inv, c) for m, c in items}
+        return {m: _verdict(n, table, inv, c) for m, c in items}
 
+    # None marks a class that does not generate G
     verdicts = run_verdicts(sorted(rep_conn.items()))
 
     if mode == "full":
         # honest re-run on every subset; class verdicts must be constant
         for m in range(1 << k):
-            c = int(canon[m])
-            if c not in rep_conn:
-                continue
-            conn = _mask_conn(m, units)
-            if not _generates(conn, table, n):
-                raise RuntimeError("connectivity not conjugation-invariant")
-            if fast_cca_verdict(n, table, inv, conn) != verdicts[c]:
-                raise RuntimeError("verdict not conjugation-invariant")
+            if _verdict(n, table, inv, _mask_conn(m, units)) \
+                    != verdicts[int(canon[m])]:
+                raise RuntimeError(
+                    "connectivity or verdict not conjugation-invariant")
 
-    connected_count = sum(int(counts[m]) for m in rep_conn)
+    connected_count = sum(int(counts[m]) for m in rep_conn
+                          if verdicts[m] is not None)
     non_cca = []
     for m in sorted(rep_conn):
         if verdicts[m] != "NonCCA":
             continue
         conn = rep_conn[m]
         res = autc_group(ColouredCayleyGraph(G, conn))
-        assert res.verdict == "NonCCA"
+        if res.verdict != "NonCCA":
+            raise RuntimeError("internal error: verdict routes disagree on "
+                               f"representative {m}")
         non_cca.append({
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,

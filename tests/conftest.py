@@ -1,4 +1,5 @@
-"""Shared helpers: brute-force oracles and random graph sampling."""
+"""Shared helpers: brute-force and counting oracles and random graph
+sampling."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 from cca import builders
 from cca.engine import aut_pm1_group, autc_stabiliser, is_colour_preserving
-from cca.graphs import ColouredCayleyGraph
+from cca.graphs import ColouredCayleyGraph, colour_units
 from cca.groups import FiniteGroup, close_generators, is_normal
 from cca.perms import pconj, pinv, pmul
 
@@ -60,21 +61,32 @@ def stabiliser_shape_allowed(stab, degree: int) -> bool:
     return True
 
 
-def colour_units(G: FiniteGroup):
-    units = []
-    seen = set()
-    for s in range(1, G.order):
-        if s in seen:
-            continue
-        si = G.inverse[s]
-        seen.update((s, si))
-        units.append((s,) if si == s else (s, si))
-    return units
+def subset_class_count(G: FiniteGroup, Amb: FiniteGroup) -> int:
+    """Orbits of Amb's conjugation action on sets of colour units of G, by the
+    orbit-counting lemma: the mean over a in Amb of 2^c(a), c(a) the number
+    of cycles in which a permutes the units."""
+    units = colour_units(G, range(1, G.order))
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    total = 0
+    for a in Amb.elements:
+        w = [unit_of[G.index[pconj(G.elements[u[0]], a)]] for u in units]
+        seen = [False] * len(w)
+        c = 0
+        for i in range(len(w)):
+            if not seen[i]:
+                c += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = w[j]
+        total += 2 ** c
+    assert total % Amb.order == 0
+    return total // Amb.order
 
 
 def generating_connection_sets(G: FiniteGroup):
     """Every inverse-closed generating subset of G \\ {1}."""
-    units = colour_units(G)
+    units = colour_units(G, range(1, G.order))
     out = []
     for mask in range(1, 1 << len(units)):
         conn = []
@@ -89,7 +101,7 @@ def generating_connection_sets(G: FiniteGroup):
 
 def random_connected_cayley(rng: random.Random, pool):
     G = pool[rng.randrange(len(pool))]
-    units = colour_units(G)
+    units = colour_units(G, range(1, G.order))
     while True:
         conn = []
         for u in units:

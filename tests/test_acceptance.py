@@ -11,15 +11,15 @@ import pytest
 
 from cca import builders, recipes
 from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
-from cca.graphs import ColouredCayleyGraph
+from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, close_generators
-from cca.structure import (_colour_units, _generates, _mask_conn,
-                           canonical_sets, decompose_structure,
+from cca.structure import (_mask_conn, canonical_sets, decompose_structure,
                            enumerate_connection_sets, reduction_gamma_prime)
 
 from conftest import (brute_force_stabiliser, generating_connection_sets,
                       group_pool, is_power_of_two, random_connected_cayley,
-                      reference_autc, stabiliser_shape_allowed)
+                      reference_autc, stabiliser_shape_allowed,
+                      subset_class_count)
 
 
 @pytest.fixture(scope="module")
@@ -58,13 +58,8 @@ def test_f21xz2_classification_eleven_classes():
     assert len(rep.non_cca_classes) == 11
     G, sup = canonical_sets()["f21xz2_superset"]
     amb = builders.agl17xz2()
-    sup_units = []
-    seen = set()
-    for s in sup:
-        if s in seen:
-            continue
-        seen.update((s, G.inverse[s]))
-        sup_units.append((s,) if G.inverse[s] == s else (s, G.inverse[s]))
+    assert rep.class_count == subset_class_count(G, amb) == 55680
+    sup_units = colour_units(G, sup)
     assert len(sup_units) == 5
     for cls in rep.non_cca_classes:
         assert cls["autc_order"] == 336
@@ -92,17 +87,18 @@ def test_agl17_named_sets_and_random_consistency():
         assert res.verdict == "NonCCA"
         assert res.full_group.order == 336
     G = builders.agl17()
-    units = _colour_units(G)
+    units = colour_units(G, range(1, G.order))
     table, inv, n = G.table, G.inverse, G.order
     rng = random.Random(42)
     compared = 0
     for _ in range(10_000):
         mask = rng.randrange(1, 1 << len(units))
         conn = _mask_conn(mask, units)
-        if not _generates(conn, table, n):
+        Gamma = ColouredCayleyGraph(G, conn)
+        if not is_connected(Gamma):
             continue
         fast = fast_cca_verdict(n, table, inv, conn)
-        slow = reference_autc(ColouredCayleyGraph(G, conn)).verdict
+        slow = reference_autc(Gamma).verdict
         assert fast == slow, conn
         compared += 1
     assert compared > 9000

@@ -62,7 +62,7 @@ def test_dihedral_coset_tau_satisfies_hypotheses():
 
 def test_complete_colour_pair_q8():
     A = builders.q8_times_z2(0)
-    AR = A.right_regular()
+    AR = A.right_regular
     sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
     B = close_generators(list(AR.generators) + sigmas, 8, cap=65)
     chk = is_complete_colour_pair(AR, B)
@@ -70,7 +70,7 @@ def test_complete_colour_pair_q8():
 
 
 def test_complete_colour_pair_rejected_for_plain_group():
-    G = builders.symmetric(3).right_regular()
+    G = builders.symmetric(3).right_regular
     chk = is_complete_colour_pair(G, G)
     assert not chk.is_pair and chk.case == "CCA"
 

@@ -1,20 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cca
 from cca import builders
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         fast_cca_verdict, is_colour_preserving,
                         predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
-from cca.graphs import ColouredCayleyGraph, complete_cayley, quotient_graph
+from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
+                        quotient_graph)
 from cca.groups import close_generators, is_normal, normal_subgroups
 from cca.perms import identity, pconj
 from cca.structure import canonical_sets
 
-from conftest import (brute_force_stabiliser, colour_units, group_pool,
-                      is_power_of_two, random_connected_cayley,
-                      reference_autc, stabiliser_shape_allowed)
+from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
+                      random_connected_cayley, reference_autc,
+                      stabiliser_shape_allowed)
 
 
 def test_colour_preserving_basics():
@@ -42,9 +48,31 @@ def test_stabiliser_cap_refuses():
 
 
 def test_stabiliser_requires_connected():
-    Gamma = ColouredCayleyGraph(builders.cyclic(6), [2, 4])
+    G = builders.cyclic(6)
+    Gamma = ColouredCayleyGraph(G, [2, 4])
     with pytest.raises(NotConnected):
         autc_stabiliser(Gamma)
+    # the enumeration reads a disconnected class from this error
+    with pytest.raises(NotConnected):
+        fast_cca_verdict(G.order, G.table, G.inverse, [2, 4])
+    with pytest.raises(NotConnected):
+        aut_pm1_group(G, [2, 4])
+
+
+def test_aut_pm1_requires_generating_set_under_optimize():
+    # python -O strips asserts; the check must survive it
+    code = ("from cca import builders\n"
+            "from cca.engine import aut_pm1_group\n"
+            "from cca.errors import NotConnected\n"
+            "try:\n"
+            "    aut_pm1_group(builders.cyclic(6), [2, 4])\n"
+            "except NotConnected:\n"
+            "    print('NotConnected')\n")
+    src = str(Path(cca.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "NotConnected\n", out.stderr
 
 
 def test_autc_z5_complete():
@@ -237,7 +265,7 @@ def test_verdict_routes_cross_validate():
 def _sparse_cayley(rng, G, most=4):
     """A connected Cayley graph on at most `most` colours; few colours give
     the large stabilisers and the NonCCA verdicts."""
-    units = colour_units(G)
+    units = colour_units(G, range(1, G.order))
     while True:
         conn = sorted(s for u in rng.sample(units, rng.randint(1, most))
                       for s in u)

@@ -7,27 +7,31 @@ import pytest
 
 from cca import builders
 from cca.errors import InvalidSpec
+from cca.graphs import colour_units
 from cca.groups import are_conjugate_subsets
-from cca.structure import (_canonical_masks, _colour_units, _mask_conn,
-                           _unit_action, canonical_sets,
+from cca.structure import (_canonical_masks, _unit_action, canonical_sets,
                            enumerate_connection_sets)
+
+from conftest import subset_class_count
 
 
 def test_colour_units_f21():
-    units = _colour_units(builders.f21())
+    G = builders.f21()
+    units = colour_units(G, range(1, G.order))
     assert len(units) == 10
     assert all(len(u) == 2 for u in units)     # no involutions in F21
 
 
 def test_colour_units_agl17():
-    units = _colour_units(builders.agl17())
+    G = builders.agl17()
+    units = colour_units(G, range(1, G.order))
     assert len(units) == 24
     assert sum(1 for u in units if len(u) == 1) == 7
 
 
 def test_unit_action_is_group_of_unit_permutations():
     G = builders.f21()
-    units = _colour_units(G)
+    units = colour_units(G, range(1, G.order))
     ws = _unit_action(G, builders.agl17(), units)
     k = len(units)
     assert tuple(range(k)) in ws
@@ -37,7 +41,7 @@ def test_unit_action_is_group_of_unit_permutations():
 
 def test_canonical_masks_against_direct_minimum():
     G = builders.f21()
-    units = _colour_units(G)
+    units = colour_units(G, range(1, G.order))
     ws = _unit_action(G, builders.agl17(), units)
     k = len(units)
     canon = _canonical_masks(k, ws)
@@ -84,6 +88,8 @@ def test_enumerate_f21_report_content():
     # disconnected subsets: the 8 inside the order-7 subgroup (3 units,
     # empty included) and the 7 single order-3 pairs
     assert rep.connected_count == 1024 - 15
+    assert rep.class_count == subset_class_count(
+        builders.f21(), builders.agl17()) == 56
     assert len(rep.non_cca_classes) == 1
     cls = rep.non_cca_classes[0]
     assert cls["orbit_size"] == 21

@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
 
 from cca import builders
 from cca.errors import ContainsIdentity, NotEdgeRegular, NotInverseClosed, NotNormal
-from cca.graphs import (ColouredCayleyGraph, PlainGraph, cayley,
+from cca.graphs import (ColouredCayleyGraph, PlainGraph, cayley, colour_units,
                         complete_cayley, graph_automorphisms, heawood,
                         is_connected, line_graph, quotient_graph,
                         realize_line_graph_as_cayley, subdivision, to_dot,
                         to_json, to_json_dict)
 from cca.groups import close_generators
+
+from conftest import group_pool
 
 
 def test_plain_graph_basics():
@@ -66,6 +69,22 @@ def test_connectivity():
     Z6 = builders.cyclic(6)
     assert is_connected(ColouredCayleyGraph(Z6, [1, 5]))
     assert not is_connected(ColouredCayleyGraph(Z6, [2, 4]))
+
+
+def test_connectivity_matches_generated_subgroup():
+    rng = random.Random(7)
+    pool = group_pool(24)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        G = pool[rng.randrange(len(pool))]
+        units = colour_units(G, range(1, G.order))
+        picked = rng.sample(units, rng.randint(0, min(3, len(units))))
+        conn = [s for u in picked for s in u]
+        generated = close_generators([G.elements[s] for s in conn], G.degree,
+                                     cap=G.order + 1).order == G.order
+        assert is_connected(ColouredCayleyGraph(G, conn)) == generated, conn
+        seen[generated] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
 
 
 def test_complete_cayley():
