@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import builders
-from .engine import is_colour_preserving, predicted_autc_complete
+from .engine import colour_break, is_colour_preserving, predicted_autc_complete
 from .errors import HypothesisViolated, NotArcRegular, NotRegular
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      realize_line_graph_as_cayley, subdivision)
@@ -102,12 +102,16 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
     tau_prime = tuple(idx[(h, (tau[gs[0]],) + gs[1:])] for h, gs in items)
     graph = ColouredCayleyGraph(X, T)
 
-    assert tau_prime[0] == 0
-    assert is_colour_preserving(graph, tau_prime)
+    if tau_prime[0] != 0:
+        raise HypothesisViolated(f"tau' moves 1 to {X.label(tau_prime[0])}")
+    if (edge := colour_break(graph, tau_prime)) is not None:
+        raise HypothesisViolated("tau' changes the colour of the edge "
+                                 + "-".join(map(X.label, edge)))
     pair = next(((a, b) for a in range(X.order) for b in range(X.order)
                  if tau_prime[X.imul(a, b)]
                  != X.imul(tau_prime[a], tau_prime[b])), None)
-    assert pair is not None, "tau' unexpectedly multiplicative"
+    if pair is None:
+        raise HypothesisViolated("tau' is a group automorphism of X")
     return WreathWitness(X, T, tau_prime, graph, pair)
 
 
@@ -189,10 +193,14 @@ def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):
     for c in cliques:
         for i in c:
             membership[i] += 1
-    assert all(k == 2 for k in membership), "vertex not in exactly 2 special cliques"
+    label = Gamma.group.label
+    for i, k in enumerate(membership):
+        if k != 2:
+            raise HypothesisViolated(f"vertex {label(i)} in {k} special cliques, not 2")
     for i, j in Gamma.edges:
-        assert sum(1 for c in cliques if i in c and j in c) == 1, \
-            "line-graph edge not in exactly one special clique"
+        if sum(1 for c in cliques if i in c and j in c) != 1:
+            raise HypothesisViolated(
+                f"edge {label(i)}-{label(j)} not in exactly one special clique")
 
 
 def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
@@ -239,8 +247,9 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise HypothesisViolated("H does not act faithfully on the edges")
     H_emb = FiniteGroup(emb_elems, [induced(h) for h in H.generators],
                         labels=H.labels)
-    for p in H_emb.elements:
-        assert is_colour_preserving(Gamma, p)
+    for i, p in enumerate(H_emb.elements):
+        if not is_colour_preserving(Gamma, p):
+            raise HypothesisViolated(f"{H.label(i)} in H changes line-graph colours")
     return Gamma, H_emb
 
 

@@ -1,15 +1,16 @@
 """Colour-preserving automorphism groups of Cayley graphs and the CCA verdict.
 
-One stabiliser search decides everything.  It follows the graph: vertices are
-processed in the order of groups.bfs_tree from the identity vertex, the same
-BFS that graphs.is_connected runs, so a disconnected graph raises NotConnected
-before any search.  The image of a vertex reached along an s-edge is forced
-into {s*w, s^-1*w}, giving a binary branching with heavy pruning from
-previously assigned neighbours.  For the stabiliser A_1 it finds,
+One stabiliser search decides everything.  It visits vertices in the order
+of groups.bfs_tree from the identity vertex, the BFS that graphs.is_connected
+runs, so a disconnected graph raises NotConnected before any search.  A
+vertex reached along an s-edge has its image forced into {s*w, s^-1*w}, and
+every other edge is checked when its later endpoint is assigned, so each
+element found is colour-preserving by construction (the tests compare with
+networkx's VF2); the identity comes first.  For the stabiliser A_1,
 |Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
 automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c itself is
 closed from G_R and A_1 only on first access; the tests check this route
-against the closure and normality test it replaced.
+against the closure-and-normality route.
 """
 
 from __future__ import annotations
@@ -28,42 +29,41 @@ from .perms import Perm, identity
 STABILISER_CAP = 2 ** 14
 
 
-def is_colour_preserving(Gamma: ColouredCayleyGraph, p: Perm) -> bool:
-    """True iff p maps every edge to an edge of the same colour class."""
+def colour_break(Gamma: ColouredCayleyGraph, p: Perm) -> tuple[int, int] | None:
+    """The first edge (u, v) that p does not map to an edge of the same colour
+    class, or None if p preserves colours."""
     if len(p) != Gamma.n:
         raise ValueError("permutation degree does not match the graph")
     ec = Gamma.edge_colour
-    for (u, v), c in ec.items():
-        pu, pv = p[u], p[v]
-        if ec.get((min(pu, pv), max(pu, pv))) != c:
-            return False
-    return True
+    return next(((u, v) for (u, v), c in ec.items()
+                 if ec.get((min(p[u], p[v]), max(p[u], p[v]))) != c), None)
+
+
+def is_colour_preserving(Gamma: ColouredCayleyGraph, p: Perm) -> bool:
+    """True iff p maps every edge to an edge of the same colour class."""
+    return colour_break(Gamma, p) is None
 
 
 def _graph_context(Gamma: ColouredCayleyGraph):
-    G = Gamma.group
-    conn = Gamma.conn
-    left = {s: G.left_row(s) for s in conn}
-    inv = {s: G.inverse[s] for s in conn}
-    return Gamma.n, conn, left, inv
+    G, conn = Gamma.group, Gamma.conn
+    return Gamma.n, conn, {s: G.left_row(s) for s in conn}, G.inverse
 
 
 def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     """Enumerate all colour-preserving automorphisms fixing vertex 0.
 
+    Vertex v = s*u gets an unused image in {s*img[u], s^-1*img[u]}; every
+    other edge {v, t*v} is checked when its later endpoint v is assigned
+    (t*v has an image iff it is earlier in BFS order): img[t*v] must be
+    t^{+-1}*img[v].  So every map found is a colour-preserving bijection.
+
     Calls on_found(img) per automorphism; a False return aborts the search,
     and the search then returns False.  Raises NotConnected, from the BFS
     alone, when the connection set does not generate the group."""
-    order, pos = bfs_tree(n, conn, left)
+    order, _ = bfs_tree(n, conn, left)
     if len(order) != n - 1:
         raise NotConnected("graph is not connected")
-    # constraints[v]: incident edges {v, x} with x earlier in BFS order
-    constraints: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        for s in conn:
-            x = left[s][v]
-            if pos[x] < pos[v]:
-                constraints[v].append((x, s, inv[s]))
+    rows = [(left[t], left[inv[t]]) for t in conn]
     img = [-1] * n
     img[0] = 0
     used = [False] * n
@@ -84,13 +84,11 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
         for cand in ((c1,) if c1 == c2 else (c1, c2)):
             if used[cand]:
                 continue
-            ok = True
-            for x, t, ti in constraints[v]:
-                ix = img[x]
-                if ix != -1 and ix != left[t][cand] and ix != left[ti][cand]:
-                    ok = False
+            for lt, lti in rows:
+                ix = img[lt[v]]
+                if ix != -1 and ix != lt[cand] and ix != lti[cand]:
                     break
-            if ok:
+            else:
                 img[v] = cand
                 used[cand] = True
                 if not rec(k + 1):
@@ -104,16 +102,11 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm]:
     """All colour-preserving automorphisms of a connected Cayley graph fixing
-    the identity vertex."""
+    the identity vertex, the identity first."""
     n, conn, left, inv = _graph_context(Gamma)
     found: list[Perm] = []
-
-    def on_found(p):
-        assert is_colour_preserving(Gamma, p)
-        found.append(p)
-        return True
-
-    _search_stabiliser(n, conn, left, inv, on_found, cap=cap)
+    _search_stabiliser(n, conn, left, inv, lambda p: found.append(p) or True,
+                       cap=cap)
     return found
 
 
@@ -187,15 +180,16 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
     which for a map fixing the identity means it does not normalise G_R."""
     n, conn, left, _ = _graph_context(Gamma)
     stab = autc_stabiliser(Gamma)
-    pm1: list[Perm] = []
+    if stab[0] != identity(n):
+        raise RuntimeError("internal error: the identity is not found first")
+    pm1 = stab[:1]
     witness = None
-    for b in stab:
+    for b in stab[1:]:
         if _is_multiplicative(b, n, conn, left):
             pm1.append(b)
         elif witness is None:
             witness = b
     verdict = "CCA" if witness is None else "NonCCA"
-    # the search finds the identity first, so pm1[0] is the identity
     return AutcResult(Gamma, stab, FiniteGroup(pm1, pm1[1:]), verdict,
                       witness)
 
@@ -276,9 +270,10 @@ def fast_cca_verdict(n: int, table, inv: list[int], conn: list[int]) -> str:
     """CCA verdict for Cay(G, S) from a precomputed multiplication table.
 
     The search aborts at the first stabiliser element that fails to be a
-    group automorphism (equivalently: fails to normalise G_R)."""
-    left = {s: table[s] for s in conn}
-    invmap = {s: inv[s] for s in conn}
+    group automorphism (equivalently: fails to normalise G_R); the identity,
+    found first, needs no test."""
+    ident = identity(n)
     complete = _search_stabiliser(
-        n, conn, left, invmap, lambda b: _is_multiplicative(b, n, conn, left))
+        n, conn, table, inv,
+        lambda b: b == ident or _is_multiplicative(b, n, conn, table))
     return "CCA" if complete else "NonCCA"

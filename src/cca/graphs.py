@@ -266,7 +266,8 @@ def quotient_graph(Gamma: ColouredCayleyGraph, N: FiniteGroup) -> ColouredCayley
         for j in coset:
             coset_of[j] = ci
     # identity coset must come first; it does, since element 0 is identity
-    assert coset_of[0] == 0
+    if coset_of[0] != 0:
+        raise RuntimeError("internal error: the identity coset is not first")
 
     def act(i: int) -> tuple[int, ...]:
         row = G.right_row(i)
@@ -274,7 +275,8 @@ def quotient_graph(Gamma: ColouredCayleyGraph, N: FiniteGroup) -> ColouredCayley
 
     gen_imgs = [act(G.index[g]) for g in G.generators]
     Q = close_generators(gen_imgs, len(cosets), cap=len(cosets) + 1)
-    assert Q.order == G.order // N.order
+    if Q.order != G.order // N.order:
+        raise RuntimeError("internal error: |G/N| != |G|/|N|")
     labels = ["{" + ",".join(G.label(j) for j in cosets[c]) + "}"
               for c in range(len(cosets))]
     # element of Q reached by s: the image of s under the action homomorphism
@@ -319,9 +321,9 @@ def realize_line_graph_as_cayley(P: PlainGraph, G: FiniteGroup) -> ColouredCayle
     Gamma.base_edge = e0
     Gamma.edge_of_vertex = [edge_image(e0, g) for g in G.elements]
     Gamma.vertex_of_edge = {e: i for i, e in enumerate(Gamma.edge_of_vertex)}
-    # sanity: Cayley adjacency matches line-graph adjacency
-    for (u, v) in Gamma.edges:
-        assert adjacent_edges(Gamma.edge_of_vertex[u], Gamma.edge_of_vertex[v])
+    eov = Gamma.edge_of_vertex
+    if not all(adjacent_edges(eov[u], eov[v]) for u, v in Gamma.edges):
+        raise RuntimeError("internal error: Cayley and line-graph adjacency differ")
     return Gamma
 
 

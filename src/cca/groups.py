@@ -228,8 +228,8 @@ def prime_factors(n: int) -> list[int]:
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, by greedy growth: keep adjoining p-power-order
-    elements that normalise the current p-subgroup.  Group theory guarantees
-    progress, but a small exhaustive fallback is kept as a safety net."""
+    elements that normalise the current p-subgroup.  This always progresses:
+    a p-subgroup P below a Sylow subgroup Q is proper in its normaliser in Q."""
     target = p_part(G.order, p)
     P = trivial_group(G.degree)
     if target == 1:
@@ -246,22 +246,10 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
                 P = G.subgroup(P.generators + [e])
                 break
         else:
-            P = _sylow_fallback(G, p_elems, target)
-            break
-    assert P.order == target
+            raise RuntimeError("internal error: no p-element normalises P")
+    if P.order != target:
+        raise RuntimeError(f"internal error: Sylow {p}-subgroup of order {P.order}")
     return P
-
-
-def _sylow_fallback(G: FiniteGroup, p_elems, target: int) -> FiniteGroup:
-    # Exhaustive search over subgroups generated by <= 3 p-elements.
-    from itertools import combinations
-
-    for k in (1, 2, 3):
-        for combo in combinations(p_elems, k):
-            H = G.subgroup(list(combo))
-            if H.order == target:
-                return H
-    raise AssertionError("Sylow subgroup not found (should be impossible)")
 
 
 def is_sylow_cyclic_order_not_div_4(G: FiniteGroup) -> bool:
@@ -353,8 +341,8 @@ def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
                     found[key] = J
                     changed = True
     out = sorted(found.values(), key=lambda N: (N.order, sorted(map(tuple, N.elements))))
-    for N in out:
-        assert is_normal(N, G)
+    if not all(is_normal(N, G) for N in out):
+        raise RuntimeError("internal error: a closed subgroup is not normal")
     return out
 
 

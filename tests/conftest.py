@@ -5,6 +5,9 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher
+
 from cca import builders
 from cca.engine import aut_pm1_group, autc_stabiliser, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph, colour_units
@@ -22,6 +25,21 @@ def brute_force_stabiliser(Gamma):
         if is_colour_preserving(Gamma, p):
             out.append(p)
     return sorted(out)
+
+
+def vf2_stabiliser(Gamma):
+    """All identity-fixing colour-preserving automorphisms, by networkx's VF2
+    matcher on the graph with the identity vertex marked and edges coloured.
+    Shares no code with the engine's search."""
+    X = nx.Graph()
+    X.add_nodes_from((v, {"root": v == 0}) for v in range(Gamma.n))
+    X.add_edges_from((u, v, {"colour": c})
+                     for (u, v), c in Gamma.edge_colour.items())
+    gm = GraphMatcher(X, X,
+                      node_match=lambda a, b: a["root"] == b["root"],
+                      edge_match=lambda a, b: a["colour"] == b["colour"])
+    return sorted(tuple(m[v] for v in range(Gamma.n))
+                  for m in gm.isomorphisms_iter())
 
 
 def is_power_of_two(k: int) -> bool:

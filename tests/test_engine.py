@@ -9,7 +9,7 @@ import pytest
 import cca
 from cca import builders
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
-                        fast_cca_verdict, is_colour_preserving,
+                        colour_break, fast_cca_verdict, is_colour_preserving,
                         predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
@@ -20,7 +20,7 @@ from cca.structure import canonical_sets
 
 from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
                       random_connected_cayley, reference_autc,
-                      stabiliser_shape_allowed)
+                      stabiliser_shape_allowed, vf2_stabiliser)
 
 
 def test_colour_preserving_basics():
@@ -32,6 +32,8 @@ def test_colour_preserving_basics():
     reflection = (0, 3, 2, 1)
     assert is_colour_preserving(Gamma, reflection)
     assert not is_colour_preserving(Gamma, (0, 2, 1, 3))
+    assert colour_break(Gamma, (0, 2, 1, 3)) == (0, 1)
+    assert colour_break(Gamma, reflection) is None
 
 
 def test_stabiliser_z4():
@@ -121,6 +123,25 @@ def test_result_invariants_on_random_graphs():
         for a in res.aut_pm1.elements:
             assert a in res.full_group.index
         assert (res.witness is not None) == (res.verdict == "NonCCA")
+
+
+def test_search_finds_identity_first(monkeypatch):
+    # autc_group and fast_cca_verdict skip the multiplicative test on the
+    # first element found, which must therefore be the identity
+    rng = random.Random(47)
+    pool = group_pool(48)
+    for _ in range(30):
+        Gamma = random_connected_cayley(rng, pool)
+        G = Gamma.group
+        assert autc_stabiliser(Gamma)[0] == identity(Gamma.n)
+        fast = fast_cca_verdict(G.order, G.table, G.inverse, Gamma.conn)
+        assert fast == autc_group(Gamma).verdict
+    Gamma = complete_cayley(builders.quaternion8())
+    stab = autc_stabiliser(Gamma)
+    monkeypatch.setattr("cca.engine.autc_stabiliser",
+                        lambda _: stab[1:] + stab[:1])
+    with pytest.raises(RuntimeError, match="identity"):
+        autc_group(Gamma)
 
 
 def test_aut_pm1_z8():
@@ -284,3 +305,13 @@ def test_autc_group_matches_reference_oracle():
     for name in ("S21", "S42_1", "S42_2"):
         G, S = named[name]
         _assert_matches_reference(ColouredCayleyGraph(G, S))
+
+
+def test_stabiliser_matches_vf2_oracle():
+    # the search checks no element it finds; VF2 finds the same set
+    rng = random.Random(37)
+    for spec in ("f21", "agl17", "f21xz2", "q8xz2^1", "dic(z6)", "d8"):
+        G = builders.build_spec(spec)
+        for _ in range(2):
+            Gamma = _sparse_cayley(rng, G)
+            assert sorted(autc_stabiliser(Gamma)) == vf2_stabiliser(Gamma)
