@@ -35,7 +35,8 @@ def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> Fini
     gens = [elements[idx[g]] for g in gen_items]
     labels = [label_fn(it) for it in items] if label_fn else None
     G = FiniteGroup(elements, gens, labels=labels, meta=meta)
-    assert G.subgroup(gens).order == n, "generators do not generate"
+    if G.subgroup(gens).order != n:
+        raise RuntimeError("internal error: generators do not generate")
     if meta is not None:
         G.meta["items"] = items
     return G
@@ -315,7 +316,8 @@ def _projective_family():
     psl = close_generators([t, s], 8, cap=400)
     agl = close_generators([t, m3], 8, cap=400)
     f21g = close_generators([t, pmul(m3, m3)], 8, cap=400)
-    assert (pgl.order, psl.order, agl.order, f21g.order) == (336, 168, 42, 21)
+    if (pgl.order, psl.order, agl.order, f21g.order) != (336, 168, 42, 21):
+        raise RuntimeError("internal error: PGL(2,7) subgroup orders")
 
     x, y = t, m3
 
@@ -329,7 +331,8 @@ def _projective_family():
             if b:
                 parts.append("y" if b == 1 else f"y^{b}")
             labels[Gr.index[e]] = "*".join(parts) if parts else "1"
-        assert all(l is not None for l in labels)
+        if None in labels:
+            raise RuntimeError("internal error: an unlabelled element")
         Gr.labels = labels
 
     attach_labels(agl, [(a, b) for a in range(7) for b in range(6)])
@@ -387,7 +390,8 @@ class NamedMap:
     def __init__(self, name: str, carrier: Perm):
         self.name = name
         self.carrier = carrier
-        assert carrier[0] == 0, "named maps must fix the identity element"
+        if carrier[0] != 0:
+            raise ValueError("named maps must fix the identity element")
 
 
 def named_map(G: FiniteGroup, which: str) -> NamedMap:

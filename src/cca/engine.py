@@ -6,9 +6,11 @@ runs, so a disconnected graph raises NotConnected before any search.  A
 vertex reached along an s-edge has its image forced into {s*w, s^-1*w}, and
 every other edge is checked when its later endpoint is assigned, so each
 element found is colour-preserving by construction (the tests compare with
-networkx's VF2); the identity comes first.  For the stabiliser A_1,
-|Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
-automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c itself is
+networkx's VF2).  The identity is always the first leaf, so the search starts
+there and walks back up the identity's path, trying only the other candidate
+at each level; the order of the elements is that of a full descent.  For the
+stabiliser A_1, |Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is
+a group automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c itself is
 closed from G_R and A_1 only on first access; the tests check this route
 against the closure-and-normality route.
 """
@@ -57,6 +59,14 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     (t*v has an image iff it is earlier in BFS order): img[t*v] must be
     t^{+-1}*img[v].  So every map found is a colour-preserving bijection.
 
+    The depth-first search tries c1 = s*img[u] before s^-1*img[u], so its
+    first leaf is the identity: with the identity on the earlier vertices,
+    c1 = v is unused and passes every edge check.  The search therefore
+    starts at that leaf and walks back up its path, from the last BFS level
+    to the first, trying at each level only the other candidate s^-1*u and
+    searching below it as usual.  Elements come in the order a descent from
+    the root gives them, the identity first; it counts toward cap.
+
     Calls on_found(img) per automorphism; a False return aborts the search,
     and the search then returns False.  Raises NotConnected, from the BFS
     alone, when the connection set does not generate the group."""
@@ -64,13 +74,11 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
     if len(order) != n - 1:
         raise NotConnected("graph is not connected")
     rows = [(left[t], left[inv[t]]) for t in conn]
-    img = [-1] * n
-    img[0] = 0
-    used = [False] * n
-    used[0] = True
+    img = list(range(n))
+    used = [True] * n
     count = 0
 
-    def rec(k: int) -> bool:
+    def rec(k: int, skip: int = -1) -> bool:
         nonlocal count
         if k == len(order):
             count += 1
@@ -82,7 +90,7 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
         c1 = left[s][w]
         c2 = left[inv[s]][w]
         for cand in ((c1,) if c1 == c2 else (c1, c2)):
-            if used[cand]:
+            if cand == skip or used[cand]:
                 continue
             for lt, lti in rows:
                 ix = img[lt[v]]
@@ -97,7 +105,15 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
                 img[v] = -1
         return True
 
-    return rec(0)
+    if not rec(len(order)):
+        return False
+    for k in range(len(order) - 1, -1, -1):
+        v = order[k][0]
+        img[v] = -1
+        used[v] = False
+        if not rec(k, skip=v):
+            return False
+    return True
 
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm]:

@@ -170,13 +170,14 @@ def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]
     v = s*u, in visiting order, and pos with pos[v] the place of v in the
     queue (pos[0] = 0, -1 where unreached).  The reached elements form the
     subgroup <conn>, so all n are reached iff conn generates the group, that
-    is iff Cay(G, conn) is connected."""
+    is iff Cay(G, conn) is connected.  The scan stops as soon as all n are
+    queued, since no later queue entry can reach a new vertex."""
     order = []
     pos = [-1] * n
     pos[0] = 0
     queue = [0]
     head = 0
-    while head < len(queue):
+    while head < len(queue) < n:
         u = queue[head]
         head += 1
         for s in conn:

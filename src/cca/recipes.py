@@ -25,12 +25,14 @@ def _heawood_groups():
     full = close_generators(auts, P.n, cap=len(auts) + 1)
     bip = [p for p in auts if all(p[v] < 7 for v in range(7))]
     Hbip = close_generators(bip, P.n, cap=len(bip) + 1)
-    assert (full.order, Hbip.order) == (336, 168)
+    if (full.order, Hbip.order) != (336, 168):
+        raise RuntimeError("internal error: Heawood automorphism orders")
     sev = next(p for p in full.elements if full.element_orders[full.index[p]] == 7)
     C7 = close_generators([sev], P.n, cap=8)
     G21 = normalizer(Hbip, C7)
     G42 = normalizer(full, C7)
-    assert (G21.order, G42.order) == (21, 42)
+    if (G21.order, G42.order) != (21, 42):
+        raise RuntimeError("internal error: Heawood normaliser orders")
     return P, full, Hbip, G21, G42
 
 
@@ -70,7 +72,8 @@ def knn_q8() -> dict:
     AR = A.right_regular
     sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
     B = close_generators(list(AR.generators) + sigmas, 8, cap=65)
-    assert B.order == 64
+    if B.order != 64:
+        raise RuntimeError("internal error: Q8 sigma overgroup order")
     K = PlainGraph(16, [(i, 8 + j) for i in range(8) for j in range(8)],
                    bipartition=(list(range(8)), list(range(8, 16))))
     G16 = builders.direct_product(AR, AR)

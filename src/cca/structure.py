@@ -377,12 +377,15 @@ def _unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
 
 
 def _canonical_masks(k: int, ws):
-    """canon[m] = least bitmask conjugate to m under the unit permutations."""
+    """canon[m] = least bitmask conjugate to m under the unit permutations.
+
+    With kl = k // 2, a mask m = h*2^kl + l maps under w to
+    hightab[h] | lowtab[l], so each w costs one outer OR over the grid of
+    (h, l) into a buffer that all w share."""
     dtype = np.int64 if k > 30 else np.int32
-    arr = np.arange(1 << k, dtype=dtype)
-    canon = arr.copy()
     kl = k // 2
-    lowmask = (1 << kl) - 1
+    canon = np.arange(1 << k, dtype=dtype).reshape(1 << (k - kl), 1 << kl)
+    image = np.empty_like(canon)
     ident = tuple(range(k))
     for w in ws:
         if w == ident:
@@ -392,9 +395,9 @@ def _canonical_masks(k: int, ws):
         hightab = np.array([sum(1 << w[kl + i] for i in range(k - kl)
                                 if m >> i & 1)
                             for m in range(1 << (k - kl))], dtype=dtype)
-        np.minimum(canon, lowtab[arr & lowmask] | hightab[arr >> kl],
-                   out=canon)
-    return canon
+        np.bitwise_or(hightab[:, None], lowtab, out=image)
+        np.minimum(canon, image, out=canon)
+    return canon.ravel()
 
 
 def _mask_conn(mask: int, units) -> list[int]:
@@ -435,29 +438,29 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     k = len(units)
     ws = _unit_action(G, Amb, units)
     canon = _canonical_masks(k, ws)
-    counts = np.bincount(canon, minlength=1 << k)
-    reps = np.nonzero(canon == np.arange(1 << k, dtype=canon.dtype))[0]
+    reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
+    sizes = dict(zip(reps.tolist(),
+                     np.bincount(canon, minlength=1 << k)[reps].tolist()))
 
     table = G.table
     inv = G.inverse
 
-    rep_conn = {m: _mask_conn(m, units) for m in map(int, reps)}
-
-    def run_verdicts(items):
-        if jobs > 1 and len(items) > jobs:
-            chunks = [items[i::jobs] for i in range(jobs)]
-            payloads = [(n, table, inv, [c for _, c in ch]) for ch in chunks]
+    def run_verdicts(masks):
+        if jobs > 1 and len(masks) > jobs:
+            chunks = [masks[i::jobs] for i in range(jobs)]
+            payloads = [(n, table, inv, [_mask_conn(m, units) for m in ch])
+                        for ch in chunks]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_verdict_chunk, payloads))
             out = {}
             for ch, vs in zip(chunks, results):
-                for (m, _), v in zip(ch, vs):
-                    out[m] = v
+                out.update(zip(ch, vs))
             return out
-        return {m: _verdict(n, table, inv, c) for m, c in items}
+        return {m: _verdict(n, table, inv, _mask_conn(m, units))
+                for m in masks}
 
     # None marks a class that does not generate G
-    verdicts = run_verdicts(sorted(rep_conn.items()))
+    verdicts = run_verdicts(list(sizes))
 
     if mode == "full":
         # honest re-run on every subset; class verdicts must be constant
@@ -467,13 +470,13 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
                 raise RuntimeError(
                     "connectivity or verdict not conjugation-invariant")
 
-    connected_count = sum(int(counts[m]) for m in rep_conn
+    connected_count = sum(size for m, size in sizes.items()
                           if verdicts[m] is not None)
     non_cca = []
-    for m in sorted(rep_conn):
+    for m in sizes:
         if verdicts[m] != "NonCCA":
             continue
-        conn = rep_conn[m]
+        conn = _mask_conn(m, units)
         res = autc_group(ColouredCayleyGraph(G, conn))
         if res.verdict != "NonCCA":
             raise RuntimeError("internal error: verdict routes disagree on "
@@ -482,7 +485,7 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
             "mask": m,
-            "orbit_size": int(counts[m]),
+            "orbit_size": sizes[m],
             "connected": True,
             "verdict": "NonCCA",
             "autc_order": res.autc_order,
@@ -490,6 +493,6 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     return EnumerationReport(
         base=base, mode=mode, scanned=1 << k,
         connected_count=connected_count,
-        class_count=int(len(reps)),
-        orbit_size_sum=int(counts[reps].sum()),
+        class_count=len(sizes),
+        orbit_size_sum=sum(sizes.values()),
         non_cca_classes=non_cca)

@@ -42,6 +42,54 @@ def vf2_stabiliser(Gamma):
                   for m in gm.isomorphisms_iter())
 
 
+def full_scan_bfs(n, conn, left):
+    """bfs_tree's (order, pos), scanning every queue entry to the end."""
+    order = []
+    pos = [-1] * n
+    pos[0] = 0
+    queue = [0]
+    for u in queue:
+        for s in conn:
+            v = left[s][u]
+            if pos[v] == -1:
+                pos[v] = len(queue)
+                order.append((v, u, s))
+                queue.append(v)
+    return order, pos
+
+
+def reference_stabiliser(Gamma):
+    """The stabiliser A_1 in the engine's search order, by a plain recursive
+    descent from the root that derives the identity like any other leaf.
+    Vertices are assigned in BFS order; v = s*u tries s*img[u], then
+    s^-1*img[u], and every edge to an assigned vertex is checked."""
+    G, conn, n = Gamma.group, Gamma.conn, Gamma.n
+    left = {s: G.left_row(s) for s in conn}
+    inv = G.inverse
+    order, _ = full_scan_bfs(n, conn, left)
+    assert len(order) == n - 1
+    img = [-1] * n
+    img[0] = 0
+    out = []
+
+    def rec(k):
+        if k == len(order):
+            out.append(tuple(img))
+            return
+        v, u, s = order[k]
+        for cand in dict.fromkeys((left[s][img[u]], left[inv[s]][img[u]])):
+            if cand in img:
+                continue
+            if all(img[left[t][v]] in (-1, left[t][cand], left[inv[t]][cand])
+                   for t in conn):
+                img[v] = cand
+                rec(k + 1)
+                img[v] = -1
+
+    rec(0)
+    return out
+
+
 def is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 

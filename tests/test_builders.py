@@ -101,6 +101,8 @@ def test_named_maps():
         builders.named_map(Z6, "sigma-i")
     with pytest.raises(IncompatibleGroup):
         builders.named_map(Z6, "no-such-map")
+    with pytest.raises(ValueError, match="fix the identity"):
+        builders.NamedMap("shift", (1, 2, 3, 4, 5, 0))
 
 
 def test_build_spec_grammar():

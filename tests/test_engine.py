@@ -20,7 +20,8 @@ from cca.structure import canonical_sets
 
 from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
                       random_connected_cayley, reference_autc,
-                      stabiliser_shape_allowed, vf2_stabiliser)
+                      reference_stabiliser, stabiliser_shape_allowed,
+                      vf2_stabiliser)
 
 
 def test_colour_preserving_basics():
@@ -142,6 +143,37 @@ def test_search_finds_identity_first(monkeypatch):
                         lambda _: stab[1:] + stab[:1])
     with pytest.raises(RuntimeError, match="identity"):
         autc_group(Gamma)
+
+
+def _is_automorphism(G, b):
+    return all(b[G.imul(g, h)] == G.imul(b[g], b[h])
+               for g in range(G.order) for h in range(G.order))
+
+
+def test_search_order_matches_reference():
+    # the search starts at the identity leaf and walks back up its path;
+    # a plain descent from the root must give the same list in the same
+    # order, hence the same witness and the same cap behaviour
+    rng = random.Random(53)
+    pool = group_pool(48)
+    graphs = [random_connected_cayley(rng, pool) for _ in range(40)]
+    named = canonical_sets()
+    graphs += [ColouredCayleyGraph(*named[k])
+               for k in ("S21", "S42_1", "S42_2")]
+    capped = 0
+    for Gamma in graphs:
+        stab = reference_stabiliser(Gamma)
+        assert autc_stabiliser(Gamma) == stab, Gamma.conn
+        G = Gamma.group
+        witness = next((b for b in stab if not _is_automorphism(G, b)), None)
+        assert autc_group(Gamma).witness == witness, Gamma.conn
+        if len(stab) > 1:
+            with pytest.raises(StabiliserTooLarge):
+                autc_stabiliser(Gamma, cap=len(stab) - 1)
+            assert autc_stabiliser(Gamma, cap=len(stab)) == stab
+            capped += 1
+    assert capped >= 10
+    assert autc_group(graphs[-1]).verdict == "NonCCA"
 
 
 def test_aut_pm1_z8():

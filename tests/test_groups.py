@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
 from cca import builders
 from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
-from cca.groups import (are_conjugate_subsets, are_isomorphic,
+from cca.graphs import colour_units
+from cca.groups import (are_conjugate_subsets, are_isomorphic, bfs_tree,
                         centralizer, close_generators, conjugacy_classes,
                         find_isomorphism, generating_sequence, is_normal,
                         is_subgroup, is_sylow_cyclic_order_not_div_4,
                         normal_subgroups, normalizer, p_part, prime_factors,
                         squares_subgroup, sylow_subgroup, trivial_group)
 from cca.perms import identity, pmul
+
+from conftest import full_scan_bfs, group_pool
 
 
 def test_close_generators_deterministic_order():
@@ -146,6 +151,24 @@ def test_generating_sequence():
     G = builders.quaternion8()
     gens = generating_sequence(G)
     assert G.subgroup([G.elements[i] for i in gens]).order == 8
+
+
+def test_bfs_tree_matches_full_scan():
+    # bfs_tree stops once every vertex is queued; a scan of every queue
+    # entry gives the same order and positions
+    rng = random.Random(61)
+    pool = group_pool(24)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        G = pool[rng.randrange(len(pool))]
+        units = colour_units(G, range(1, G.order))
+        picked = rng.sample(units, rng.randint(0, len(units)))
+        conn = [s for u in picked for s in u]
+        left = {s: G.left_row(s) for s in conn}
+        order, pos = bfs_tree(G.order, conn, left)
+        assert (order, pos) == full_scan_bfs(G.order, conn, left), conn
+        seen[len(order) == G.order - 1] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
 
 
 def test_isomorphism_positive_and_negative():
