@@ -152,13 +152,6 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     return P
 
 
-def dp_embed(P: FiniteGroup, which: int, i: int) -> int:
-    """Index in a direct product of factor `which`'s element i."""
-    combo = [0] * len(P.meta["factors"])
-    combo[which] = i
-    return P.meta["tuple_index"][tuple(combo)]
-
-
 def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     """A semidirect product A x| B; `action[b]` is the permutation of A's
     element indices by which b in B acts.  Elements are written a*b."""
@@ -184,10 +177,6 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     gens = [(A.index[g], 0) for g in A.generators] + [(0, B.index[g]) for g in B.generators]
     return _from_table(items, mult, (0, 0), gens, lbl,
                        meta={"semidirect": (A.order, B.order)})
-
-
-def inversion_action(A: FiniteGroup) -> list[int]:
-    return list(A.inverse)
 
 
 def generalized_dihedral(A: FiniteGroup) -> FiniteGroup:

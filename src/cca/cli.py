@@ -19,6 +19,8 @@ from .structure import (decompose_structure, enumerate_connection_sets,
                         reduction_gamma_prime)
 
 USAGE_EXIT = 64
+_SET_HELP = ("comma-separated element labels, e.g. 'y^2,y^4,d'; write "
+             "--set=LABELS when the first label begins with '-'")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,20 +137,19 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("cayley", help="build a coloured Cayley graph")
     c.add_argument("spec", metavar="SPEC")
-    c.add_argument("--set", required=True,
-                   help="comma-separated element labels, e.g. 'y^2,y^4,d'")
+    c.add_argument("--set", required=True, help=_SET_HELP)
     c.add_argument("--format", choices=["json", "dot"], default="json")
     c.set_defaults(fn=_cmd_cayley)
 
     k = sub.add_parser("check", help="CCA verdict for Cay(SPEC, SET)")
     k.add_argument("spec", metavar="SPEC")
-    k.add_argument("--set", required=True)
+    k.add_argument("--set", required=True, help=_SET_HELP)
     k.set_defaults(fn=_cmd_check)
 
     d = sub.add_parser("decompose",
                        help="structure decomposition of the colour group")
     d.add_argument("spec", metavar="SPEC")
-    d.add_argument("--set", required=True)
+    d.add_argument("--set", required=True, help=_SET_HELP)
     d.set_defaults(fn=_cmd_decompose)
 
     r = sub.add_parser("reproduce", help="run a named end-to-end computation")

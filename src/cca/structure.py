@@ -20,10 +20,11 @@ from .engine import AutcResult, autc_group, fast_cca_verdict
 from .errors import (DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
-from .groups import (FiniteGroup, are_isomorphic, close_generators,
-                     is_normal, is_sylow_cyclic_order_not_div_4,
-                     normal_subgroups, sylow_subgroup, trivial_group)
-from .perms import identity, pconj, pinv, pmul, porder
+from .groups import (FiniteGroup, are_isomorphic, centralizer,
+                     close_generators, is_normal,
+                     is_sylow_cyclic_order_not_div_4, normal_subgroups,
+                     sylow_subgroup, trivial_group)
+from .perms import identity, pconj, pinv, pmul
 
 
 # -- Theorem-style decomposition A = (T x J) x| R ---------------------------
@@ -48,7 +49,7 @@ class StructureDecomposition:
         f = {p[0] for p in self.F.elements}
         h = {p[0] for p in self.H.elements}
         r = {p[0] for p in self.R.elements}
-        hr_group = close_generators(self.H.elements + self.R.elements,
+        hr_group = close_generators(self.H.generators + self.R.generators,
                                     self.F.degree, cap=self.G_R.order + 1)
         return f, h, r, {p[0] for p in hr_group.elements}
 
@@ -64,18 +65,16 @@ class StructureDecomposition:
         }
 
 
-def _known_subgroup(elems: list, degree: int,
-                    labelled_by: FiniteGroup | None = None) -> FiniteGroup:
-    """The group on a known element set (which must contain the identity),
-    closed from its elements in the given order; with labelled_by, it
-    carries that group's labels and spec."""
-    sub = close_generators(elems, degree, cap=len(elems) + 1)
-    if sub.order != len(elems):
-        raise RuntimeError("internal error: element set is not a subgroup")
-    if labelled_by is not None:
-        sub.labels = [labelled_by.label(labelled_by.index[p])
-                      for p in sub.elements]
-        sub.meta = {"spec": labelled_by.meta.get("spec")}
+def _generated(elems, degree: int, cap: int) -> FiniteGroup:
+    """The subgroup generated by elems, closed from those of them that lie
+    outside the closure of the ones adjoined before, so that it keeps few
+    generators."""
+    gens = []
+    sub = trivial_group(degree)
+    for p in elems:
+        if p not in sub.index:
+            gens.append(p)
+            sub = close_generators(gens, degree, cap=cap)
     return sub
 
 
@@ -83,6 +82,12 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
                         res: AutcResult) -> StructureDecomposition:
     """Split the colour-preserving group A as (T x J) x| R with T a copy of
     PSL(2,7), and the base group G as (F x H) x| R with F a copy of F21.
+
+    T is the subgroup generated by A's elements of order 7.  This is exact:
+    F x H <= G is Sylow cyclic, so 7 does not divide |J| and every element
+    of order 7 lies in the normal subgroup T, which, being simple, they
+    generate.  J is sought among the normal subgroups of C_A(T), since
+    [T, J] <= T meet J = 1, in (order, sorted elements) order.
 
     Requires G Sylow cyclic of order not divisible by four and a NonCCA
     verdict; fails loudly if any of the six structural properties cannot be
@@ -98,11 +103,9 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
     n = G.order
     G_R = G.right_regular
 
-    normals = normal_subgroups(A)
-    psl = builders.psl27()
-    T = next((N for N in normals
-              if N.order == 168 and are_isomorphic(N, psl)), None)
-    if T is None:
+    T = _generated((p for p, o in zip(A.elements, A.element_orders) if o == 7),
+                   n, cap=A.order + 1)
+    if T.order != 168 or not are_isomorphic(T, builders.psl27()):
         raise DecompositionNotFound("no normal copy of PSL(2,7) in A")
 
     # R must be the Sylow 2-subgroup singled out by the base vertex: the
@@ -120,32 +123,26 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
                 "no involution fixed by the vertex-stabiliser of T")
         R = close_generators([G.right_row(r)], n, cap=3)
 
-    tset = set(T.elements)
-    F = _known_subgroup(sorted(p for p in G_R.elements if p in tset), n)
-    f21g = builders.f21()
+    F = _generated((p for p in G_R.elements if p in T.index), n, cap=n + 1)
+    f_is_f21 = F.order == 21 and are_isomorphic(F, builders.f21())
 
-    candidates = sorted(
-        (N for N in normals
-         if set(N.elements) & tset == {identity(n)}
-         and T.order * N.order * R.order == A.order),
-        key=lambda N: (N.order, sorted(N.elements)))
-    for J in candidates:
-        jset = set(J.elements)
-        H = _known_subgroup(sorted(p for p in G_R.elements if p in jset), n)
-        span = close_generators(T.elements + J.elements + R.elements, n,
-                                cap=A.order + 1)
+    for J in normal_subgroups(centralizer(A, T)):
+        if T.order * J.order * R.order != A.order:
+            continue
+        H = _generated((p for p in G_R.elements if p in J.index), n,
+                       cap=n + 1)
+        span = close_generators(T.generators + J.generators + R.generators,
+                                n, cap=A.order + 1)
         if span.order != A.order:
             continue
-        gspan = close_generators(F.elements + H.elements + R.elements, n,
-                                 cap=n + 1)
-        cj_h = [g for g in jset
-                if all(pmul(g, h) == pmul(h, g) for h in H.generators)] \
-            if H.generators else sorted(jset)
+        gspan = close_generators(F.generators + H.generators + R.generators,
+                                 n, cap=n + 1)
+        cj_h = [g for g in J.elements
+                if all(pmul(g, h) == pmul(h, g) for h in H.generators)]
         Q = sylow_subgroup(J, 2)
         props = {
             "(i) T normal copy of PSL(2,7)": is_normal(T, A),
-            "(ii) T meet G = F copy of F21":
-                F.order == 21 and are_isomorphic(F, f21g),
+            "(ii) T meet G = F copy of F21": f_is_f21,
             "(iii) H = J meet G, H normal in J, J normal in A":
                 is_normal(H, J) and is_normal(J, A),
             "(iv) H self-centralising in J": all(p in H.index for p in cj_h),
@@ -180,47 +177,58 @@ class ReductionData:
         }
 
 
+def _reduce(G: FiniteGroup, S, fset, hset, hr, r: int, fr_gens,
+            violation: str | None = None):
+    """Y = S minus (F union H x| R), the reduced connection set
+    S' = (F meet S) union {r} union {y^2 : y in Y}, whether every y in Y
+    factors as y = y^4 * y^3 with y^4 of order 3 in F and y^3 an involution
+    in H x| R outside H, and the reduced graph Cay(F x| R, S'), with F x| R
+    closed from fr_gens.  Sets hold element indices of G.
+
+    With a violation message, a y that does not factor raises
+    HypothesisViolated before the reduced graph is built."""
+    Y = sorted(s for s in S if s not in fset and s not in hr)
+    factors = True
+    for y in Y:
+        y2 = G.imul(y, y)
+        f, z = G.imul(y2, y2), G.imul(y2, y)
+        factors &= (f in fset and G.element_orders[f] == 3
+                    and z in hr and z not in hset
+                    and G.element_orders[z] == 2 and G.imul(f, z) == y)
+    if violation is not None and not factors:
+        raise HypothesisViolated(violation)
+    S_prime = sorted((set(S) & fset) | ({r} if r else set())
+                     | {G.imul(y, y) for y in Y})
+    FR = close_generators(fr_gens, G.degree, cap=G.order + 1)
+    FR.labels = [G.label(G.index[p]) for p in FR.elements]
+    FR.meta = {"spec": G.meta.get("spec")}
+    gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
+    return Y, S_prime, factors, gamma_prime
+
+
 def reduction_gamma_prime(Gamma: ColouredCayleyGraph,
                           dec: StructureDecomposition) -> ReductionData:
-    """Compute Y = S minus (F union H x| R), the reduced connection set
-    S' = (F meet S) union {r} union {s^2 : s in Y}, and the reduced graph on
-    F x| R; all three advertised claims are verified by direct computation."""
+    """Y, S' and the reduced graph on F x| R (see _reduce); all three
+    advertised claims are verified by direct computation."""
     G = Gamma.group
-    fset, hset, rset, hr = dec.element_sets()
-    S = Gamma.conn
-    Y = [s for s in S if s not in fset and s not in hr]
-    sq = {G.imul(s, s) for s in Y}
-    S_prime = sorted((set(S) & fset) | ({dec.r} if dec.r != 0 else set()) | sq)
-
-    fr = close_generators(dec.F.elements + dec.R.elements, G.order,
-                          cap=G.order + 1)
-    fr_idx = sorted({p[0] for p in fr.elements})
-    FR = _known_subgroup([G.elements[i] for i in fr_idx], G.degree, G)
-    gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
-
-    factor_ok = True
-    for y in Y:
-        f = G.imul(G.imul(y, y), G.imul(y, y))     # y^4
-        z = G.imul(G.imul(y, y), y)                # y^3
-        factor_ok &= (f in fset and G.element_orders[f] == 3
-                      and z in hr and z not in hset
-                      and G.element_orders[z] == 2 and G.imul(f, z) == y)
+    fset, hset, _, hr = dec.element_sets()
+    fr_gens = [G.elements[p[0]] for p in dec.F.generators + dec.R.generators]
+    Y, S_prime, factors, gamma_prime = _reduce(G, Gamma.conn, fset, hset, hr,
+                                               dec.r, fr_gens)
     rho_r = G.right_row(dec.r)
     checks = {
         "(1) reduced graph connected and NonCCA":
             is_connected(gamma_prime)
             and autc_group(gamma_prime).verdict == "NonCCA",
         "(2) every y in Y factors as f*z with |f|=3, f in F, z in Hr, |z|=2":
-            factor_ok,
+            factors,
         "(3) Y nonempty implies |R|=2 and T commutes with R":
             not Y or (dec.R.order == 2
                       and all(pmul(t, rho_r) == pmul(rho_r, t)
                               for t in dec.T.generators)),
     }
-    return ReductionData(sorted(Y), S_prime,
-                         [G.label(s) for s in sorted(Y)],
-                         [G.label(s) for s in S_prime],
-                         gamma_prime, checks)
+    return ReductionData(Y, S_prime, [G.label(s) for s in Y],
+                         [G.label(s) for s in S_prime], gamma_prime, checks)
 
 
 # -- converse assembly ------------------------------------------------------
@@ -254,21 +262,13 @@ def converse_build(F: FiniteGroup, H: FiniteGroup, R: FiniteGroup, S):
     if not is_connected(graph):
         raise HypothesisViolated("S does not generate the assembled group")
 
-    Y = [s for s in S if s not in fset and s not in hr]
-    for y in Y:
-        f, z = G.imul(G.imul(y, y), G.imul(y, y)), G.imul(G.imul(y, y), y)
-        if not (f in fset and G.element_orders[f] == 3 and z in hr
-                and z not in hset and G.element_orders[z] == 2):
-            raise HypothesisViolated(
-                "condition (2): Y element does not factor as f*z")
+    # the generators of the F and R factors
+    fr_gens = [g for g in G.generators if tuples[G.index[g]][1] == 0]
+    Y, _, _, gamma_prime = _reduce(
+        G, S, fset, hset, hr, r, fr_gens,
+        violation="condition (2): Y element does not factor as f*z")
     if Y and R.order != 2:
         raise HypothesisViolated("condition (3): Y nonempty but |R| != 2")
-
-    FR = _known_subgroup([G.elements[i] for i, t in enumerate(tuples)
-                          if t[1] == 0], G.degree, G)
-    S_prime = sorted((set(S) & fset) | ({r} if r else set())
-                     | {G.imul(s, s) for s in Y})
-    gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
     if not is_connected(gamma_prime):
         raise HypothesisViolated("condition (1): reduced graph disconnected")
     if autc_group(gamma_prime).verdict != "NonCCA":

@@ -9,10 +9,15 @@ import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
-from cca.engine import aut_pm1_group, autc_stabiliser, is_colour_preserving
-from cca.graphs import ColouredCayleyGraph, colour_units
-from cca.groups import FiniteGroup, close_generators, is_normal
-from cca.perms import pconj, pinv, pmul
+from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
+                        is_colour_preserving)
+from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
+from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
+                        is_normal, normal_subgroups, sylow_subgroup,
+                        trivial_group)
+from cca.perms import identity, pconj, pinv, pmul
+from cca.structure import (StructureDecomposition, decompose_structure,
+                           reduction_gamma_prime)
 
 
 def brute_force_stabiliser(Gamma):
@@ -214,3 +219,121 @@ def reference_autc(Gamma):
     assert any(b not in pm1set for b in stab) == (verdict == "NonCCA")
     return SimpleNamespace(stabiliser=stab, full_group=full, aut_pm1=pm1,
                            verdict=verdict, witness=witness)
+
+
+def _subgroup_on(elems, degree):
+    """The group on a known element set, closed from all its elements."""
+    sub = close_generators(elems, degree, cap=len(elems) + 1)
+    assert sub.order == len(elems)
+    return sub
+
+
+def reference_decomposition(Gamma, res):
+    """The (T x J) x| R decomposition by a scan over every normal subgroup
+    of A = Aut_c: T is the first one isomorphic to PSL(2,7), J the first one
+    meeting T trivially, of order |A|/(168|R|), that realises all six
+    properties.  Returns the decomposition and the reduction's JSON, both
+    computed from element lists rather than generators."""
+    G = Gamma.group
+    A = res.full_group
+    n = G.order
+    G_R = G.right_regular
+    normals = normal_subgroups(A)
+    psl = builders.psl27()
+    T = next(N for N in normals
+             if N.order == 168 and are_isomorphic(N, psl))
+    if n % 2:
+        R, r = trivial_group(n), 0
+    else:
+        T1 = [t for t in T.elements if t[0] == 0]
+        r = next(v for v in range(n) if G.element_orders[v] == 2
+                 and all(t[v] == v for t in T1))
+        R = close_generators([G.right_row(r)], n, cap=3)
+    tset = set(T.elements)
+    F = _subgroup_on(sorted(p for p in G_R.elements if p in tset), n)
+    candidates = sorted(
+        (N for N in normals
+         if set(N.elements) & tset == {identity(n)}
+         and T.order * N.order * R.order == A.order),
+        key=lambda N: (N.order, sorted(N.elements)))
+    for J in candidates:
+        jset = set(J.elements)
+        H = _subgroup_on(sorted(p for p in G_R.elements if p in jset), n)
+        span = close_generators(T.elements + J.elements + R.elements, n,
+                                cap=A.order + 1)
+        gspan = close_generators(F.elements + H.elements + R.elements, n,
+                                 cap=n + 1)
+        cj_h = [g for g in jset
+                if all(pmul(g, h) == pmul(h, g) for h in H.elements)]
+        Q = sylow_subgroup(J, 2)
+        props = {
+            "(i) T normal copy of PSL(2,7)": is_normal(T, A),
+            "(ii) T meet G = F copy of F21":
+                F.order == 21 and are_isomorphic(F, builders.f21()),
+            "(iii) H = J meet G, H normal in J, J normal in A":
+                is_normal(H, J) and is_normal(J, A),
+            "(iv) H self-centralising in J": all(p in H.index for p in cj_h),
+            "(v) J splits over H": H.order * Q.order == J.order
+                and set(H.elements) & set(Q.elements) == {identity(n)},
+            "(vi) H normal in A": is_normal(H, A),
+        }
+        if span.order == A.order and all(props.values()) \
+                and gspan.order == n and F.order * H.order * R.order == n:
+            break
+    else:
+        raise AssertionError("no normal complement J realises all six "
+                             "properties")
+    dec = StructureDecomposition(A, G_R, T, J, F, H, R, r, props)
+
+    # the reduction, from the element lists of F, H and R
+    fset = {p[0] for p in F.elements}
+    hset = {p[0] for p in H.elements}
+    hr = {p[0] for p in close_generators(H.elements + R.elements, n,
+                                         cap=n + 1).elements}
+    Y = sorted(s for s in Gamma.conn if s not in fset and s not in hr)
+    S_prime = sorted((set(Gamma.conn) & fset) | ({r} if r else set())
+                     | {G.imul(y, y) for y in Y})
+    fr = sorted({p[0] for p in close_generators(F.elements + R.elements, n,
+                                                cap=n + 1).elements})
+    FR = _subgroup_on([G.elements[i] for i in fr], G.degree)
+    gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
+    factors = True
+    for y in Y:
+        f = G.imul(G.imul(y, y), G.imul(y, y))
+        z = G.imul(G.imul(y, y), y)
+        factors &= (f in fset and G.element_orders[f] == 3
+                    and z in hr and z not in hset
+                    and G.element_orders[z] == 2 and G.imul(f, z) == y)
+    rho_r = G.right_row(r)
+    reduction = {
+        "Y": [G.label(s) for s in Y],
+        "S_prime": [G.label(s) for s in S_prime],
+        "checks": {
+            "(1) reduced graph connected and NonCCA":
+                is_connected(gamma_prime)
+                and autc_group(gamma_prime).verdict == "NonCCA",
+            "(2) every y in Y factors as f*z with |f|=3, f in F, z in Hr, "
+            "|z|=2": factors,
+            "(3) Y nonempty implies |R|=2 and T commutes with R":
+                not Y or (R.order == 2
+                          and all(pmul(t, rho_r) == pmul(rho_r, t)
+                                  for t in T.elements)),
+        },
+    }
+    return dec, reduction
+
+
+def assert_decomposition_matches_reference(Gamma):
+    """decompose_structure and reduction_gamma_prime agree with
+    reference_decomposition on T, J, F, H, R, r, the six properties and the
+    reduction's JSON; returns the decomposition."""
+    res = autc_group(Gamma)
+    dec = decompose_structure(Gamma, res)
+    ref, ref_reduction = reference_decomposition(Gamma, res)
+    for name in "TJFHR":
+        assert set(getattr(dec, name).elements) \
+            == set(getattr(ref, name).elements), name
+    assert dec.r == ref.r
+    assert dec.properties == ref.properties
+    assert reduction_gamma_prime(Gamma, dec).to_json_dict() == ref_reduction
+    return dec

@@ -12,10 +12,11 @@ from cca import builders, recipes
 from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, close_generators
-from cca.structure import (_mask_conn, canonical_sets, decompose_structure,
+from cca.structure import (_mask_conn, canonical_sets,
                            enumerate_connection_sets, reduction_gamma_prime)
 
-from conftest import (brute_force_stabiliser, generating_connection_sets,
+from conftest import (assert_decomposition_matches_reference,
+                      brute_force_stabiliser, generating_connection_sets,
                       group_pool, is_power_of_two, random_connected_cayley,
                       reference_autc, stabiliser_shape_allowed,
                       subset_class_count)
@@ -74,6 +75,8 @@ def test_f21xz2_classification_eleven_classes():
             if hit:
                 break
         assert hit, cls["representative"]
+        assert_decomposition_matches_reference(
+            ColouredCayleyGraph(G, cls["representative_indices"]))
     assert time.monotonic() - t0 < 600
 
 
@@ -119,6 +122,8 @@ def test_agl17_exhaustive_classification_slow():
             if are_conjugate_subsets(G, rep_perms,
                                      [G.elements[s] for s in S]):
                 found.append(name)
+        assert_decomposition_matches_reference(
+            ColouredCayleyGraph(G, cls["representative_indices"]))
     assert sorted(found) == ["S42_1", "S42_2"]
     assert time.monotonic() - t0 < 3600
 
@@ -156,17 +161,14 @@ def test_structure_decomposition_on_found_graphs(f21_enumeration):
     G21 = builders.f21()
     cls = f21_enumeration.non_cca_classes[0]
     graphs.append(ColouredCayleyGraph(G21, cls["representative_indices"]))
-    cs = canonical_sets()
-    for name in ("S42_1", "S42_2"):
-        G, S = cs[name]
+    for G, S in canonical_sets().values():
         graphs.append(ColouredCayleyGraph(G, S))
     from cca.constructions import subdivision_construction
     from cca.recipes import _heawood_groups
     P, full, _, _, G42 = _heawood_groups()
     graphs.append(subdivision_construction(P, G42, full)[0])
     for Gamma in graphs:
-        res = autc_group(Gamma)
-        dec = decompose_structure(Gamma, res)
+        dec = assert_decomposition_matches_reference(Gamma)
         assert list(dec.properties.values()) == [True] * 6
         red = reduction_gamma_prime(Gamma, dec)
         assert all(red.checks.values())

@@ -58,6 +58,18 @@ def test_check_labels_with_commas(capsys):
     assert out == json.dumps(res.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def test_check_labels_with_leading_minus(capsys):
+    # a value that begins with '-' must be attached with '=', or argparse
+    # reads it as an option
+    code, out, _ = run(capsys, ["check", "q8", "--set=-j,j,-k,k"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["graph"]["connection_set"] == ["-j", "j", "-k", "k"]
+    assert d["full_group_order"] == 64
+    code, _, err = run(capsys, ["check", "q8", "--set", "-j,j,-k,k"])
+    assert code == 64 and "--set" in err
+
+
 def test_check_output_is_deterministic(capsys):
     argv = ["check", "f21", "--set", "y^2,y^4,x*y^2,x^5*y^4"]
     _, out1, _ = run(capsys, argv)

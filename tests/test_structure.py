@@ -1,6 +1,6 @@
 import pytest
 
-from cca import builders, structure
+from cca import builders
 from cca.engine import autc_group
 from cca.errors import (DecompositionNotFound, HypothesesNotMet,
                         HypothesisViolated)
@@ -50,17 +50,14 @@ def test_decompose_f21():
     assert hset == rset == hr == {0}
 
 
-def test_decompose_without_psl27_copy_fails(monkeypatch):
+def test_decompose_without_psl27_copy_fails():
     G, S = canonical_sets()["S21"]
     Gamma = ColouredCayleyGraph(G, S)
     res = autc_group(Gamma)
-    found = structure.normal_subgroups
-
-    def without_psl27(A):
-        return [N for N in found(A) if N.order != 168]
-
-    monkeypatch.setattr(structure, "normal_subgroups", without_psl27)
-    with pytest.raises(DecompositionNotFound):
+    # a NonCCA result whose A is only the regular copy of F21: its elements
+    # of order 7 close to Z7, not to a copy of PSL(2,7)
+    res.full_group = G.right_regular
+    with pytest.raises(DecompositionNotFound, match="PSL"):
         decompose_structure(Gamma, res)
 
 
@@ -126,6 +123,22 @@ def test_converse_build_order_210():
     graph, res = converse_build(F, H, R, S)
     assert graph.n == 210
     assert res.verdict == "NonCCA"
+
+
+def test_decompose_order_210_roundtrip():
+    # the prop53-roundtrip graph on F21 x Z5 x Z2, where J = H x| Q has order
+    # 10, so properties (iv) and (v) are not vacuous
+    _, S21 = canonical_sets()["S21"]
+    S = [(s, 0, 0) for s in S21] + [(0, 1, 0), (0, 4, 0), (0, 0, 1)]
+    Gamma, res = converse_build(builders.f21(), builders.cyclic(5),
+                                builders.cyclic(2), S)
+    assert res.autc_order == 3360
+    dec = decompose_structure(Gamma, res)
+    assert [dec.T.order, dec.J.order, dec.H.order, dec.R.order,
+            dec.F.order] == [168, 10, 5, 2, 21]
+    assert list(dec.properties.values()) == [True] * 6
+    red = reduction_gamma_prime(Gamma, dec)
+    assert list(red.checks.values()) == [True] * 3
 
 
 def test_converse_build_gates():
