@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 hypothesis/precondition violations, 1 internal
-errors, 64 usage errors.
+errors, 64 usage errors, 141 (128 + SIGPIPE) when the reader of stdout
+closes it before the output ends, as `cca ... | head` does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .structure import (decompose_structure, enumerate_connection_sets,
                         reduction_gamma_prime)
 
 USAGE_EXIT = 64
+BROKEN_PIPE_EXIT = 141
 _SET_HELP = ("comma-separated element labels, e.g. 'y^2,y^4,d'; write "
              "--set=LABELS when the first label begins with '-'")
 
@@ -177,7 +179,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader; send what is still buffered to
+        # devnull, so that the interpreter's flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except CCAError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import builders
 from .engine import colour_break, is_colour_preserving, predicted_autc_complete
-from .errors import HypothesisViolated, NotArcRegular, NotRegular
+from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
+                     NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      realize_line_graph_as_cayley, subdivision)
 from .groups import FiniteGroup, close_generators, is_subgroup
@@ -209,7 +210,14 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
 
     Hypotheses verified: P connected bipartite; G <= H <= Aut(P); G
     edge-regular; the H-orbits on vertices are exactly the biparts; at every
-    vertex the induced local groups coincide or form a complete colour pair."""
+    vertex the induced local groups coincide or form a complete colour pair.
+
+    The embedding h -> (action of h on the edges) is checked faithful on
+    every element of H, but colour-preserving on H's generators only, after
+    checking that their images generate exactly the images of H's elements.
+    This is exact: the embedding is a homomorphism and the colour-preserving
+    maps form a group, so they contain all of H once they contain its
+    generators."""
     if not P.is_connected():
         raise HypothesisViolated("graph is not connected")
     bip = P.bipartition or P.two_colouring()
@@ -235,21 +243,29 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     Gamma = realize_line_graph_as_cayley(P, G)
     _special_clique_checks(P, Gamma)
 
+    vertex_of_arc = {}
+    for (u, v), i in Gamma.vertex_of_edge.items():
+        vertex_of_arc[u, v] = vertex_of_arc[v, u] = i
+
     def induced(h):
-        out = []
-        for u, v in Gamma.edge_of_vertex:
-            hu, hv = h[u], h[v]
-            out.append(Gamma.vertex_of_edge[(min(hu, hv), max(hu, hv))])
-        return tuple(out)
+        return tuple([vertex_of_arc[h[u], h[v]]
+                      for u, v in Gamma.edge_of_vertex])
 
     emb_elems = [induced(h) for h in H.elements]
     if len(set(emb_elems)) != H.order:
         raise HypothesisViolated("H does not act faithfully on the edges")
     H_emb = FiniteGroup(emb_elems, [induced(h) for h in H.generators],
                         labels=H.labels)
-    for i, p in enumerate(H_emb.elements):
+    try:
+        span = close_generators(H_emb.generators, Gamma.n, cap=H.order)
+    except ClosureExceedsCap:
+        span = None
+    if span is None or set(span.elements) != set(emb_elems):
+        raise HypothesisViolated("the generators of H do not generate H")
+    for g, p in zip(H.generators, H_emb.generators):
         if not is_colour_preserving(Gamma, p):
-            raise HypothesisViolated(f"{H.label(i)} in H changes line-graph colours")
+            raise HypothesisViolated(
+                f"{H.label(H.index[g])} in H changes line-graph colours")
     return Gamma, H_emb
 
 

@@ -24,8 +24,8 @@ from itertools import product
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
 from .groups import (FiniteGroup, bfs_tree, close_generators,
-                     extend_isomorphism, find_isomorphism, generating_sequence,
-                     normal_subgroups)
+                     extend_isomorphism, find_isomorphism, generated,
+                     generating_sequence, normal_subgroups)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -167,11 +167,16 @@ class AutcResult:
 
     @cached_property
     def full_group(self) -> FiniteGroup:
-        """All of Aut_c, closed from G_R and A_1 on first access."""
+        """All of Aut_c on first access, closed from the generators of G_R
+        and of the subgroup the elements of A_1 generate.  That is the group
+        that G_R and all of A_1 generate, so the check |Aut_c| = n*|A_1|
+        keeps its strength: a stabiliser list that is not closed under
+        products still gives a larger group."""
         G = self.graph.group
-        full = close_generators(G.right_regular.generators + self.stabiliser,
-                                G.order,
-                                cap=max(10_000, self.autc_order + 1))
+        cap = max(10_000, self.autc_order + 1)
+        stab = generated(self.stabiliser, G.order, cap=cap)
+        full = close_generators(G.right_regular.generators + stab.generators,
+                                G.order, cap=cap)
         if full.order != self.autc_order:
             raise RuntimeError("internal error: |Aut_c| != n*|A_1|")
         return full

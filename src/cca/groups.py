@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                      NotConnected, UnknownLabel)
@@ -138,7 +139,9 @@ def trivial_group(degree: int) -> FiniteGroup:
 
 def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Breadth-first closure from the identity, generators applied in input
-    order; the resulting element ordering is deterministic."""
+    order; the resulting element ordering is deterministic.  Each dequeued
+    element e is applied to every generator g through one itemgetter(*e),
+    which returns the product e*g, so the products are taken in C."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = [tuple(g) for g in gens]
@@ -147,19 +150,36 @@ def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
             raise ValueError("generators must be permutations of the given degree")
     ident = identity(degree)
     elements = [ident]
-    index = {ident: 0}
+    if degree < 2:
+        # The identity is the only permutation here, and itemgetter of a
+        # single point would return that point rather than a tuple.
+        return FiniteGroup(elements, gens)
+    seen = {ident}
     head = 0
     while head < len(elements):
-        e = elements[head]
+        act = itemgetter(*elements[head])
         head += 1
         for g in gens:
-            f = pmul(e, g)
-            if f not in index:
+            f = act(g)
+            if f not in seen:
                 if len(elements) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                index[f] = len(elements)
+                seen.add(f)
                 elements.append(f)
     return FiniteGroup(elements, gens)
+
+
+def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """The subgroup generated by elems, closed from those of them that lie
+    outside the closure of the ones adjoined before, so that it keeps few
+    generators."""
+    gens = []
+    sub = trivial_group(degree)
+    for p in elems:
+        if p not in sub.index:
+            gens.append(p)
+            sub = close_generators(gens, degree, cap=cap)
+    return sub
 
 
 def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]:

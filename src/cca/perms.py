@@ -7,6 +7,7 @@ is a homomorphism.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -22,7 +23,10 @@ def is_perm(p) -> bool:
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
-    """a*b: apply a, then b."""
+    """a*b: apply a, then b.  itemgetter(*a)(b) is the product taken in C;
+    below degree 2 it would return a bare point, not a tuple."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
     return tuple(b[x] for x in a)
 
 

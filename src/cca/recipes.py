@@ -12,7 +12,8 @@ from .constructions import (line_graph_construction, subdivision_construction,
 from .engine import autc_group, predicted_autc_complete
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      graph_automorphisms, heawood)
-from .groups import FiniteGroup, close_generators, normalizer, trivial_group
+from .groups import (FiniteGroup, close_generators, generated, normalizer,
+                     trivial_group)
 from .structure import (canonical_sets, converse_build, decompose_structure,
                         enumerate_connection_sets, reduction_gamma_prime)
 
@@ -22,9 +23,9 @@ def _heawood_groups():
     edge-regular order-21 subgroup, arc-regular order-42 subgroup)."""
     P = heawood()
     auts = graph_automorphisms(P)
-    full = close_generators(auts, P.n, cap=len(auts) + 1)
+    full = generated(auts, P.n, cap=len(auts) + 1)
     bip = [p for p in auts if all(p[v] < 7 for v in range(7))]
-    Hbip = close_generators(bip, P.n, cap=len(bip) + 1)
+    Hbip = generated(bip, P.n, cap=len(bip) + 1)
     if (full.order, Hbip.order) != (336, 168):
         raise RuntimeError("internal error: Heawood automorphism orders")
     sev = next(p for p in full.elements if full.element_orders[full.index[p]] == 7)

@@ -21,7 +21,7 @@ from .errors import (DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from .groups import (FiniteGroup, are_isomorphic, centralizer,
-                     close_generators, is_normal,
+                     close_generators, generated, is_normal,
                      is_sylow_cyclic_order_not_div_4, normal_subgroups,
                      sylow_subgroup, trivial_group)
 from .perms import identity, pconj, pinv, pmul
@@ -65,19 +65,6 @@ class StructureDecomposition:
         }
 
 
-def _generated(elems, degree: int, cap: int) -> FiniteGroup:
-    """The subgroup generated by elems, closed from those of them that lie
-    outside the closure of the ones adjoined before, so that it keeps few
-    generators."""
-    gens = []
-    sub = trivial_group(degree)
-    for p in elems:
-        if p not in sub.index:
-            gens.append(p)
-            sub = close_generators(gens, degree, cap=cap)
-    return sub
-
-
 def decompose_structure(Gamma: ColouredCayleyGraph,
                         res: AutcResult) -> StructureDecomposition:
     """Split the colour-preserving group A as (T x J) x| R with T a copy of
@@ -103,8 +90,8 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
     n = G.order
     G_R = G.right_regular
 
-    T = _generated((p for p, o in zip(A.elements, A.element_orders) if o == 7),
-                   n, cap=A.order + 1)
+    T = generated((p for p, o in zip(A.elements, A.element_orders) if o == 7),
+                  n, cap=A.order + 1)
     if T.order != 168 or not are_isomorphic(T, builders.psl27()):
         raise DecompositionNotFound("no normal copy of PSL(2,7) in A")
 
@@ -123,14 +110,14 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
                 "no involution fixed by the vertex-stabiliser of T")
         R = close_generators([G.right_row(r)], n, cap=3)
 
-    F = _generated((p for p in G_R.elements if p in T.index), n, cap=n + 1)
+    F = generated((p for p in G_R.elements if p in T.index), n, cap=n + 1)
     f_is_f21 = F.order == 21 and are_isomorphic(F, builders.f21())
 
     for J in normal_subgroups(centralizer(A, T)):
         if T.order * J.order * R.order != A.order:
             continue
-        H = _generated((p for p in G_R.elements if p in J.index), n,
-                       cap=n + 1)
+        H = generated((p for p in G_R.elements if p in J.index), n,
+                      cap=n + 1)
         span = close_generators(T.generators + J.generators + R.generators,
                                 n, cap=A.order + 1)
         if span.order != A.order:

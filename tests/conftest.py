@@ -9,6 +9,7 @@ import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
+from cca.errors import ClosureExceedsCap
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         is_colour_preserving)
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
@@ -61,6 +62,23 @@ def full_scan_bfs(n, conn, left):
                 order.append((v, u, s))
                 queue.append(v)
     return order, pos
+
+
+def reference_closure(gens, degree, cap):
+    """close_generators' element list by the same breadth-first closure with
+    plain tuple products: identity first, each dequeued element times every
+    generator in input order.  Raises ClosureExceedsCap past cap elements."""
+    elements = [tuple(range(degree))]
+    seen = set(elements)
+    for e in elements:
+        for g in gens:
+            f = tuple(g[x] for x in e)
+            if f not in seen:
+                if len(elements) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(f)
+                elements.append(f)
+    return elements
 
 
 def reference_stabiliser(Gamma):

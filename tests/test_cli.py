@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +129,26 @@ def test_internal_key_error_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "autc_group", broken)
     code, _, err = run(capsys, ["check", "z6", "--set", "1,5"])
     assert code == 1 and "internal error" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes the pipe before the output ends, as
+    `cca group build ... | head -c 100` may, gets exit 141 (128 + SIGPIPE)
+    and nothing on stderr.  The reader here closes before the first write,
+    so every run takes the same path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cca.cli", "group", "build",
+             "prod(f21;z5;z2)"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [["reproduce", "prop56-f21"],

@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import pytest
 
-from cca import builders
+from cca import builders, constructions
 from cca.constructions import (is_complete_colour_pair,
                                line_graph_construction,
                                subdivision_construction, wreath_witness)
 from cca.engine import autc_group, is_colour_preserving
 from cca.errors import HypothesisViolated, NotArcRegular, NotRegular
 from cca.graphs import PlainGraph, graph_automorphisms, heawood
-from cca.groups import close_generators, trivial_group
+from cca.groups import FiniteGroup, close_generators, trivial_group
 from cca.recipes import _dihedral_coset_tau, _heawood_groups
 
 
@@ -103,6 +105,40 @@ def test_line_graph_construction_gates():
     Z4R = builders.cyclic(4)
     with pytest.raises(HypothesisViolated):
         line_graph_construction(square, Z4R, Z4R)
+
+
+def test_line_graph_construction_needs_generators_of_h():
+    P, _, Hbip, G21, _ = _heawood_groups()
+    one_gen = FiniteGroup(Hbip.elements, Hbip.generators[:1])
+    with pytest.raises(HypothesisViolated, match="generators of H"):
+        line_graph_construction(P, G21, one_gen)
+
+
+def test_line_graph_construction_names_colour_breaking_generator(monkeypatch):
+    """L(K_{5,5}) on Z5 x Z5 with H = AGL(1,5) x AGL(1,5).  The local pair
+    check is patched to pass, so only the colour check on H's generators
+    can refuse: the translations keep colours and the doubling x -> 2x,
+    which swaps the colours {1, 4} and {2, 3}, does not."""
+    shift, double = (1, 2, 3, 4, 0), (0, 2, 4, 1, 3)
+
+    def left(p):
+        return p + (5, 6, 7, 8, 9)
+
+    def right(p):
+        return (0, 1, 2, 3, 4) + tuple(5 + x for x in p)
+
+    gens = [left(shift), right(shift), left(double), right(double)]
+    H = close_generators(gens, 10)
+    G = close_generators(gens[:2], 10)
+    assert (G.order, H.order) == (25, 400)
+    K = PlainGraph(10, [(i, 5 + j) for i in range(5) for j in range(5)],
+                   bipartition=(list(range(5)), list(range(5, 10))))
+    monkeypatch.setattr(constructions, "is_complete_colour_pair",
+                        lambda loc_G, loc_H: SimpleNamespace(is_pair=True))
+    with pytest.raises(HypothesisViolated) as err:
+        line_graph_construction(K, G, H)
+    assert str(err.value) == \
+        f"{H.label(H.index[gens[2]])} in H changes line-graph colours"
 
 
 def test_subdivision_construction_heawood():

@@ -8,13 +8,14 @@ from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
 from cca.graphs import colour_units
 from cca.groups import (are_conjugate_subsets, are_isomorphic, bfs_tree,
                         centralizer, close_generators, conjugacy_classes,
-                        find_isomorphism, generating_sequence, is_normal,
+                        find_isomorphism, generated, generating_sequence,
+                        is_normal,
                         is_subgroup, is_sylow_cyclic_order_not_div_4,
                         normal_subgroups, normalizer, p_part, prime_factors,
                         squares_subgroup, sylow_subgroup, trivial_group)
 from cca.perms import identity, pmul
 
-from conftest import full_scan_bfs, group_pool
+from conftest import full_scan_bfs, group_pool, reference_closure
 
 
 def test_close_generators_deterministic_order():
@@ -29,6 +30,44 @@ def test_close_generators_cap():
     a = (1, 2, 3, 4, 0)
     with pytest.raises(ClosureExceedsCap):
         close_generators([a], 5, cap=3)
+
+
+def _seeded_generator_lists():
+    """(degree, generator list) pairs: every pool group's own generators and
+    seeded random samples of its elements, then degrees 0, 1 and 2, where
+    itemgetter of a single point would return a bare point."""
+    rng = random.Random(7)
+    for G in group_pool(48):
+        yield G.degree, list(G.generators)
+        for k in (1, 2, 3):
+            yield G.degree, rng.sample(G.elements, min(k, G.order))
+    for gens in ([], [()], [(), ()]):
+        yield 0, gens
+    for gens in ([], [(0,)], [(0,), (0,)]):
+        yield 1, gens
+    for gens in ([], [(0, 1)], [(1, 0)], [(0, 1), (1, 0)], [(1, 0), (1, 0)]):
+        yield 2, gens
+
+
+def test_close_generators_matches_reference_closure():
+    for degree, gens in _seeded_generator_lists():
+        ref = reference_closure(gens, degree, cap=10_000)
+        H = close_generators(gens, degree, cap=len(ref))
+        assert H.elements == ref, (degree, gens)
+        assert H.generators == [tuple(g) for g in gens]
+        if len(ref) > 1:
+            with pytest.raises(ClosureExceedsCap):
+                close_generators(gens, degree, cap=len(ref) - 1)
+
+
+def test_generated_keeps_few_generators():
+    for G in group_pool(48):
+        H = generated(G.elements, G.degree)
+        assert set(H.elements) == set(G.elements)
+        assert len(H.generators) <= len(generating_sequence(G))
+        assert all(g in G.index for g in H.generators)
+    T = generated([(0,), (0,)], 1)
+    assert T.elements == [(0,)] and T.generators == []
 
 
 def test_identity_first_and_index_arithmetic():

@@ -73,3 +73,28 @@ def test_conjugation():
     assert pconj(g, h) == pmul(pmul(pinv(h), g), h)
     # conjugation by h relabels the moved points through h
     assert pconj(g, h) == (2, 1, 0)
+
+
+def genexpr_pmul(a, b):
+    """The product by a generator expression over a's images."""
+    return tuple(b[x] for x in a)
+
+
+def test_low_degree_products_are_tuples():
+    assert pmul((), ()) == ()
+    assert pmul((0,), (0,)) == (0,)
+    for a in ((0, 1), (1, 0)):
+        for b in ((0, 1), (1, 0)):
+            assert pmul(a, b) == genexpr_pmul(a, b)
+            assert type(pmul(a, b)) is tuple
+    assert pconj((1, 0), (1, 0)) == (1, 0)
+    assert ppow((1, 0), 3) == (1, 0)
+
+
+def test_product_matches_genexpr_seeded():
+    rng = random.Random(3)
+    for n in list(range(1, 12)) + [21, 42, 168]:
+        for _ in range(20):
+            a, b = rand_perm(rng, n), rand_perm(rng, n)
+            assert pmul(a, b) == genexpr_pmul(a, b)
+            assert pmul(a, list(b)) == genexpr_pmul(a, b)
