@@ -5,14 +5,16 @@ of groups.bfs_tree from the identity vertex, the BFS that graphs.is_connected
 runs, so a disconnected graph raises NotConnected before any search.  A
 vertex reached along an s-edge has its image forced into {s*w, s^-1*w}, and
 every other edge is checked when its later endpoint is assigned, so each
-element found is colour-preserving by construction (the tests compare with
-networkx's VF2).  The identity is always the first leaf, so the search starts
-there and walks back up the identity's path, trying only the other candidate
-at each level; the order of the elements is that of a full descent.  For the
-stabiliser A_1, |Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is
-a group automorphism, and those elements form Aut_{+-1}(G, S).  Aut_c itself is
-closed from G_R and A_1 only on first access; the tests check this route
-against the closure-and-normality route.
+map found is colour-preserving by construction (the tests compare with
+networkx's VF2).  With the BFS order as base, each level at most doubles the
+stabiliser A_1 of the identity vertex, so the search finds one map per
+level that does, starting from the identity leaf and walking back up its
+path: m strong generators, |A_1| = 2^m.  A_1 is closed from them only when
+2^m is within the cap, and listed in the order of a full descent.
+|Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
+automorphism, which holds iff it holds on the generators, and those elements
+form Aut_{+-1}(G, S).  Aut_c itself is closed from G_R and A_1 only on first
+access; the tests check this route against the closure-and-normality route.
 """
 
 from __future__ import annotations
@@ -51,40 +53,39 @@ def _graph_context(Gamma: ColouredCayleyGraph):
     return Gamma.n, conn, {s: G.left_row(s) for s in conn}, G.inverse
 
 
-def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
-    """Enumerate all colour-preserving automorphisms fixing vertex 0.
+def _search_stabiliser(n, conn, left, inv):
+    """Yield (v, u, s, g_k) for each BFS level k at which some colour-
+    preserving automorphism fixing vertex 0 and the earlier BFS vertices
+    moves v = s*u; g_k is the first such map the search meets.
+
+    The base is the BFS order v_0, v_1, ...  Let A^(k) be the part of A_1
+    fixing v_0, ..., v_{k-1}.  Every map in A^(k) sends v_k = s*u into
+    {s*u, s^-1*u}, so [A^(k) : A^(k+1)] <= 2, and the g_k found, one for
+    each level of index 2, generate A_1 (a strong generating set, Sims 1970;
+    Seress 2003): |A_1| = 2^m for m maps yielded.
 
     Vertex v = s*u gets an unused image in {s*img[u], s^-1*img[u]}; every
     other edge {v, t*v} is checked when its later endpoint v is assigned
     (t*v has an image iff it is earlier in BFS order): img[t*v] must be
     t^{+-1}*img[v].  So every map found is a colour-preserving bijection.
-
-    The depth-first search tries c1 = s*img[u] before s^-1*img[u], so its
-    first leaf is the identity: with the identity on the earlier vertices,
-    c1 = v is unused and passes every edge check.  The search therefore
-    starts at that leaf and walks back up its path, from the last BFS level
-    to the first, trying at each level only the other candidate s^-1*u and
-    searching below it as usual.  Elements come in the order a descent from
-    the root gives them, the identity first; it counts toward cap.
-
-    Calls on_found(img) per automorphism; a False return aborts the search,
-    and the search then returns False.  Raises NotConnected, from the BFS
-    alone, when the connection set does not generate the group."""
+    The identity passes every check, so the search starts from it and walks
+    back from the last BFS level to the first; at level k it fixes the
+    earlier vertices, tries only the other candidate s^-1*u and descends
+    below it to the first leaf.  Maps are yielded from the last level to
+    the first.  Raises NotConnected, from the BFS alone, when the connection
+    set does not generate the group."""
     order, _ = bfs_tree(n, conn, left)
     if len(order) != n - 1:
         raise NotConnected("graph is not connected")
     rows = [(left[t], left[inv[t]]) for t in conn]
     img = list(range(n))
     used = [True] * n
-    count = 0
 
-    def rec(k: int, skip: int = -1) -> bool:
-        nonlocal count
+    def rec(k: int, skip: int = -1) -> Perm | None:
+        """The first leaf below level k, or None; img and used are restored
+        to their state on entry either way."""
         if k == len(order):
-            count += 1
-            if count > cap:
-                raise StabiliserTooLarge(f"stabiliser exceeds cap {cap}")
-            return on_found(tuple(img))
+            return tuple(img)
         v, u, s = order[k]
         w = img[u]
         c1 = left[s][w]
@@ -99,31 +100,46 @@ def _search_stabiliser(n, conn, left, inv, on_found, cap=STABILISER_CAP):
             else:
                 img[v] = cand
                 used[cand] = True
-                if not rec(k + 1):
-                    return False
+                leaf = rec(k + 1)
                 used[cand] = False
                 img[v] = -1
-        return True
+                if leaf is not None:
+                    return leaf
+        return None
 
-    if not rec(len(order)):
-        return False
     for k in range(len(order) - 1, -1, -1):
-        v = order[k][0]
+        v, u, s = order[k]
         img[v] = -1
         used[v] = False
-        if not rec(k, skip=v):
-            return False
-    return True
+        g = rec(k, skip=v)
+        if g is not None:
+            yield v, u, s, g
 
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm]:
     """All colour-preserving automorphisms of a connected Cayley graph fixing
-    the identity vertex, the identity first."""
+    the identity vertex, in the order a full descent of the search would
+    find them, the identity first.
+
+    |A_1| = 2^m for the m strong generators, so a stabiliser larger than cap
+    raises StabiliserTooLarge before any closure.  Otherwise A_1 is closed
+    from the generators and sorted by the descent key: one bit per level at
+    which a generator was found, 0 when img[v] = s*img[u], the candidate a
+    descent tries first, and 1 otherwise.  At a level where A^(k) =
+    A^(k+1), the images of the earlier base vertices fix that of v_k, so two
+    maps first differ at a generator level, and the key orders them as the
+    descent does."""
     n, conn, left, inv = _graph_context(Gamma)
-    found: list[Perm] = []
-    _search_stabiliser(n, conn, left, inv, lambda p: found.append(p) or True,
-                       cap=cap)
-    return found
+    levels = list(_search_stabiliser(n, conn, left, inv))
+    size = 1 << len(levels)
+    if size > cap:
+        raise StabiliserTooLarge(f"stabiliser exceeds cap {cap}")
+    stab = close_generators([g for *_, g in levels], n, cap=size)
+    if stab.order != size:
+        raise RuntimeError("internal error: |A_1| != 2^m")
+    key = [(v, u, left[s]) for v, u, s, _ in reversed(levels)]
+    return sorted(stab.elements,
+                  key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
 
 
 def _is_multiplicative(b, n, conn, left) -> bool:
@@ -290,11 +306,11 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
 def fast_cca_verdict(n: int, table, inv: list[int], conn: list[int]) -> str:
     """CCA verdict for Cay(G, S) from a precomputed multiplication table.
 
-    The search aborts at the first stabiliser element that fails to be a
-    group automorphism (equivalently: fails to normalise G_R); the identity,
-    found first, needs no test."""
-    ident = identity(n)
-    complete = _search_stabiliser(
-        n, conn, table, inv,
-        lambda b: b == ident or _is_multiplicative(b, n, conn, table))
-    return "CCA" if complete else "NonCCA"
+    Group automorphisms are closed under composition, so A_1 consists of
+    them iff its strong generators do; the search stops at the first
+    generator that is not one.  It reaches at most n - 1 leaves and needs no
+    cap."""
+    gens = _search_stabiliser(n, conn, table, inv)
+    if all(_is_multiplicative(g, n, conn, table) for *_, g in gens):
+        return "CCA"
+    return "NonCCA"

@@ -125,7 +125,17 @@ def heawood() -> PlainGraph:
 
 
 def graph_automorphisms(P: PlainGraph, max_n: int = 50) -> list[Perm]:
-    """All automorphisms by backtracking with degree/refinement pruning."""
+    """All automorphisms, sorted, closed from a strong generating set.
+
+    The base is the vertex order by refined colour-class size.  With the
+    identity on the first k base vertices, every image w != v_k of the next
+    one that the backtracking admits (same refined colour, unused, adjacency
+    to the earlier vertices kept) is tried, and the search below it stops at
+    the first automorphism.  Starting from the identity leaf and walking back
+    from the last level to the first, this gives one map for each point of
+    v_k's orbit under the automorphisms fixing the earlier base vertices, so
+    the maps generate the group (Sims 1970) and its order is the product over
+    the levels of the orbit sizes."""
     if P.n > max_n:
         raise ValueError(f"graph too large for backtracking ({P.n} > {max_n})")
     # iterated neighbourhood-colour refinement
@@ -140,32 +150,42 @@ def graph_automorphisms(P: PlainGraph, max_n: int = 50) -> list[Perm]:
         colour = new
     adjset = [set(nb) for nb in P.adj]
     order = sorted(range(P.n), key=lambda v: (colour.count(colour[v]), v))
-    out: list[Perm] = []
-    img = [-1] * P.n
-    used = [False] * P.n
+    img = list(range(P.n))
+    used = [True] * P.n
 
-    def rec(k: int):
-        if k == P.n:
-            out.append(tuple(img))
-            return
+    def admissible(k: int, w: int) -> bool:
         v = order[k]
-        for w in range(P.n):
-            if used[w] or colour[w] != colour[v]:
-                continue
-            ok = True
-            for u in order[:k]:
-                if (u in adjset[v]) != (img[u] in adjset[w]):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                rec(k + 1)
-                used[w] = False
-                img[v] = -1
+        return not used[w] and colour[w] == colour[v] and all(
+            (u in adjset[v]) == (img[u] in adjset[w]) for u in order[:k])
 
-    rec(0)
-    return sorted(out)
+    def first_leaf(k: int, w: int) -> Perm | None:
+        """The first automorphism extending img with base vertex k sent to
+        w, or None; img and used are restored either way."""
+        img[order[k]] = w
+        used[w] = True
+        if k + 1 == P.n:
+            leaf = tuple(img)
+        else:
+            leaf = next(filter(None, (first_leaf(k + 1, x) for x in range(P.n)
+                                      if admissible(k + 1, x))), None)
+        used[w] = False
+        img[order[k]] = -1
+        return leaf
+
+    gens: list[Perm] = []
+    size = 1
+    for k in range(P.n - 1, -1, -1):
+        v = order[k]
+        img[v] = -1
+        used[v] = False
+        found = [g for w in range(P.n)
+                 if w != v and admissible(k, w) and (g := first_leaf(k, w))]
+        gens += found
+        size *= 1 + len(found)
+    group = close_generators(gens, P.n, cap=size)
+    if group.order != size:
+        raise RuntimeError("internal error: |Aut| != product of orbit sizes")
+    return sorted(group.elements)
 
 
 # -- coloured Cayley graphs ------------------------------------------------
@@ -206,18 +226,20 @@ class ColouredCayleyGraph:
         self.conn = conn_list
         self.colour_classes = colour_units(group, conn_list)
         self.n = n
-        self.adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        # Edges of distinct colours are distinct, so each colour unit adds
+        # its own edges: a pair {s, s^-1} has n distinct edges {v, s*v}
+        # (two coincide only if s^2 = 1), an involution has the n/2 edges
+        # with v < s*v.  The insertion order is that of v.
         self.edge_colour: dict[tuple[int, int], int] = {}
         for ci, cls in enumerate(self.colour_classes):
-            s = cls[0]
-            row = group.left_row(s)
-            for v in range(n):
-                w = row[v]
-                key = (min(v, w), max(v, w))
-                if key not in self.edge_colour:
-                    self.edge_colour[key] = ci
-                    self.adjacency[v].append((w, ci, +1))
-                    self.adjacency[w].append((v, ci, -1))
+            row = group.left_row(cls[0])
+            if len(cls) == 2:
+                self.edge_colour.update(
+                    ((v, w) if v < w else (w, v), ci)
+                    for v, w in enumerate(row))
+            else:
+                self.edge_colour.update(
+                    ((v, w), ci) for v, w in enumerate(row) if v < w)
 
     @property
     def edges(self):

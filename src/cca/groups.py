@@ -332,7 +332,9 @@ def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
     """All normal subgroups, as joins of normal closures of conjugacy classes.
 
     Every normal subgroup is generated by the classes it contains, so closing
-    the class-closures under pairwise join reaches all of them."""
+    the class-closures under pairwise join reaches all of them.  Each
+    unordered pair is joined once, in the first round in which both of its
+    members are known, unless one contains the other."""
     if G.order > cap:
         raise BoundExceeded(f"|G| = {G.order} exceeds bound {cap}")
     classes = conjugacy_classes(G)
@@ -349,18 +351,21 @@ def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
     for cls in classes:
         N = close_norm(cls)
         found.setdefault(frozenset(N.elements), N)
-    changed = True
-    while changed:
-        changed = False
+    # A round joins the pairs of the subgroups found before it, each
+    # unordered pair once and none joined in an earlier round: found only
+    # grows, so those joins give subgroups it holds already.  Skipping them
+    # leaves the order in which new subgroups are found as it was.
+    done = 0
+    while done < len(found):
         current = list(found.values())
-        for A in current:
-            for B in current:
-                key_gens = A.generators + B.generators
-                J = G.subgroup(key_gens)
-                key = frozenset(J.elements)
-                if key not in found:
-                    found[key] = J
-                    changed = True
+        for i, A in enumerate(current):
+            for B in current[max(i, done):]:
+                if all(g in A.index for g in B.generators) or \
+                        all(g in B.index for g in A.generators):
+                    continue            # the join is A or B
+                J = G.subgroup(A.generators + B.generators)
+                found.setdefault(frozenset(J.elements), J)
+        done = len(current)
     out = sorted(found.values(), key=lambda N: (N.order, sorted(map(tuple, N.elements))))
     if not all(is_normal(N, G) for N in out):
         raise RuntimeError("internal error: a closed subgroup is not normal")

@@ -363,28 +363,45 @@ def _unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
     return sorted(ws)
 
 
-def _canonical_masks(k: int, ws):
-    """canon[m] = least bitmask conjugate to m under the unit permutations.
+def _mask_tables(k: int, ws):
+    """One (hightab, lowtab) pair per unit permutation w other than the
+    identity.  With kl = k // 2, w maps the mask m = h*2^kl + l to
+    hightab[h] | lowtab[l]."""
+    dtype = np.int64 if k > 30 else np.int32
+    kl = k // 2
+    ident = tuple(range(k))
+    return [(np.array([sum(1 << w[kl + i] for i in range(k - kl) if m >> i & 1)
+                       for m in range(1 << (k - kl))], dtype=dtype),
+             np.array([sum(1 << w[i] for i in range(kl) if m >> i & 1)
+                       for m in range(1 << kl)], dtype=dtype))
+            for w in ws if w != ident]
 
-    With kl = k // 2, a mask m = h*2^kl + l maps under w to
-    hightab[h] | lowtab[l], so each w costs one outer OR over the grid of
+
+def _canonical_masks(k: int, tables):
+    """canon[m] = least bitmask conjugate to m under the unit permutations,
+    given by their _mask_tables.  Each w costs one outer OR over the grid of
     (h, l) into a buffer that all w share."""
     dtype = np.int64 if k > 30 else np.int32
     kl = k // 2
     canon = np.arange(1 << k, dtype=dtype).reshape(1 << (k - kl), 1 << kl)
     image = np.empty_like(canon)
-    ident = tuple(range(k))
-    for w in ws:
-        if w == ident:
-            continue
-        lowtab = np.array([sum(1 << w[i] for i in range(kl) if m >> i & 1)
-                           for m in range(1 << kl)], dtype=dtype)
-        hightab = np.array([sum(1 << w[kl + i] for i in range(k - kl)
-                                if m >> i & 1)
-                            for m in range(1 << (k - kl))], dtype=dtype)
+    for hightab, lowtab in tables:
         np.bitwise_or(hightab[:, None], lowtab, out=image)
         np.minimum(canon, image, out=canon)
     return canon.ravel()
+
+
+def _orbit_sizes(k: int, tables, masks):
+    """The size of each mask's class, by orbit-stabiliser: the unit
+    permutations form a group W (the identity plus those in tables), and the
+    class of m has |W| / #{w in W : w(m) = m} members."""
+    kl = k // 2
+    high = masks >> kl
+    low = masks & ((1 << kl) - 1)
+    fixes = np.ones(len(masks), dtype=np.int64)
+    for hightab, lowtab in tables:
+        fixes += (hightab[high] | lowtab[low]) == masks
+    return (len(tables) + 1) // fixes
 
 
 def _mask_conn(mask: int, units) -> list[int]:
@@ -423,11 +440,10 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     n = G.order
     units = colour_units(G, range(1, n))
     k = len(units)
-    ws = _unit_action(G, Amb, units)
-    canon = _canonical_masks(k, ws)
+    tables = _mask_tables(k, _unit_action(G, Amb, units))
+    canon = _canonical_masks(k, tables)
     reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
-    sizes = dict(zip(reps.tolist(),
-                     np.bincount(canon, minlength=1 << k)[reps].tolist()))
+    sizes = dict(zip(reps.tolist(), _orbit_sizes(k, tables, reps).tolist()))
 
     table = G.table
     inv = G.inverse

@@ -14,8 +14,8 @@ from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         is_colour_preserving)
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
-                        is_normal, normal_subgroups, sylow_subgroup,
-                        trivial_group)
+                        conjugacy_classes, is_normal, normal_subgroups,
+                        sylow_subgroup, trivial_group)
 from cca.perms import identity, pconj, pinv, pmul
 from cca.structure import (StructureDecomposition, decompose_structure,
                            reduction_gamma_prime)
@@ -79,6 +79,80 @@ def reference_closure(gens, degree, cap):
                 seen.add(f)
                 elements.append(f)
     return elements
+
+
+def reference_edge_colour(Gamma):
+    """The edge colours by one pass over every vertex of every colour unit,
+    keeping the first colour each edge {v, s*v} is given."""
+    ec = {}
+    for ci, cls in enumerate(Gamma.colour_classes):
+        row = Gamma.group.left_row(cls[0])
+        for v in range(Gamma.n):
+            w = row[v]
+            key = (min(v, w), max(v, w))
+            if key not in ec:
+                ec[key] = ci
+    return ec
+
+
+def reference_graph_automorphisms(P):
+    """All automorphisms of a plain graph, sorted, by backtracking over every
+    image of every vertex, in the refined order graph_automorphisms uses."""
+    colour = [len(P.adj[v]) for v in range(P.n)]
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in P.adj[v])))
+               for v in range(P.n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colour:
+            break
+        colour = new
+    adjset = [set(nb) for nb in P.adj]
+    order = sorted(range(P.n), key=lambda v: (colour.count(colour[v]), v))
+    out = []
+    img = [-1] * P.n
+    used = [False] * P.n
+
+    def rec(k):
+        if k == P.n:
+            out.append(tuple(img))
+            return
+        v = order[k]
+        for w in range(P.n):
+            if used[w] or colour[w] != colour[v]:
+                continue
+            if all((u in adjset[v]) == (img[u] in adjset[w])
+                   for u in order[:k]):
+                img[v] = w
+                used[w] = True
+                rec(k + 1)
+                used[w] = False
+                img[v] = -1
+
+    rec(0)
+    return sorted(out)
+
+
+def reference_normal_subgroups(G):
+    """normal_subgroups by the plain fixpoint: join every pair of the
+    subgroups found so far, in every round, until a round adds none."""
+    found = {frozenset([identity(G.degree)]): trivial_group(G.degree)}
+    for cls in conjugacy_classes(G):
+        N = G.subgroup([G.elements[i] for i in cls if i != 0])
+        found.setdefault(frozenset(N.elements), N)
+    changed = True
+    while changed:
+        changed = False
+        current = list(found.values())
+        for A in current:
+            for B in current:
+                J = G.subgroup(A.generators + B.generators)
+                key = frozenset(J.elements)
+                if key not in found:
+                    found[key] = J
+                    changed = True
+    return sorted(found.values(),
+                  key=lambda N: (N.order, sorted(map(tuple, N.elements))))
 
 
 def reference_stabiliser(Gamma):

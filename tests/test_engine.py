@@ -50,6 +50,24 @@ def test_stabiliser_cap_refuses():
         autc_stabiliser(complete_cayley(builders.quaternion8()), cap=4)
 
 
+def test_stabiliser_cap_refuses_before_closure(monkeypatch):
+    # |A_1| = 2^m is known from the m strong generators, so a stabiliser
+    # over the cap is refused without closing it
+    G = builders.build_spec("q8xz2^2")
+    labels = ["(j,1,0)", "(-j,1,0)", "(j,0,0)", "(-j,0,0)", "(-j,1,1)",
+              "(j,1,1)", "(j,0,1)", "(-j,0,1)", "(i,1,1)", "(-i,1,1)"]
+    Gamma = ColouredCayleyGraph(G, [G.label_index(x) for x in labels])
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("close_generators called")
+
+    monkeypatch.setattr("cca.engine.close_generators", no_closure)
+    with pytest.raises(StabiliserTooLarge, match="exceeds cap 16384"):
+        autc_stabiliser(Gamma)
+    with pytest.raises(StabiliserTooLarge, match="exceeds cap 16384"):
+        autc_group(Gamma)
+
+
 def test_stabiliser_requires_connected():
     G = builders.cyclic(6)
     Gamma = ColouredCayleyGraph(G, [2, 4])
@@ -347,3 +365,15 @@ def test_stabiliser_matches_vf2_oracle():
         for _ in range(2):
             Gamma = _sparse_cayley(rng, G)
             assert sorted(autc_stabiliser(Gamma)) == vf2_stabiliser(Gamma)
+
+
+def test_stabiliser_order_is_power_of_two():
+    # each BFS level at most doubles A_1, on the sets VF2 checks above
+    rng = random.Random(37)
+    for spec in ("f21", "agl17", "f21xz2", "q8xz2^1", "dic(z6)", "d8"):
+        G = builders.build_spec(spec)
+        for _ in range(2):
+            Gamma = _sparse_cayley(rng, G)
+            size = len(autc_stabiliser(Gamma))
+            assert is_power_of_two(size)
+            assert size == len(vf2_stabiliser(Gamma))

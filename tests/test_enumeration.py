@@ -3,13 +3,15 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cca import builders
 from cca.errors import InvalidSpec
 from cca.graphs import colour_units
 from cca.groups import are_conjugate_subsets
-from cca.structure import (_canonical_masks, _unit_action, canonical_sets,
+from cca.structure import (_canonical_masks, _mask_tables, _orbit_sizes,
+                           _unit_action, canonical_sets,
                            enumerate_connection_sets)
 
 from conftest import subset_class_count
@@ -44,7 +46,7 @@ def test_canonical_masks_against_direct_minimum():
     units = colour_units(G, range(1, G.order))
     ws = _unit_action(G, builders.agl17(), units)
     k = len(units)
-    canon = _canonical_masks(k, ws)
+    canon = _canonical_masks(k, _mask_tables(k, ws))
     rng = random.Random(3)
     for _ in range(200):
         m = rng.randrange(1 << k)
@@ -59,6 +61,22 @@ def test_canonical_masks_against_direct_minimum():
         w = ws[rng.randrange(len(ws))]
         moved = sum(1 << w[i] for i in range(k) if m >> i & 1)
         assert int(canon[moved]) == c
+
+
+@pytest.mark.parametrize("base, amb", [("f21", "agl17"),
+                                       ("f21xz2", "agl17xz2")])
+def test_orbit_sizes_match_bincount(base, amb):
+    # orbit-stabiliser on the representatives gives the class sizes that
+    # counting the canonical form of every mask gives
+    G = getattr(builders, base)()
+    units = colour_units(G, range(1, G.order))
+    k = len(units)
+    tables = _mask_tables(k, _unit_action(G, getattr(builders, amb)(), units))
+    canon = _canonical_masks(k, tables)
+    reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
+    assert len(reps) == subset_class_count(G, getattr(builders, amb)())
+    sizes = _orbit_sizes(k, tables, reps)
+    assert sizes.tolist() == np.bincount(canon, minlength=1 << k)[reps].tolist()
 
 
 def test_enumerate_rejects_unknown_inputs():

@@ -1,6 +1,7 @@
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from cca import builders
@@ -12,7 +13,8 @@ from cca.graphs import (ColouredCayleyGraph, PlainGraph, cayley, colour_units,
                         to_json, to_json_dict)
 from cca.groups import close_generators
 
-from conftest import group_pool
+from conftest import (group_pool, random_connected_cayley,
+                      reference_edge_colour, reference_graph_automorphisms)
 
 
 def test_plain_graph_basics():
@@ -36,6 +38,35 @@ def test_heawood_graph():
 def test_heawood_automorphism_group():
     auts = graph_automorphisms(heawood())
     assert len(auts) == 336
+
+
+def test_graph_automorphisms_match_reference():
+    # closed from strong generators, the list equals the full backtracking's
+    def plain(X):
+        X = nx.convert_node_labels_to_integers(X, ordering="sorted")
+        return PlainGraph(X.number_of_nodes(), X.edges())
+
+    for P, order in ((heawood(), 336),
+                     (plain(nx.complete_bipartite_graph(3, 3)), 72),
+                     (plain(nx.hypercube_graph(3)), 48),
+                     (plain(nx.petersen_graph()), 120)):
+        auts = graph_automorphisms(P)
+        assert len(auts) == order
+        assert auts == reference_graph_automorphisms(P)
+
+
+def test_edge_colour_matches_reference():
+    # same edges, colours and insertion order as one pass over every vertex
+    rng = random.Random(71)
+    pool = group_pool(48)
+    graphs = [random_connected_cayley(rng, pool) for _ in range(40)]
+    graphs += [complete_cayley(builders.build_spec(spec))
+               for spec in ("q8", "z2^4", "s4")]
+    for Gamma in graphs:
+        assert list(Gamma.edge_colour.items()) \
+            == list(reference_edge_colour(Gamma).items()), Gamma.conn
+    assert sum(len(u) == 1 for Gamma in graphs[:40]
+               for u in Gamma.colour_classes) >= 10
 
 
 def test_line_graph_and_subdivision_counts():

@@ -15,7 +15,8 @@ from cca.groups import (are_conjugate_subsets, are_isomorphic, bfs_tree,
                         squares_subgroup, sylow_subgroup, trivial_group)
 from cca.perms import identity, pmul
 
-from conftest import full_scan_bfs, group_pool, reference_closure
+from conftest import (full_scan_bfs, group_pool, reference_closure,
+                      reference_normal_subgroups)
 
 
 def test_close_generators_deterministic_order():
@@ -176,6 +177,17 @@ def test_normal_subgroups_s4():
 def test_normal_subgroups_simple_group():
     orders = [N.order for N in normal_subgroups(builders.psl27())]
     assert orders == [1, 168]
+
+
+def test_normal_subgroups_match_reference():
+    # joining each pair once finds the same subgroups, each with the same
+    # generators and element order, as re-joining every pair every round
+    for G in group_pool(48):
+        got = normal_subgroups(G)
+        ref = reference_normal_subgroups(G)
+        assert [N.order for N in got] == [N.order for N in ref]
+        assert [N.generators for N in got] == [N.generators for N in ref]
+        assert [N.elements for N in got] == [N.elements for N in ref]
 
 
 def test_bounds_refuse_large_groups():

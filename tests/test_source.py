@@ -51,3 +51,47 @@ def test_no_unreferenced_functions():
             if named.get(node.name, 0) == own:
                 unreferenced.append(f"{path.name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def test_no_unread_attributes():
+    # every attribute the package sets on self is read somewhere in src/,
+    # tests/ or bench/ outside the function that sets it: as an attribute
+    # or as a string (getattr); filling it in place there does not count
+    src = Path(cca.__file__).resolve().parent
+    root = src.parent.parent
+    read: dict[str, int] = {}
+    for top in ("src", "tests", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                read[name] = read.get(name, 0) + 1
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for t in targets:
+                    if not (isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        continue
+                    own = sum(isinstance(sub, ast.Attribute)
+                              and isinstance(sub.ctx, ast.Load)
+                              and sub.attr == t.attr for sub in ast.walk(fn))
+                    if read.get(t.attr, 0) == own:
+                        unread.append(f"{path.name}:{t.lineno}: {t.attr}")
+    assert not unread, unread
