@@ -16,8 +16,8 @@ from . import builders, recipes
 from .engine import autc_group
 from .errors import CCAError
 from .graphs import ColouredCayleyGraph, to_dot, to_json_dict
-from .structure import (decompose_structure, enumerate_connection_sets,
-                        reduction_gamma_prime)
+from .structure import (ENUMERATION_BASES, decompose_structure,
+                        enumerate_connection_sets, reduction_gamma_prime)
 
 USAGE_EXIT = 64
 BROKEN_PIPE_EXIT = 141
@@ -161,8 +161,8 @@ def _build_parser() -> _Parser:
     r.set_defaults(fn=_cmd_reproduce)
 
     e = sub.add_parser("enumerate",
-                       help="classify connection sets up to conjugacy")
-    e.add_argument("base", choices=["f21", "agl17", "f21xz2"])
+                       help="classify connection sets up to automorphism")
+    e.add_argument("base", choices=ENUMERATION_BASES)
     e.add_argument("--mode", choices=["full", "canonical-pruned"],
                    default="canonical-pruned")
     e.add_argument("--slow", action="store_true")

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
 from .groups import (FiniteGroup, bfs_tree, close_generators,
-                     extend_isomorphism, find_isomorphism, generated,
-                     generating_sequence, normal_subgroups)
+                     find_isomorphism, generated, generating_sequence,
+                     isomorphisms, normal_subgroups)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -156,15 +155,13 @@ def _is_multiplicative(b, n, conn, left) -> bool:
 
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
-    every choice of generator images s -> s^{+-1} that extends to an
-    automorphism.  Raises NotConnected unless S generates G."""
+    every isomorphism G -> G sending each generator s to s or s^-1 that does
+    so on all of S.  Raises NotConnected unless S generates G."""
     inv = G.inverse
     gens = generating_sequence(G, S)
-    found: list[Perm] = []
-    for imgs in product(*[(s,) if inv[s] == s else (s, inv[s]) for s in gens]):
-        phi = extend_isomorphism(G, G, gens, imgs)
-        if phi is not None and all(phi[s] in (s, inv[s]) for s in S):
-            found.append(tuple(phi))
+    choices = [dict.fromkeys((s, inv[s])) for s in gens]
+    found = [tuple(phi) for phi in isomorphisms(G, G, gens, choices)
+             if all(phi[s] in (s, inv[s]) for s in S)]
     return close_generators(found, G.order, cap=max(len(found) + 1, 2))
 
 
@@ -263,19 +260,15 @@ def _find_dicyclic_structure(G: FiniteGroup):
 
 
 def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
-    """The classification of Aut_c(K_G): dihedral overgroup for abelian G,
-    G_R extended by iota for generalised dicyclic G, the three sigma maps for
-    Q8 x Z2^n, and CCA otherwise."""
+    """The classification of Aut_c(K_G): dihedral overgroup for abelian G of
+    exponent above 2, G_R extended by iota for generalised dicyclic G, the
+    three sigma maps for Q8 x Z2^n, and CCA otherwise."""
     from . import builders
 
     n = G.order
     reg_gens = G.right_regular.generators
     inv_perm = tuple(G.inverse)
-    if G.is_abelian():
-        if G.exponent() <= 2:
-            pm1 = aut_pm1_group(G, list(range(1, n)))
-            gens = reg_gens + [p for p in pm1.elements if p != identity(n)]
-            return CompletePrediction("CCA", n * pm1.order, gens)
+    if G.is_abelian() and G.exponent() > 2:
         return CompletePrediction("1", 2 * n, reg_gens + [inv_perm])
     m = (n // 8).bit_length() - 1
     if n >= 8 and n == 8 * 2 ** m:

@@ -331,41 +331,34 @@ def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
                      class_cap: int = 64) -> list[FiniteGroup]:
     """All normal subgroups, as joins of normal closures of conjugacy classes.
 
-    Every normal subgroup is generated by the classes it contains, so closing
-    the class-closures under pairwise join reaches all of them.  Each
-    unordered pair is joined once, in the first round in which both of its
-    members are known, unless one contains the other."""
+    Every normal subgroup is the join of the class closures inside it, so
+    joining each subgroup found with each class closure, one closure at a
+    time, reaches all of them.  A join that is one of its two parts is
+    skipped, and two closures are joined once."""
     if G.order > cap:
         raise BoundExceeded(f"|G| = {G.order} exceeds bound {cap}")
     classes = conjugacy_classes(G)
     if len(classes) > class_cap:
         raise BoundExceeded(f"{len(classes)} conjugacy classes exceed bound {class_cap}")
 
-    def close_norm(gen_idxs):
-        gens = [G.elements[i] for i in gen_idxs if i != 0]
-        return G.subgroup(gens)
-
-    found: dict[frozenset, FiniteGroup] = {}
-    triv = trivial_group(G.degree)
-    found[frozenset([identity(G.degree)])] = triv
+    found: dict[frozenset, FiniteGroup] = {
+        frozenset([identity(G.degree)]): trivial_group(G.degree)}
     for cls in classes:
-        N = close_norm(cls)
+        N = G.subgroup([G.elements[i] for i in cls if i != 0])
         found.setdefault(frozenset(N.elements), N)
-    # A round joins the pairs of the subgroups found before it, each
-    # unordered pair once and none joined in an earlier round: found only
-    # grows, so those joins give subgroups it holds already.  Skipping them
-    # leaves the order in which new subgroups are found as it was.
-    done = 0
-    while done < len(found):
-        current = list(found.values())
-        for i, A in enumerate(current):
-            for B in current[max(i, done):]:
-                if all(g in A.index for g in B.generators) or \
-                        all(g in B.index for g in A.generators):
-                    continue            # the join is A or B
-                J = G.subgroup(A.generators + B.generators)
-                found.setdefault(frozenset(J.elements), J)
-        done = len(current)
+    closures = list(found.values())
+    queue = list(closures)
+    for i, A in enumerate(queue):
+        # a closure meets only the closures after it
+        for C in closures[i + 1:] if i < len(closures) else closures:
+            if all(g in A.index for g in C.generators) or \
+                    all(g in C.index for g in A.generators):
+                continue            # the join is A or C, both found
+            J = G.subgroup(A.generators + C.generators)
+            key = frozenset(J.elements)
+            if key not in found:
+                found[key] = J
+                queue.append(J)
     out = sorted(found.values(), key=lambda N: (N.order, sorted(map(tuple, N.elements))))
     if not all(is_normal(N, G) for N in out):
         raise RuntimeError("internal error: a closed subgroup is not normal")
@@ -427,49 +420,69 @@ def extend_isomorphism(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     return phi
 
 
+def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
+                 candidates=None):
+    """Yield every isomorphism G -> H, as a list mapping G-indices to
+    H-indices, that sends gens[k] into candidates[k] (by default the elements
+    of H of the same order), in lexicographic candidate order.
+
+    A partial choice of images is pruned unless each image has its
+    generator's order, each product with an earlier image has the order of
+    the matching product in G, and, below the last generator, the images
+    generate a subgroup of the order the generators do; at the last level
+    extend_isomorphism decides."""
+    g_orders = G.element_orders
+    h_orders = H.element_orders
+    if candidates is None:
+        candidates = [[h for h in range(H.order) if h_orders[h] == g_orders[g]]
+                      for g in gens]
+    chain = [G.subgroup([G.elements[i] for i in gens[:k]]).order
+             for k in range(1, len(gens))]
+    imgs: list[int] = []
+
+    def extend(k: int):
+        if k == len(gens):
+            phi = extend_isomorphism(G, H, gens, imgs)
+            if phi is not None:
+                yield phi
+            return
+        g = gens[k]
+        for cand in candidates[k]:
+            if h_orders[cand] != g_orders[g] or \
+                    any(h_orders[H.imul(cand, imgs[j])]
+                        != g_orders[G.imul(g, gens[j])] for j in range(k)):
+                continue
+            imgs.append(cand)
+            if k == len(chain) or \
+                    H.subgroup([H.elements[i] for i in imgs]).order == chain[k]:
+                yield from extend(k + 1)
+            imgs.pop()
+
+    return extend(0)
+
+
+def automorphisms(G: FiniteGroup) -> list[list[int]]:
+    """Aut(G), each automorphism as a list mapping element indices to
+    element indices, from every choice of same-order images of a generating
+    sequence that extends to an isomorphism."""
+    return list(isomorphisms(G, G, generating_sequence(G)))
+
+
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
                      bound: int = ISO_BOUND) -> list[int] | None:
     """An isomorphism G -> H as a list mapping G-indices to H-indices, or None.
 
-    Order-histogram pruning followed by backtracking over generator images."""
+    Groups of different orders, order histograms or commutativity are
+    rejected at once; otherwise the first map isomorphisms yields over the
+    same-order images of a generating sequence of G."""
     if G.order != H.order:
         return None
     if G.order > bound or H.order > bound:
         raise BoundExceeded(f"isomorphism test bound {bound} exceeded")
-    if _order_histogram(G) != _order_histogram(H):
+    if G.is_abelian() != H.is_abelian() or \
+            _order_histogram(G) != _order_histogram(H):
         return None
-    gens = generating_sequence(G)
-    if not gens:
-        return [0]
-
-    g_orders = G.element_orders
-    h_orders = H.element_orders
-    h_by_order: dict[int, list[int]] = {}
-    for i, o in enumerate(h_orders):
-        h_by_order.setdefault(o, []).append(i)
-    # Partial-closure sizes along the generator chain, for pruning.
-    chain_sizes = []
-    for k in range(1, len(gens) + 1):
-        chain_sizes.append(G.subgroup([G.elements[i] for i in gens[:k]]).order)
-
-    imgs: list[int] = []
-
-    def extend(k: int) -> list[int] | None:
-        if k == len(gens):
-            return extend_isomorphism(G, H, gens, imgs)
-        for cand in h_by_order.get(g_orders[gens[k]], []):
-            imgs.append(cand)
-            sub = H.subgroup([H.elements[i] for i in imgs])
-            if sub.order == chain_sizes[k] and \
-                    all(h_orders[H.imul(cand, imgs[j])] == g_orders[G.imul(gens[k], gens[j])]
-                        for j in range(k)):
-                res = extend(k + 1)
-                if res is not None:
-                    return res
-            imgs.pop()
-        return None
-
-    return extend(0)
+    return next(isomorphisms(G, H, generating_sequence(G)), None)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup, bound: int = ISO_BOUND) -> bool:

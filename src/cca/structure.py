@@ -20,8 +20,8 @@ from .engine import AutcResult, autc_group, fast_cca_verdict
 from .errors import (DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
-from .groups import (FiniteGroup, are_isomorphic, centralizer,
-                     close_generators, generated, is_normal,
+from .groups import (FiniteGroup, are_isomorphic, automorphisms,
+                     centralizer, close_generators, generated, is_normal,
                      is_sylow_cyclic_order_not_div_4, normal_subgroups,
                      sylow_subgroup, trivial_group)
 from .perms import identity, pconj, pinv, pmul
@@ -304,6 +304,9 @@ def canonical_sets() -> dict:
 
 # -- exhaustive enumeration -------------------------------------------------
 
+ENUMERATION_BASES = ("f21", "agl17", "f21xz2")
+
+
 @dataclass
 class EnumerationReport:
     base: str
@@ -339,28 +342,11 @@ class EnumerationReport:
         return out.getvalue()
 
 
-def _base_and_ambient(base: str):
-    if base == "f21":
-        return builders.f21(), builders.agl17()
-    if base == "agl17":
-        g = builders.agl17()
-        return g, g
-    if base == "f21xz2":
-        return builders.f21xz2(), builders.agl17xz2()
-    raise InvalidSpec(f"unknown enumeration base {base!r}")
-
-
-def _unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
-    """Distinct permutations of the unit list induced by ambient conjugation."""
-    unit_of = {}
-    for i, u in enumerate(units):
-        for s in u:
-            unit_of[s] = i
-    ws = set()
-    for a in Amb.elements:
-        cg = [G.index[pconj(p, a)] for p in G.elements]
-        ws.add(tuple(unit_of[cg[u[0]]] for u in units))
-    return sorted(ws)
+def _unit_action(G: FiniteGroup, units):
+    """Distinct permutations of the unit list induced by Aut(G), sorted."""
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    return sorted({tuple(unit_of[phi[u[0]]] for u in units)
+                   for phi in automorphisms(G)})
 
 
 def _mask_tables(k: int, ws):
@@ -378,7 +364,7 @@ def _mask_tables(k: int, ws):
 
 
 def _canonical_masks(k: int, tables):
-    """canon[m] = least bitmask conjugate to m under the unit permutations,
+    """canon[m] = least image of the bitmask m under the unit permutations,
     given by their _mask_tables.  Each w costs one outer OR over the grid of
     (h, l) into a buffer that all w share."""
     dtype = np.int64 if k > 30 else np.int32
@@ -429,18 +415,23 @@ def _verdict_chunk(payload):
 def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
                               jobs: int = 1) -> EnumerationReport:
     """Classify inverse-closed connection sets on the base group by the CCA
-    verdict, up to conjugacy in the stated ambient group.
+    verdict, up to Aut(G): an automorphism phi maps Cay(G, S) onto
+    Cay(G, phi(S)) preserving colours, so the verdict is constant on each
+    class.  On these bases Aut(G) induces on G exactly the conjugations by
+    AGL(1,7), or by AGL(1,7) x Z2 for f21xz2.
 
     canonical-pruned mode runs the engine only on the numerically least
-    conjugate of each subset; full mode tests every subset and checks that
-    verdicts are constant on conjugacy classes."""
+    image of each subset; full mode tests every subset and checks that
+    verdicts are constant on classes."""
     if mode not in ("full", "canonical-pruned"):
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
-    G, Amb = _base_and_ambient(base)
+    if base not in ENUMERATION_BASES:
+        raise InvalidSpec(f"unknown enumeration base {base!r}")
+    G = builders.build_spec(base)
     n = G.order
     units = colour_units(G, range(1, n))
     k = len(units)
-    tables = _mask_tables(k, _unit_action(G, Amb, units))
+    tables = _mask_tables(k, _unit_action(G, units))
     canon = _canonical_masks(k, tables)
     reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
     sizes = dict(zip(reps.tolist(), _orbit_sizes(k, tables, reps).tolist()))
@@ -471,7 +462,7 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
             if _verdict(n, table, inv, _mask_conn(m, units)) \
                     != verdicts[int(canon[m])]:
                 raise RuntimeError(
-                    "connectivity or verdict not conjugation-invariant")
+                    "connectivity or verdict not Aut(G)-invariant")
 
     connected_count = sum(size for m, size in sizes.items()
                           if verdicts[m] is not None)

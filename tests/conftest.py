@@ -10,11 +10,11 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
 from cca.errors import ClosureExceedsCap
-from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
-                        is_colour_preserving)
+from cca.engine import autc_group, autc_stabiliser, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
-                        conjugacy_classes, is_normal, normal_subgroups,
+                        conjugacy_classes, extend_isomorphism,
+                        generating_sequence, is_normal, normal_subgroups,
                         sylow_subgroup, trivial_group)
 from cca.perms import identity, pconj, pinv, pmul
 from cca.structure import (StructureDecomposition, decompose_structure,
@@ -247,6 +247,32 @@ def subset_class_count(G: FiniteGroup, Amb: FiniteGroup) -> int:
     return total // Amb.order
 
 
+def reference_unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
+    """The distinct permutations of the unit list induced by conjugation by
+    every element of an ambient group Amb normalising G, sorted."""
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    ws = set()
+    for a in Amb.elements:
+        cg = [G.index[pconj(p, a)] for p in G.elements]
+        ws.add(tuple(unit_of[cg[u[0]]] for u in units))
+    return sorted(ws)
+
+
+def reference_aut_pm1(G: FiniteGroup, S):
+    """Aut_{+-1}(G, S) by trying every choice of images s -> s^{+-1} of a
+    generating sequence drawn from S, in product order, and keeping those
+    that extend to an automorphism sending all of S to S^{+-1}."""
+    inv = G.inverse
+    gens = generating_sequence(G, S)
+    found = []
+    for imgs in itertools.product(*[(s,) if inv[s] == s else (s, inv[s])
+                                    for s in gens]):
+        phi = extend_isomorphism(G, G, gens, imgs)
+        if phi is not None and all(phi[s] in (s, inv[s]) for s in S):
+            found.append(tuple(phi))
+    return close_generators(found, G.order, cap=max(len(found) + 1, 2))
+
+
 def generating_connection_sets(G: FiniteGroup):
     """Every inverse-closed generating subset of G \\ {1}."""
     units = colour_units(G, range(1, G.order))
@@ -289,7 +315,7 @@ def reference_autc(Gamma):
     """The closure route to Aut_c, independent of the engine's multiplicative
     test: close G_R and G_R + A_1 by tuple products, decide normality with
     is_normal, take the first stabiliser element that does not normalise G_R
-    as the witness, and backtrack Aut_pm1 over generator images."""
+    as the witness, and try every choice of generator images for Aut_pm1."""
     G = Gamma.group
     n = G.order
     stab = autc_stabiliser(Gamma)
@@ -300,7 +326,7 @@ def reference_autc(Gamma):
                             cap=max(10_000, n * len(stab) + 1))
     assert full.order == n * len(stab)
     assert {a for a in full.elements if a[0] == 0} == set(stab)
-    pm1 = aut_pm1_group(G, Gamma.conn)
+    pm1 = reference_aut_pm1(G, Gamma.conn)
     verdict = "CCA" if is_normal(G_R, full) else "NonCCA"
     witness = next((b for b in stab
                     if any(pconj(h, b) not in G_R.index

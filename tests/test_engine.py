@@ -19,9 +19,9 @@ from cca.perms import identity, pconj
 from cca.structure import canonical_sets
 
 from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
-                      random_connected_cayley, reference_autc,
-                      reference_stabiliser, stabiliser_shape_allowed,
-                      vf2_stabiliser)
+                      random_connected_cayley, reference_aut_pm1,
+                      reference_autc, reference_stabiliser,
+                      stabiliser_shape_allowed, vf2_stabiliser)
 
 
 def test_colour_preserving_basics():
@@ -209,6 +209,28 @@ def test_aut_pm1_elementary_abelian():
     G = builders.build_spec("z2^2")
     assert aut_pm1_group(G, [1, 2, 3]).order == 1
     assert aut_pm1_group(G, [1, 2]).order == 1
+
+
+def test_aut_pm1_matches_reference():
+    # the pruned generator-image search keeps the maps that trying every
+    # choice s -> s^{+-1} keeps, in the same order, so the closure gives the
+    # same elements and generators
+    rng = random.Random(41)
+    pool = group_pool(32)
+    for G in pool:
+        units = colour_units(G, range(1, G.order))
+        sets = [list(range(1, G.order))]
+        while len(sets) < 4:
+            conn = sorted(s for u in units if rng.random() < 0.5 for s in u)
+            if conn and close_generators([G.elements[s] for s in conn],
+                                         G.degree, cap=G.order + 1).order \
+                    == G.order:
+                sets.append(conn)
+        for S in sets:
+            got = aut_pm1_group(G, S)
+            ref = reference_aut_pm1(G, S)
+            assert got.elements == ref.elements, S
+            assert got.generators == ref.generators, S
 
 
 def test_fast_verdict_matches_engine():

@@ -14,7 +14,7 @@ from cca.structure import (_canonical_masks, _mask_tables, _orbit_sizes,
                            _unit_action, canonical_sets,
                            enumerate_connection_sets)
 
-from conftest import subset_class_count
+from conftest import reference_unit_action, subset_class_count
 
 
 def test_colour_units_f21():
@@ -34,17 +34,29 @@ def test_colour_units_agl17():
 def test_unit_action_is_group_of_unit_permutations():
     G = builders.f21()
     units = colour_units(G, range(1, G.order))
-    ws = _unit_action(G, builders.agl17(), units)
+    ws = _unit_action(G, units)
     k = len(units)
     assert tuple(range(k)) in ws
     for w in ws:
         assert sorted(w) == list(range(k))
 
 
+@pytest.mark.parametrize("base, amb", [("f21", "agl17"), ("agl17", "agl17"),
+                                       ("f21xz2", "agl17xz2")])
+def test_unit_action_matches_ambient_conjugation(base, amb):
+    # on each base Aut(G) induces on the colour units exactly what
+    # conjugation by the ambient group does
+    G = getattr(builders, base)()
+    units = colour_units(G, range(1, G.order))
+    ws = _unit_action(G, units)
+    assert len(ws) == 42
+    assert ws == reference_unit_action(G, getattr(builders, amb)(), units)
+
+
 def test_canonical_masks_against_direct_minimum():
     G = builders.f21()
     units = colour_units(G, range(1, G.order))
-    ws = _unit_action(G, builders.agl17(), units)
+    ws = _unit_action(G, units)
     k = len(units)
     canon = _canonical_masks(k, _mask_tables(k, ws))
     rng = random.Random(3)
@@ -71,7 +83,7 @@ def test_orbit_sizes_match_bincount(base, amb):
     G = getattr(builders, base)()
     units = colour_units(G, range(1, G.order))
     k = len(units)
-    tables = _mask_tables(k, _unit_action(G, getattr(builders, amb)(), units))
+    tables = _mask_tables(k, _unit_action(G, units))
     canon = _canonical_masks(k, tables)
     reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
     assert len(reps) == subset_class_count(G, getattr(builders, amb)())

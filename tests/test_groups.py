@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,10 +7,10 @@ from cca import builders
 from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
 from cca.graphs import colour_units
-from cca.groups import (are_conjugate_subsets, are_isomorphic, bfs_tree,
-                        centralizer, close_generators, conjugacy_classes,
-                        find_isomorphism, generated, generating_sequence,
-                        is_normal,
+from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
+                        bfs_tree, centralizer, close_generators,
+                        conjugacy_classes, find_isomorphism, generated,
+                        generating_sequence, is_normal,
                         is_subgroup, is_sylow_cyclic_order_not_div_4,
                         normal_subgroups, normalizer, p_part, prime_factors,
                         squares_subgroup, sylow_subgroup, trivial_group)
@@ -232,6 +233,32 @@ def test_isomorphism_positive_and_negative():
     for i in range(6):
         for j in range(6):
             assert phi[D.imul(i, j)] == S.imul(phi[i], phi[j])
+
+
+def test_isomorphism_rejects_abelian_against_nonabelian_at_once():
+    # equal order histograms, but only Z4 x Z4 x Z2 is abelian; a search
+    # over generator images would take seconds to come back empty
+    G = builders.q8_times_z2(2)
+    H = builders.build_spec("prod(z4;z4;z2)")
+    start = time.perf_counter()
+    assert find_isomorphism(G, H) is None
+    assert find_isomorphism(H, G) is None
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("spec, order", [("z7", 6), ("s3", 6), ("d4", 8),
+                                         ("q8", 24), ("z2^3", 168),
+                                         ("f21", 42)])
+def test_automorphisms_known_orders(spec, order):
+    G = builders.build_spec(spec)
+    auts = automorphisms(G)
+    assert len(auts) == order
+    assert len({tuple(phi) for phi in auts}) == order
+    n = G.order
+    for phi in auts:
+        assert sorted(phi) == list(range(n))
+        assert all(phi[G.imul(i, j)] == G.imul(phi[i], phi[j])
+                   for i in range(n) for j in range(n))
 
 
 def test_conjugate_subsets():

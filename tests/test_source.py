@@ -95,3 +95,35 @@ def test_no_unread_attributes():
                     if read.get(t.attr, 0) == own:
                         unread.append(f"{path.name}:{t.lineno}: {t.attr}")
     assert not unread, unread
+
+
+def _pipes_outside_code(line: str) -> int:
+    """The number of '|' in a markdown line outside backtick spans."""
+    count, in_code = 0, False
+    for ch in line:
+        if ch == "`":
+            in_code = not in_code
+        elif ch == "|" and not in_code:
+            count += 1
+    return count
+
+
+def test_readme_module_table():
+    # every module of the package has exactly one row in the README's
+    # Library overview, and that row has exactly two cells: a row cut off
+    # mid-sentence runs into the next one and fails here
+    src = Path(cca.__file__).resolve().parent
+    readme = (src.parent.parent / "README.md").read_text()
+    section = readme.split("## Library overview\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        name = f"`cca.{path.stem}`"
+        hits = [row for row in rows if name in row]
+        if section.count(name) != 1 or len(hits) != 1 \
+                or not hits[0].startswith(f"| {name} |") \
+                or _pipes_outside_code(hits[0]) != 3:
+            bad.append(name)
+    assert not bad, bad
