@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ClosureExceedsCap, IncompatibleGroup, InvalidSpec
-from .groups import DEFAULT_CAP, FiniteGroup, close_generators, find_isomorphism
-from .perms import Perm, identity, pinv, pmul, porder, ppow
+from .groups import DEFAULT_CAP, FiniteGroup, close_generators
+from .perms import Perm, pinv, pmul, ppow
 
 
 def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> FiniteGroup:
@@ -514,7 +514,7 @@ def _partitions(n: int):
 
 def abelian_groups(max_order: int):
     """All abelian groups of order 2..max_order as (name, group) pairs."""
-    from .groups import prime_factors, p_part
+    from .groups import prime_factors
 
     for n in range(2, max_order + 1):
         primes = prime_factors(n)

@@ -12,7 +12,7 @@ from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)
 from .groups import (FiniteGroup, bfs_tree, close_generators, is_normal,
                      is_subgroup)
-from .perms import Perm, identity, pmul
+from .perms import Perm, pmul
 
 
 class PlainGraph:

@@ -430,17 +430,25 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     generator's order, each product with an earlier image has the order of
     the matching product in G, and, below the last generator, the images
     generate a subgroup of the order the generators do; at the last level
-    extend_isomorphism decides."""
+    extend_isomorphism decides.  When H is G and every image so far is its
+    generator or that generator's inverse, the images generate the same
+    subgroup as the generators, so that closure is skipped; the chain of
+    subgroup orders is closed level by level on first use."""
     g_orders = G.element_orders
     h_orders = H.element_orders
     if candidates is None:
         candidates = [[h for h in range(H.order) if h_orders[h] == g_orders[g]]
                       for g in gens]
-    chain = [G.subgroup([G.elements[i] for i in gens[:k]]).order
-             for k in range(1, len(gens))]
+    chain: list[int] = []
     imgs: list[int] = []
 
-    def extend(k: int):
+    def chain_order(k: int) -> int:
+        while len(chain) <= k:
+            chain.append(G.subgroup(
+                [G.elements[i] for i in gens[:len(chain) + 1]]).order)
+        return chain[k]
+
+    def extend(k: int, same: bool):
         if k == len(gens):
             phi = extend_isomorphism(G, H, gens, imgs)
             if phi is not None:
@@ -453,12 +461,14 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
                         != g_orders[G.imul(g, gens[j])] for j in range(k)):
                 continue
             imgs.append(cand)
-            if k == len(chain) or \
-                    H.subgroup([H.elements[i] for i in imgs]).order == chain[k]:
-                yield from extend(k + 1)
+            same_k = same and cand in (g, G.inverse[g])
+            if k == len(gens) - 1 or same_k or \
+                    H.subgroup([H.elements[i] for i in imgs]).order \
+                    == chain_order(k):
+                yield from extend(k + 1, same_k)
             imgs.pop()
 
-    return extend(0)
+    return extend(0, H is G)
 
 
 def automorphisms(G: FiniteGroup) -> list[list[int]]:

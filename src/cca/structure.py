@@ -349,32 +349,61 @@ def _unit_action(G: FiniteGroup, units):
                    for phi in automorphisms(G)})
 
 
+_BLOCK = 1 << 16              # masks per block of the canonical-form scan
+
+
+def _or_tables(k: int, images):
+    """The (hightab, lowtab) pair of the map on k-bit masks that sends bit i
+    to images[i] and a union of bits to the union of their images.  With
+    kl = k // 2 it maps the mask m = h*2^kl + l to hightab[h] | lowtab[l].
+    Each table doubles from the empty mask: tab[2^i + x] = tab[x] | the
+    image of bit i."""
+    dtype = np.int64 if k > 30 else np.int32
+    kl = k // 2
+
+    def table(imgs):
+        tab = np.zeros(1 << len(imgs), dtype=dtype)
+        for i, b in enumerate(imgs):
+            np.bitwise_or(tab[:1 << i], b, out=tab[1 << i:2 << i])
+        return tab
+
+    return table(images[kl:]), table(images[:kl])
+
+
 def _mask_tables(k: int, ws):
-    """One (hightab, lowtab) pair per unit permutation w other than the
-    identity.  With kl = k // 2, w maps the mask m = h*2^kl + l to
-    hightab[h] | lowtab[l]."""
-    dtype = np.int64 if k > 30 else np.int32
-    kl = k // 2
+    """One _or_tables pair per unit permutation w other than the identity:
+    w maps the mask m = h*2^kl + l to hightab[h] | lowtab[l]."""
     ident = tuple(range(k))
-    return [(np.array([sum(1 << w[kl + i] for i in range(k - kl) if m >> i & 1)
-                       for m in range(1 << (k - kl))], dtype=dtype),
-             np.array([sum(1 << w[i] for i in range(kl) if m >> i & 1)
-                       for m in range(1 << kl)], dtype=dtype))
-            for w in ws if w != ident]
+    return [_or_tables(k, [1 << x for x in w]) for w in ws if w != ident]
 
 
-def _canonical_masks(k: int, tables):
-    """canon[m] = least image of the bitmask m under the unit permutations,
-    given by their _mask_tables.  Each w costs one outer OR over the grid of
-    (h, l) into a buffer that all w share."""
+def _canonical_blocks(k: int, tables):
+    """Yield (first, canon) over consecutive blocks of whole rows of the
+    (2^(k-kl), 2^kl) grid of masks, about _BLOCK masks each: canon[i] is the
+    least image of the mask first + i under the unit permutations given by
+    their _mask_tables.  Each w costs one outer OR per block into a buffer
+    that all w share, so no array of 2^k entries is held."""
     dtype = np.int64 if k > 30 else np.int32
     kl = k // 2
-    canon = np.arange(1 << k, dtype=dtype).reshape(1 << (k - kl), 1 << kl)
-    image = np.empty_like(canon)
-    for hightab, lowtab in tables:
-        np.bitwise_or(hightab[:, None], lowtab, out=image)
-        np.minimum(canon, image, out=canon)
-    return canon.ravel()
+    nrows = 1 << (k - kl)
+    step = max(1, _BLOCK >> kl)
+    for h0 in range(0, nrows, step):
+        h1 = min(h0 + step, nrows)
+        canon = np.arange(h0 << kl, h1 << kl,
+                          dtype=dtype).reshape(h1 - h0, 1 << kl)
+        image = np.empty_like(canon)
+        for hightab, lowtab in tables:
+            np.bitwise_or(hightab[h0:h1, None], lowtab, out=image)
+            np.minimum(canon, image, out=canon)
+        yield h0 << kl, canon.ravel()
+
+
+def _representatives(k: int, tables):
+    """The masks equal to their least image, one per class, ascending."""
+    return np.concatenate([
+        first + np.flatnonzero(block == np.arange(first, first + len(block),
+                                                  dtype=block.dtype))
+        for first, block in _canonical_blocks(k, tables)])
 
 
 def _orbit_sizes(k: int, tables, masks):
@@ -388,6 +417,93 @@ def _orbit_sizes(k: int, tables, masks):
     for hightab, lowtab in tables:
         fixes += (hightab[high] | lowtab[low]) == masks
     return (len(tables) + 1) // fixes
+
+
+def _unit_products(G: FiniteGroup, units):
+    """One _or_tables pair per unit i, for the map sending unit j to the
+    units of the products a*b, a in unit i and b in unit j, other than the
+    identity."""
+    k = len(units)
+    table = G.table
+    unit_of = {s: x for x, u in enumerate(units) for s in u}
+    return [_or_tables(k, [sum({1 << unit_of[table[a][b]]
+                                for a in ui for b in uj if table[a][b]})
+                           for uj in units])
+            for ui in units]
+
+
+def _subgroup_masks(n: int, k: int, products, masks):
+    """The units of the subgroup that each mask's units generate.  A round
+    adds to M the units of M*M, by products[i] for each unit i of M, so after
+    r rounds M holds every product of at most 2^r of its first elements.  A
+    mask that a round does not grow is closed.  Every element of a subgroup
+    of G is such a product of fewer than n factors, so every mask closes
+    within ceil(log2 n) + 1 rounds."""
+    kl = k // 2
+    full = (1 << k) - 1
+    closed = masks.copy()
+    active = np.flatnonzero(closed != full)
+    for _ in range((n - 1).bit_length() + 1):
+        cur = closed[active]
+        high, low = cur >> kl, cur & ((1 << kl) - 1)
+        grown = cur.copy()
+        for i, (hightab, lowtab) in enumerate(products):
+            has = (cur >> i & 1).astype(bool)
+            grown[has] |= hightab[high[has]] | lowtab[low[has]]
+        closed[active] = grown
+        active = active[(grown != cur) & (grown != full)]
+        if not len(active):
+            return closed
+    raise RuntimeError("internal error: the product closure did not close")
+
+
+def _flip_tables(G: FiniteGroup, units):
+    """(i, [(j, f0, f1), ...]) for each non-involution unit i.  Let psi fix
+    the identity, send a to a^-1 for a in unit i, and send each b in unit j
+    to b (sign 0) or to b^-1 (sign 1).  The pair {a, b} has colour
+    c = unit(b*a^-1) and its image colour c' = unit(psi(b)*a).  Where
+    c != c', psi preserves colours only if neither c nor c' is in the
+    connection set, since an edge must keep its colour and a non-edge must
+    stay one.  f0 and f1 are the masks of those colours for each sign.  A
+    pair (i, j) with a sign that forbids nothing is left out."""
+    table, inv = G.table, G.inverse
+    unit_of = {s: x for x, u in enumerate(units) for s in u}
+    flips = []
+    for i, ui in enumerate(units):
+        if len(ui) == 1:
+            continue
+        pairs = []
+        for j, uj in enumerate(units):
+            if j == i:
+                continue
+            fs = []
+            for sign in (0, 1):
+                f = 0
+                for a in ui:
+                    for b in uj:
+                        c = unit_of[table[b][inv[a]]]
+                        c2 = unit_of[table[inv[b] if sign else b][a]]
+                        if c != c2:
+                            f |= 1 << c | 1 << c2
+                fs.append(f)
+            if all(fs):
+                pairs.append((j, *fs))
+        flips.append((i, pairs))
+    return flips
+
+
+def _may_flip(flips, masks):
+    """True where some non-involution unit i of the mask leaves every other
+    unit j of it a sign whose forbidden colours (_flip_tables) miss the
+    mask, so that a map flipping unit i may preserve colours on N[e]."""
+    may = np.zeros(len(masks), dtype=bool)
+    for i, pairs in flips:
+        idx = np.flatnonzero((masks >> i & 1).astype(bool) & ~may)
+        for j, f0, f1 in pairs:
+            m = masks[idx]
+            idx = idx[((m >> j & 1) == 0) | ((m & f0) == 0) | ((m & f1) == 0)]
+        may[idx] = True
+    return may
 
 
 def _mask_conn(mask: int, units) -> list[int]:
@@ -420,9 +536,33 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     class.  On these bases Aut(G) induces on G exactly the conjugations by
     AGL(1,7), or by AGL(1,7) x Z2 for f21xz2.
 
-    canonical-pruned mode runs the engine only on the numerically least
-    image of each subset; full mode tests every subset and checks that
-    verdicts are constant on classes."""
+    Each class is represented by the numerically least mask in it, and the
+    classes are decided in bulk, over numpy arrays of those masks.  A class
+    is connected iff the product closure of its units (_subgroup_masks)
+    holds every unit.  A connected class is CCA whenever the stabiliser A_1
+    of the identity vertex is trivial, and the engine runs only on the
+    classes where a neighbour-flip test (_may_flip) cannot rule that out.
+    The test rests on one lemma.
+
+    Lemma: if A_1 != 1, some psi in A_1 sends a non-involution s in S to
+    s^-1.  Proof: take phi != 1 in A_1.  phi fixes e and moves some vertex,
+    and the graph is connected, so some vertex u fixed by phi has a
+    neighbour s*u that phi moves.  phi keeps the colour of the edge
+    {u, s*u}, so it maps s*u to s*u or s^-1*u, hence to s^-1*u != s*u,
+    and s is not an involution.  The right translation r(g) = g*u
+    preserves colours, so psi = r^-1 phi r fixes e, lies in A_1 and sends
+    s to s^-1.
+
+    Such a psi maps the closed neighbourhood N[e] onto itself, sends each t
+    in S to t or t^-1 (one sign per unit) and keeps the colour of every
+    pair inside N[e], edge or not.  So psi flips the unit i of s, and leaves
+    every other unit j of S a sign whose forbidden colours (_flip_tables)
+    miss S.  A class where no non-involution unit i passes that test has
+    A_1 = 1 and is CCA.
+
+    canonical-pruned mode runs the engine only on those survivors; full mode
+    also runs it, with its own BFS, on every subset and checks that
+    connectivity and verdicts are constant on classes."""
     if mode not in ("full", "canonical-pruned"):
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
     if base not in ENUMERATION_BASES:
@@ -432,9 +572,12 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
     units = colour_units(G, range(1, n))
     k = len(units)
     tables = _mask_tables(k, _unit_action(G, units))
-    canon = _canonical_masks(k, tables)
-    reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
-    sizes = dict(zip(reps.tolist(), _orbit_sizes(k, tables, reps).tolist()))
+    reps = _representatives(k, tables)
+    sizes = _orbit_sizes(k, tables, reps)
+    connected = _subgroup_masks(n, k, _unit_products(G, units),
+                                reps) == (1 << k) - 1
+    survivors = np.flatnonzero(connected)
+    survivors = survivors[_may_flip(_flip_tables(G, units), reps[survivors])]
 
     table = G.table
     inv = G.inverse
@@ -453,22 +596,28 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
         return {m: _verdict(n, table, inv, _mask_conn(m, units))
                 for m in masks}
 
-    # None marks a class that does not generate G
-    verdicts = run_verdicts(list(sizes))
+    # None marks a set that does not generate G
+    found = run_verdicts(reps[survivors].tolist())
+    if None in found.values():
+        raise RuntimeError("internal error: the product closure and the BFS "
+                           "disagree on connectivity")
 
     if mode == "full":
         # honest re-run on every subset; class verdicts must be constant
-        for m in range(1 << k):
-            if _verdict(n, table, inv, _mask_conn(m, units)) \
-                    != verdicts[int(canon[m])]:
-                raise RuntimeError(
-                    "connectivity or verdict not Aut(G)-invariant")
+        verdicts = {m: "CCA" if c else None
+                    for m, c in zip(reps.tolist(), connected.tolist())}
+        verdicts.update(found)
+        for first, canon in _canonical_blocks(k, tables):
+            for m, c in enumerate(canon.tolist(), first):
+                if _verdict(n, table, inv, _mask_conn(m, units)) \
+                        != verdicts[c]:
+                    raise RuntimeError(
+                        "connectivity or verdict not Aut(G)-invariant")
 
-    connected_count = sum(size for m, size in sizes.items()
-                          if verdicts[m] is not None)
     non_cca = []
-    for m in sizes:
-        if verdicts[m] != "NonCCA":
+    for x in survivors.tolist():
+        m = int(reps[x])
+        if found[m] != "NonCCA":
             continue
         conn = _mask_conn(m, units)
         res = autc_group(ColouredCayleyGraph(G, conn))
@@ -479,14 +628,14 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
             "mask": m,
-            "orbit_size": sizes[m],
+            "orbit_size": int(sizes[x]),
             "connected": True,
             "verdict": "NonCCA",
             "autc_order": res.autc_order,
         })
     return EnumerationReport(
         base=base, mode=mode, scanned=1 << k,
-        connected_count=connected_count,
-        class_count=len(sizes),
-        orbit_size_sum=sum(sizes.values()),
+        connected_count=int(sizes[connected].sum()),
+        class_count=len(reps),
+        orbit_size_sum=int(sizes.sum()),
         non_cca_classes=non_cca)

@@ -14,7 +14,8 @@ from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
-from cca.groups import close_generators, is_normal, normal_subgroups
+from cca.groups import (FiniteGroup, automorphisms, close_generators,
+                        is_normal, normal_subgroups)
 from cca.perms import identity, pconj
 from cca.structure import canonical_sets
 
@@ -231,6 +232,37 @@ def test_aut_pm1_matches_reference():
             ref = reference_aut_pm1(G, S)
             assert got.elements == ref.elements, S
             assert got.generators == ref.generators, S
+
+
+def test_aut_pm1_closes_no_subgroup(monkeypatch):
+    # aut_pm1_group's images are s or s^-1, which generate the subgroup the
+    # generators do, so the search closes no subgroup to prune by order;
+    # automorphisms, with images of every same order, still does
+    rng = random.Random(43)
+    cases = []
+    for G in group_pool(32):
+        units = colour_units(G, range(1, G.order))
+        cases.append((G, list(range(1, G.order))))
+        while len(cases) % 3:
+            conn = sorted(s for u in units if rng.random() < 0.5 for s in u)
+            if conn and close_generators([G.elements[s] for s in conn],
+                                         G.degree, cap=G.order + 1).order \
+                    == G.order:
+                cases.append((G, conn))
+    F = builders.f21()
+    calls = []
+    subgroup = FiniteGroup.subgroup
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.order)
+        return subgroup(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    for G, S in cases:
+        aut_pm1_group(G, S)
+    assert calls == []
+    automorphisms(F)
+    assert calls
 
 
 def test_fast_verdict_matches_engine():

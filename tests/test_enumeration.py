@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 
 from cca import builders
+from cca.engine import autc_stabiliser
 from cca.errors import InvalidSpec
-from cca.graphs import colour_units
-from cca.groups import are_conjugate_subsets
-from cca.structure import (_canonical_masks, _mask_tables, _orbit_sizes,
-                           _unit_action, canonical_sets,
+from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
+from cca.groups import are_conjugate_subsets, bfs_tree
+from cca.perms import identity
+from cca.structure import (_canonical_blocks, _flip_tables, _mask_conn,
+                           _mask_tables, _may_flip, _or_tables, _orbit_sizes,
+                           _representatives, _subgroup_masks, _unit_action,
+                           _unit_products, _verdict, canonical_sets,
                            enumerate_connection_sets)
 
-from conftest import reference_unit_action, subset_class_count
+from conftest import group_pool, reference_unit_action, subset_class_count
+
+
+def _canonical_masks(k, tables):
+    # the least image of every mask, from the blocks the enumeration scans
+    return np.concatenate([block for _, block in _canonical_blocks(k, tables)])
 
 
 def test_colour_units_f21():
@@ -59,6 +68,7 @@ def test_canonical_masks_against_direct_minimum():
     ws = _unit_action(G, units)
     k = len(units)
     canon = _canonical_masks(k, _mask_tables(k, ws))
+    assert len(canon) == 1 << k
     rng = random.Random(3)
     for _ in range(200):
         m = rng.randrange(1 << k)
@@ -85,10 +95,75 @@ def test_orbit_sizes_match_bincount(base, amb):
     k = len(units)
     tables = _mask_tables(k, _unit_action(G, units))
     canon = _canonical_masks(k, tables)
+    assert len(canon) == 1 << k
     reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
     assert len(reps) == subset_class_count(G, getattr(builders, amb)())
+    assert _representatives(k, tables).tolist() == reps.tolist()
     sizes = _orbit_sizes(k, tables, reps)
     assert sizes.tolist() == np.bincount(canon, minlength=1 << k)[reps].tolist()
+
+
+def test_or_tables_against_direct_union():
+    # the split tables map a mask to the union of its bits' images
+    rng = random.Random(7)
+    for k in (1, 2, 9, 21):
+        images = [rng.randrange(1 << k) for _ in range(k)]
+        hightab, lowtab = _or_tables(k, images)
+        kl = k // 2
+        for _ in range(100):
+            m = rng.randrange(1 << k)
+            direct = 0
+            for i in range(k):
+                if m >> i & 1:
+                    direct |= images[i]
+            assert int(hightab[m >> kl] | lowtab[m & ((1 << kl) - 1)]) \
+                == direct
+
+
+@pytest.mark.parametrize("base", ["f21", "f21xz2"])
+def test_bulk_decision_matches_engine(base):
+    # on every class: the product closure is the subgroup the BFS reaches,
+    # and a connected class the flip test rules out is CCA by the engine
+    G = getattr(builders, base)()
+    n = G.order
+    units = colour_units(G, range(1, n))
+    k = len(units)
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    reps = _representatives(k, _mask_tables(k, _unit_action(G, units)))
+    closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
+    may = _may_flip(_flip_tables(G, units), reps)
+    table, inv = G.table, G.inverse
+    for m, c, f in zip(reps.tolist(), closed.tolist(), may.tolist()):
+        conn = _mask_conn(m, units)
+        order, _ = bfs_tree(n, conn, {s: table[s] for s in conn})
+        assert c == sum({1 << unit_of[v] for v, _, _ in order}), m
+        verdict = _verdict(n, table, inv, conn)
+        assert (verdict is not None) == (c == (1 << k) - 1), m
+        if verdict is not None and not f:
+            assert verdict == "CCA", m
+
+
+def test_flip_test_rules_out_only_trivial_stabilisers():
+    # wherever no non-involution unit passes the neighbour-flip test, the
+    # stabiliser of the identity vertex is trivial
+    rng = random.Random(11)
+    ruled_out = passed = 0
+    for G in group_pool(24):
+        n = G.order
+        units = colour_units(G, range(1, n))
+        masks = []
+        while len(masks) < 12:
+            m = rng.randrange(1, 1 << len(units))
+            if is_connected(ColouredCayleyGraph(G, _mask_conn(m, units))):
+                masks.append(m)
+        may = _may_flip(_flip_tables(G, units), np.array(masks))
+        for m, f in zip(masks, may.tolist()):
+            stab = autc_stabiliser(ColouredCayleyGraph(G, _mask_conn(m, units)))
+            if not f:
+                assert stab == [identity(n)], (G.meta.get("spec"), m)
+            ruled_out += not f
+            passed += f and len(stab) > 1
+    assert ruled_out > 100 and passed > 100
 
 
 def test_enumerate_rejects_unknown_inputs():

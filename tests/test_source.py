@@ -97,6 +97,33 @@ def test_no_unread_attributes():
     assert not unread, unread
 
 
+def test_no_unused_imports():
+    # every name a package module imports is used in that module, as a name
+    # or as the base of an attribute; __init__.py re-exports and
+    # `from __future__` imports are exempt
+    src = Path(cca.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert not unused, unused
+
+
 def _pipes_outside_code(line: str) -> int:
     """The number of '|' in a markdown line outside backtick spans."""
     count, in_code = 0, False
