@@ -240,15 +240,16 @@ def q8_times_z2(n: int) -> FiniteGroup:
     return P
 
 
-def wreath_product(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def wreath_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G wr_Omega H where Omega is H's carrier point set.
 
     Elements are (h; g_1, ..., g_m) in the normal form h*g_1*...*g_m; H
     permutes the base coordinates so that g in G_i conjugates into G_{i^h}."""
     m = H.degree
     order = (G.order ** m) * H.order
-    if order > cap:
-        raise ClosureExceedsCap(f"wreath product order {order} exceeds cap {cap}")
+    if order > DEFAULT_CAP:
+        raise ClosureExceedsCap(
+            f"wreath product order {order} exceeds cap {DEFAULT_CAP}")
     hinv = H.inverse
     hperm = H.elements  # the distinguished action of H on Omega
 

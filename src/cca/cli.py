@@ -53,16 +53,6 @@ def _resolve_set(G, text: str):
     return [G.label_index(tok) for tok in _split_labels(text)]
 
 
-def _jobs(text: str) -> int:
-    """A worker count between 1 and the number of CPUs."""
-    jobs = int(text)
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be between 1 and {limit}, got {jobs}")
-    return jobs
-
-
 def _graph_from_args(args) -> ColouredCayleyGraph:
     G = builders.build_spec(args.spec)
     return ColouredCayleyGraph(G, _resolve_set(G, args.set))
@@ -108,7 +98,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    _emit(recipes.reproduce(args.example, jobs=args.jobs, slow=args.slow))
+    _emit(recipes.reproduce(args.example))
     return 0
 
 
@@ -118,7 +108,7 @@ def _cmd_enumerate(args) -> int:
         sys.stderr.write(
             "full enumeration on this base requires --slow\n")
         return USAGE_EXIT
-    rep = enumerate_connection_sets(args.base, mode=mode, jobs=args.jobs)
+    rep = enumerate_connection_sets(args.base, mode=mode)
     if args.format == "csv":
         sys.stdout.write(rep.to_csv())
     else:
@@ -156,8 +146,6 @@ def _build_parser() -> _Parser:
 
     r = sub.add_parser("reproduce", help="run a named end-to-end computation")
     r.add_argument("example", choices=sorted(recipes.RECIPES))
-    r.add_argument("--jobs", type=_jobs, default=1)
-    r.add_argument("--slow", action="store_true")
     r.set_defaults(fn=_cmd_reproduce)
 
     e = sub.add_parser("enumerate",
@@ -166,7 +154,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--mode", choices=["full", "canonical-pruned"],
                    default="canonical-pruned")
     e.add_argument("--slow", action="store_true")
-    e.add_argument("--jobs", type=_jobs, default=1)
     e.add_argument("--format", choices=["json", "csv"], default="json")
     e.set_defaults(fn=_cmd_enumerate)
     return p

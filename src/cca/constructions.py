@@ -120,8 +120,6 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
 
 @dataclass
 class CompleteColourPairCheck:
-    local_G: FiniteGroup
-    local_B: FiniteGroup
     is_pair: bool
     case: str                      # "1" | "2" | "3" | "CCA"
 
@@ -145,8 +143,7 @@ def is_complete_colour_pair(local_G: FiniteGroup,
     preserved = all(
         is_colour_preserving(K, tuple(elem_of_point[b[pt]] for pt in point_of))
         for b in local_B.elements)
-    return CompleteColourPairCheck(local_G, local_B,
-                                   preserved and case != "CCA", case)
+    return CompleteColourPairCheck(preserved and case != "CCA", case)
 
 
 # -- line graph / subdivision constructions --------------------------------

@@ -124,7 +124,7 @@ def heawood() -> PlainGraph:
     return PlainGraph(14, edges, bipartition=(list(range(7)), list(range(7, 14))))
 
 
-def graph_automorphisms(P: PlainGraph, max_n: int = 50) -> list[Perm]:
+def graph_automorphisms(P: PlainGraph) -> list[Perm]:
     """All automorphisms, sorted, closed from a strong generating set.
 
     The base is the vertex order by refined colour-class size.  With the
@@ -136,8 +136,8 @@ def graph_automorphisms(P: PlainGraph, max_n: int = 50) -> list[Perm]:
     v_k's orbit under the automorphisms fixing the earlier base vertices, so
     the maps generate the group (Sims 1970) and its order is the product over
     the levels of the orbit sizes."""
-    if P.n > max_n:
-        raise ValueError(f"graph too large for backtracking ({P.n} > {max_n})")
+    if P.n > 50:
+        raise ValueError(f"graph too large for backtracking ({P.n} > 50)")
     # iterated neighbourhood-colour refinement
     colour = [len(P.adj[v]) for v in range(P.n)]
     while True:
@@ -244,9 +244,6 @@ class ColouredCayleyGraph:
     @property
     def edges(self):
         return sorted(self.edge_colour)
-
-    def to_plain(self) -> PlainGraph:
-        return PlainGraph(self.n, self.edges)
 
 
 def cayley(G: FiniteGroup, S) -> ColouredCayleyGraph:

@@ -112,8 +112,9 @@ class FiniteGroup:
             raise RuntimeError("internal error: generators do not generate G")
         return G
 
-    def subgroup(self, gens: list[Perm], cap: int | None = None) -> "FiniteGroup":
-        H = close_generators(gens, self.degree, cap=cap or max(DEFAULT_CAP, self.order))
+    def subgroup(self, gens: list[Perm]) -> "FiniteGroup":
+        H = close_generators(gens, self.degree,
+                             cap=max(DEFAULT_CAP, self.order))
         for p in H.elements:
             if p not in self.index:
                 raise NotASubgroup("generated subgroup leaves the ambient group")
@@ -327,8 +328,8 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
     return classes
 
 
-def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
-                     class_cap: int = 64) -> list[FiniteGroup]:
+def normal_subgroups(G: FiniteGroup,
+                     cap: int = DEFAULT_CAP) -> list[FiniteGroup]:
     """All normal subgroups, as joins of normal closures of conjugacy classes.
 
     Every normal subgroup is the join of the class closures inside it, so
@@ -338,8 +339,8 @@ def normal_subgroups(G: FiniteGroup, cap: int = DEFAULT_CAP,
     if G.order > cap:
         raise BoundExceeded(f"|G| = {G.order} exceeds bound {cap}")
     classes = conjugacy_classes(G)
-    if len(classes) > class_cap:
-        raise BoundExceeded(f"{len(classes)} conjugacy classes exceed bound {class_cap}")
+    if len(classes) > 64:
+        raise BoundExceeded(f"{len(classes)} conjugacy classes exceed bound 64")
 
     found: dict[frozenset, FiniteGroup] = {
         frozenset([identity(G.degree)]): trivial_group(G.degree)}
@@ -495,8 +496,8 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
     return next(isomorphisms(G, H, generating_sequence(G)), None)
 
 
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup, bound: int = ISO_BOUND) -> bool:
-    return find_isomorphism(G, H, bound=bound) is not None
+def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
+    return find_isomorphism(G, H) is not None
 
 
 def are_conjugate_subsets(Amb: FiniteGroup, S1, S2) -> bool:

@@ -1,7 +1,7 @@
 """Named end-to-end computations exposed through `reproduce`.
 
-Each recipe builds its objects from scratch, runs the independent engine
-verdict, and returns a JSON-serialisable dict.
+Each recipe takes no arguments, builds its objects from scratch, runs the
+independent engine verdict, and returns a JSON-serialisable dict.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def wreath_demo() -> dict:
             "all_non_cca": all(e["verdict"] == "NonCCA" for e in entries)}
 
 
-def thm45_sweep(max_order: int = 32) -> dict:
+def thm45_sweep() -> dict:
     rows = []
-    for name, G in builders.catalog(max_order):
+    for name, G in builders.catalog():
         pred = predicted_autc_complete(G)
         res = autc_group(complete_cayley(G))
         cap = max(pred.predicted_order, res.autc_order) + 1
@@ -146,22 +146,22 @@ def thm45_sweep(max_order: int = 32) -> dict:
             "all_match": all(r["match"] for r in rows)}
 
 
-def prop56_f21(jobs: int = 1, slow: bool = False) -> dict:
-    rep = enumerate_connection_sets("f21", mode="full", jobs=jobs)
+def prop56_f21() -> dict:
+    rep = enumerate_connection_sets("f21", mode="full")
     return {"example": "prop56-f21", **rep.to_json_dict(),
             "class_count": len(rep.non_cca_classes)}
 
 
-def prop56_agl17(jobs: int = 1, slow: bool = False) -> dict:
-    mode = "full" if slow else "canonical-pruned"
-    rep = enumerate_connection_sets("agl17", mode=mode, jobs=jobs)
-    return {"example": "prop56-agl17", "mode": mode, **rep.to_json_dict(),
-            "class_count": len(rep.non_cca_classes)}
+def prop56_agl17() -> dict:
+    """The canonical-pruned scan; the full scan of all 2^24 subsets is
+    `cca enumerate agl17 --mode full --slow`."""
+    rep = enumerate_connection_sets("agl17", mode="canonical-pruned")
+    return {"example": "prop56-agl17", "mode": "canonical-pruned",
+            **rep.to_json_dict(), "class_count": len(rep.non_cca_classes)}
 
 
-def prop56_f21xz2(jobs: int = 1, slow: bool = False) -> dict:
-    rep = enumerate_connection_sets("f21xz2", mode="canonical-pruned",
-                                    jobs=jobs)
+def prop56_f21xz2() -> dict:
+    rep = enumerate_connection_sets("f21xz2", mode="canonical-pruned")
     return {"example": "prop56-f21xz2", **rep.to_json_dict(),
             "class_count": len(rep.non_cca_classes)}
 
@@ -209,10 +209,6 @@ RECIPES = {
 }
 
 
-def reproduce(example_id: str, jobs: int = 1, slow: bool = False) -> dict:
-    if example_id not in RECIPES:
-        raise KeyError(example_id)
-    fn = RECIPES[example_id]
-    if example_id.startswith("prop56-"):
-        return fn(jobs=jobs, slow=slow)
-    return fn()
+def reproduce(example_id: str) -> dict:
+    """Run the recipe named example_id; KeyError for an unknown id."""
+    return RECIPES[example_id]()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,7 +309,6 @@ ENUMERATION_BASES = ("f21", "agl17", "f21xz2")
 @dataclass
 class EnumerationReport:
     base: str
-    mode: str
     scanned: int
     connected_count: int
     class_count: int
@@ -523,13 +521,8 @@ def _verdict(n, table, inv, conn) -> str | None:
         return None
 
 
-def _verdict_chunk(payload):
-    n, table, inv, jobs_conn = payload
-    return [_verdict(n, table, inv, conn) for conn in jobs_conn]
-
-
-def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
-                              jobs: int = 1) -> EnumerationReport:
+def enumerate_connection_sets(
+        base: str, mode: str = "canonical-pruned") -> EnumerationReport:
     """Classify inverse-closed connection sets on the base group by the CCA
     verdict, up to Aut(G): an automorphism phi maps Cay(G, S) onto
     Cay(G, phi(S)) preserving colours, so the verdict is constant on each
@@ -581,23 +574,9 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
 
     table = G.table
     inv = G.inverse
-
-    def run_verdicts(masks):
-        if jobs > 1 and len(masks) > jobs:
-            chunks = [masks[i::jobs] for i in range(jobs)]
-            payloads = [(n, table, inv, [_mask_conn(m, units) for m in ch])
-                        for ch in chunks]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_verdict_chunk, payloads))
-            out = {}
-            for ch, vs in zip(chunks, results):
-                out.update(zip(ch, vs))
-            return out
-        return {m: _verdict(n, table, inv, _mask_conn(m, units))
-                for m in masks}
-
     # None marks a set that does not generate G
-    found = run_verdicts(reps[survivors].tolist())
+    found = {m: _verdict(n, table, inv, _mask_conn(m, units))
+             for m in reps[survivors].tolist()}
     if None in found.values():
         raise RuntimeError("internal error: the product closure and the BFS "
                            "disagree on connectivity")
@@ -627,14 +606,11 @@ def enumerate_connection_sets(base: str, mode: str = "canonical-pruned",
         non_cca.append({
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
-            "mask": m,
             "orbit_size": int(sizes[x]),
-            "connected": True,
-            "verdict": "NonCCA",
             "autc_order": res.autc_order,
         })
     return EnumerationReport(
-        base=base, mode=mode, scanned=1 << k,
+        base=base, scanned=1 << k,
         connected_count=int(sizes[connected].sum()),
         class_count=len(reps),
         orbit_size_sum=int(sizes.sum()),

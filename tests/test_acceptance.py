@@ -29,7 +29,7 @@ def f21_enumeration():
 
 def test_complete_graph_classification_sweep():
     t0 = time.monotonic()
-    out = recipes.thm45_sweep(32)
+    out = recipes.thm45_sweep()
     assert out["all_match"] is True
     assert len(out["groups"]) >= 70
     cases = {row["case"] for row in out["groups"]}

@@ -181,13 +181,6 @@ def test_enumerate_f21_modes_agree():
     assert pruned.to_json() == full.to_json()
 
 
-def test_enumerate_f21_parallel_merge_is_deterministic():
-    one = enumerate_connection_sets("f21", mode="full", jobs=1)
-    two = enumerate_connection_sets("f21", mode="full", jobs=2)
-    assert one.to_json() == two.to_json()
-    assert one.to_csv() == two.to_csv()
-
-
 def test_enumerate_f21_report_content():
     rep = enumerate_connection_sets("f21", mode="full")
     # disconnected subsets: the 8 inside the order-7 subgroup (3 units,

@@ -42,11 +42,18 @@ def test_no_unreferenced_functions():
             named[name] = named.get(name, 0) + 1
     unreferenced = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        body = ast.parse(path.read_text()).body
+        # class methods too; special methods are called by the language
+        body += [node for cls in body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body
+                 if not getattr(node, "name", "").startswith("__")]
+        for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             # names inside the definition itself (recursion) do not count
-            own = sum(isinstance(sub, ast.Name) and sub.id == node.name
+            own = sum(isinstance(sub, (ast.Name, ast.Attribute))
+                      and node.name in (getattr(sub, "id", None),
+                                        getattr(sub, "attr", None))
                       for sub in ast.walk(node))
             if named.get(node.name, 0) == own:
                 unreferenced.append(f"{path.name}: {node.name}")
@@ -54,9 +61,10 @@ def test_no_unreferenced_functions():
 
 
 def test_no_unread_attributes():
-    # every attribute the package sets on self is read somewhere in src/,
-    # tests/ or bench/ outside the function that sets it: as an attribute
-    # or as a string (getattr); filling it in place there does not count
+    # every attribute the package sets on self, and every dataclass field, is
+    # read somewhere in src/, tests/ or bench/ outside the function that sets
+    # it: as an attribute or as a string (getattr); filling it in place there
+    # does not count
     src = Path(cca.__file__).resolve().parent
     root = src.parent.parent
     read: dict[str, int] = {}
@@ -74,7 +82,16 @@ def test_no_unread_attributes():
                 read[name] = read.get(name, 0) + 1
     unread = []
     for path in sorted(src.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # the fields of a dataclass are set by its generated __init__
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{path.name}:{node.lineno}: {node.target.id}"
+                           for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and not read.get(node.target.id)]
+        for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(fn):
@@ -95,6 +112,51 @@ def test_no_unread_attributes():
                     if read.get(t.attr, 0) == own:
                         unread.append(f"{path.name}:{t.lineno}: {t.attr}")
     assert not unread, unread
+
+
+def test_no_unset_defaults():
+    # every defaulted parameter of a package function is set, by keyword or
+    # by position, by some call in src/, tests/ or bench/: a default that no
+    # caller overrides is a constant.  Calls are matched by the called name;
+    # a call of a class counts for its __init__, and *args or **kwargs in a
+    # call count as setting every parameter
+    src = Path(cca.__file__).resolve().parent
+    root = src.parent.parent
+    npos: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for top in ("src", "tests", "bench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                n = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    n = float("inf")
+                npos[name] = max(npos.get(name, 0), n)
+                kw = keywords.setdefault(name, set())
+                kw.update(k.arg or "**" for k in node.keywords)
+    unset = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods.update((id(fn), cls.name) for fn in cls.body)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = methods[id(fn)] if fn.name == "__init__" else fn.name
+            # positions count the arguments a caller passes: not self
+            args = [a.arg for a in fn.args.args][id(fn) in methods:]
+            kw = keywords.get(name, set())
+            for pos in range(len(args) - len(fn.args.defaults), len(args)):
+                if args[pos] not in kw and "**" not in kw and \
+                        npos.get(name, 0) <= pos:
+                    unset.append(
+                        f"{path.name}:{fn.lineno}: {fn.name}({args[pos]})")
+    assert not unset, unset
 
 
 def test_no_unused_imports():
