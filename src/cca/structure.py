@@ -313,6 +313,7 @@ class EnumerationReport:
     connected_count: int
     class_count: int
     orbit_size_sum: int
+    engine_runs: int                # classes the bulk decisions leave
     non_cca_classes: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -455,53 +456,99 @@ def _subgroup_masks(n: int, k: int, products, masks):
     raise RuntimeError("internal error: the product closure did not close")
 
 
-def _flip_tables(G: FiniteGroup, units):
-    """(i, [(j, f0, f1), ...]) for each non-involution unit i.  Let psi fix
-    the identity, send a to a^-1 for a in unit i, and send each b in unit j
-    to b (sign 0) or to b^-1 (sign 1).  The pair {a, b} has colour
-    c = unit(b*a^-1) and its image colour c' = unit(psi(b)*a).  Where
-    c != c', psi preserves colours only if neither c nor c' is in the
-    connection set, since an edge must keep its colour and a non-edge must
-    stay one.  f0 and f1 are the masks of those colours for each sign.  A
-    pair (i, j) with a sign that forbids nothing is left out."""
+def _sign_tables(G: FiniteGroup, units):
+    """forbid[i, j, q], the mask of colours that rule out sign 1 on unit i
+    with sign q on unit j.  A sign vector x on the units gives the map psi
+    of the closed neighbourhood N[e] that fixes e and sends each a in unit i
+    to a (x_i = 0) or a^-1 (x_i = 1).  The pair {a, b}, a in unit i and b
+    in unit j, has colour c = unit(b*a^-1) and image colour
+    c' = unit(psi(b)*psi(a)^-1).  Where c != c', psi preserves colours only
+    if neither c nor c' is in the connection set, since an edge must keep
+    its colour and a non-edge must stay one.  Within one unit only equal
+    signs count.  The other sign pairs need no table: signs (0, 0) forbid
+    nothing, and (0, q) on (i, j) is (q, 0) on (j, i).  An involution
+    unit's two signs give the same map."""
     table, inv = G.table, G.inverse
     unit_of = {s: x for x, u in enumerate(units) for s in u}
-    flips = []
+    k = len(units)
+    forbid = np.zeros((k, k, 2), dtype=np.int64)
     for i, ui in enumerate(units):
-        if len(ui) == 1:
-            continue
-        pairs = []
         for j, uj in enumerate(units):
-            if j == i:
-                continue
-            fs = []
-            for sign in (0, 1):
+            for q in (0, 1):
+                if i == j and not q:
+                    continue
                 f = 0
                 for a in ui:
                     for b in uj:
+                        if b == a:
+                            continue
                         c = unit_of[table[b][inv[a]]]
-                        c2 = unit_of[table[inv[b] if sign else b][a]]
+                        c2 = unit_of[table[inv[b] if q else b][a]]
                         if c != c2:
                             f |= 1 << c | 1 << c2
-                fs.append(f)
-            if all(fs):
-                pairs.append((j, *fs))
-        flips.append((i, pairs))
-    return flips
+                forbid[i, j, q] = f
+    return forbid
 
 
-def _may_flip(flips, masks):
-    """True where some non-involution unit i of the mask leaves every other
-    unit j of it a sign whose forbidden colours (_flip_tables) miss the
-    mask, so that a map flipping unit i may preserve colours on N[e]."""
-    may = np.zeros(len(masks), dtype=bool)
-    for i, pairs in flips:
-        idx = np.flatnonzero((masks >> i & 1).astype(bool) & ~may)
-        for j, f0, f1 in pairs:
+def _settled(G: FiniteGroup, units, masks):
+    """True where the sign vectors on the units of the mask that keep every
+    pair colour (_sign_tables) are only the zero vector: unit propagation
+    from x_j = 1 ends in a conflict for every non-involution unit j of the
+    mask.  Units outside the mask are ignored.  An involution unit's two
+    signs agree, so it can only be forced both ways, a conflict: it keeps
+    sign 0.
+
+    Propagation follows the units set to 1 only: x_i = 1 forces x_l = 1
+    where forbid[i, l, 0] meets the mask and x_l = 0 where forbid[i, l, 1]
+    does, and a unit forced both ways is a conflict.  A unit forced to 0
+    forces nothing that a unit set to 1 would not reach: signs (0, q) on
+    (l, m) are (q, 0) on (m, l), and (0, 0) is never forbidden.
+
+    The first round is the pairwise check over every mask: it keeps a mask
+    once some j leaves each other unit l of it a sign whose forbidden
+    colours miss the mask, narrowing the candidates pair by pair.  Only
+    those masks are propagated in full, one row per (mask, j); a row drops
+    out at its first conflict, and a mask's rows all drop once one of them
+    reaches a fixpoint without a conflict."""
+    forbid = _sign_tables(G, units)
+    signed = [i for i, u in enumerate(units) if len(u) == 2]
+    k = len(units)
+    left = np.zeros(len(masks), dtype=bool)
+    for j in signed:
+        idx = np.flatnonzero((masks >> j & 1).astype(bool) & ~left)
+        for l in range(k):
+            f0, f1 = forbid[j, l]
+            if l == j or not (f0 and f1):
+                continue
             m = masks[idx]
-            idx = idx[((m >> j & 1) == 0) | ((m & f0) == 0) | ((m & f1) == 0)]
-        may[idx] = True
-    return may
+            idx = idx[((m >> l & 1) == 0) | ((m & f0) == 0) | ((m & f1) == 0)]
+        left[idx] = True
+
+    cand = np.flatnonzero(left)
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    rows, start = np.nonzero((masks[cand, None] & bits[signed]) != 0)
+    m = masks[cand][rows]
+    one = bits[signed][start]
+    zero = np.zeros_like(one)
+    new = one
+    open_ = np.zeros(len(cand), dtype=bool)
+    while len(rows):
+        grown = one.copy()
+        for i in range(k):
+            r = np.flatnonzero(new >> i & 1)
+            if len(r):
+                mr = m[r]
+                grown[r] |= ((mr[:, None] & forbid[i, :, 0]) != 0) @ bits & mr
+                zero[r] |= ((mr[:, None] & forbid[i, :, 1]) != 0) @ bits & mr
+        conflict = (grown & zero) != 0
+        new = grown & ~one
+        one = grown
+        open_[rows[~conflict & (new == 0)]] = True
+        keep = ~conflict & ~open_[rows]
+        rows, m, one, zero, new = (
+            a[keep] for a in (rows, m, one, zero, new))
+    left[cand] = open_
+    return ~left
 
 
 def _mask_conn(mask: int, units) -> list[int]:
@@ -534,24 +581,30 @@ def enumerate_connection_sets(
     is connected iff the product closure of its units (_subgroup_masks)
     holds every unit.  A connected class is CCA whenever the stabiliser A_1
     of the identity vertex is trivial, and the engine runs only on the
-    classes where a neighbour-flip test (_may_flip) cannot rule that out.
-    The test rests on one lemma.
+    classes where sign propagation (_settled) cannot prove that.
 
-    Lemma: if A_1 != 1, some psi in A_1 sends a non-involution s in S to
-    s^-1.  Proof: take phi != 1 in A_1.  phi fixes e and moves some vertex,
-    and the graph is connected, so some vertex u fixed by phi has a
-    neighbour s*u that phi moves.  phi keeps the colour of the edge
-    {u, s*u}, so it maps s*u to s*u or s^-1*u, hence to s^-1*u != s*u,
-    and s is not an involution.  The right translation r(g) = g*u
-    preserves colours, so psi = r^-1 phi r fixes e, lies in A_1 and sends
-    s to s^-1.
+    Each phi in A_1 maps the closed neighbourhood N[e] onto itself and keeps
+    the colour of every edge {e, t}, so it sends each t in S to t or t^-1,
+    with one sign per unit since it is a bijection.  It keeps the colour of
+    every pair inside N[e], edge or not.  So its signs lie in V, the set of
+    sign vectors x on the non-involution units of S (an involution t has
+    t^-1 = t) whose map of N[e] keeps every pair colour; _sign_tables lists
+    the sign pairs each colour rules out, which makes V the solution set of
+    a 2-SAT.
 
-    Such a psi maps the closed neighbourhood N[e] onto itself, sends each t
-    in S to t or t^-1 (one sign per unit) and keeps the colour of every
-    pair inside N[e], edge or not.  So psi flips the unit i of s, and leaves
-    every other unit j of S a sign whose forbidden colours (_flip_tables)
-    miss S.  A class where no non-involution unit i passes that test has
-    A_1 = 1 and is CCA.
+    (a) V contains 0, so every clause has a literal that 0 satisfies, and
+    when propagation from x_j = 1 ends without a conflict, the units it set
+    to 1 with 0 elsewhere give a vector of V: a clause on two units set to
+    1 was checked, one between a unit set to 1 and a unit at 0 would have
+    forced the latter, and one on two units at 0 holds.  Propagation
+    therefore decides exactly whether V has a vector with x_j = 1, and
+    V = {0} iff it conflicts for every unit j.
+
+    (b) If V = {0}, every phi in A_1 fixes N[e] pointwise.  A right
+    translation r(g) = g*u preserves colours and A_u = r A_1 r^-1, so every
+    element of a vertex stabiliser A_u fixes N[u] = N[e]*u pointwise.  Then
+    phi in A_1 lies in A_s for each s in S, so it fixes N[s], and by
+    connectivity it fixes every vertex: phi = 1, and the class is CCA.
 
     canonical-pruned mode runs the engine only on those survivors; full mode
     also runs it, with its own BFS, on every subset and checks that
@@ -570,7 +623,7 @@ def enumerate_connection_sets(
     connected = _subgroup_masks(n, k, _unit_products(G, units),
                                 reps) == (1 << k) - 1
     survivors = np.flatnonzero(connected)
-    survivors = survivors[_may_flip(_flip_tables(G, units), reps[survivors])]
+    survivors = survivors[~_settled(G, units, reps[survivors])]
 
     table = G.table
     inv = G.inverse
@@ -614,4 +667,5 @@ def enumerate_connection_sets(
         connected_count=int(sizes[connected].sum()),
         class_count=len(reps),
         orbit_size_sum=int(sizes.sum()),
+        engine_runs=len(survivors),
         non_cca_classes=non_cca)

@@ -119,24 +119,44 @@ def test_no_unset_defaults():
     # by position, by some call in src/, tests/ or bench/: a default that no
     # caller overrides is a constant.  Calls are matched by the called name;
     # a call of a class counts for its __init__, and *args or **kwargs in a
-    # call count as setting every parameter
+    # call count as setting every parameter, except where they only forward
+    # the enclosing function's own *args or **kwargs: such a wrapper sets
+    # what its own callers set, which the scan cannot follow
     src = Path(cca.__file__).resolve().parent
     root = src.parent.parent
     npos: dict[str, float] = {}
     keywords: dict[str, set] = {}
     for top in ("src", "tests", "bench"):
         for path in sorted((root / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            # the *args and **kwargs names of the functions around each call
+            forwards: dict[int, set] = {}
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    own = {a.arg for a in (fn.args.vararg, fn.args.kwarg)
+                           if a}
+                    for node in ast.walk(fn):
+                        forwards.setdefault(id(node), set()).update(own)
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr",
                                                         None))
-                n = len(node.args)
-                if any(isinstance(a, ast.Starred) for a in node.args):
+                own = forwards.get(id(node), set())
+
+                def forwarded(value):
+                    return isinstance(value, ast.Name) and value.id in own
+
+                args = [a for a in node.args
+                        if not (isinstance(a, ast.Starred)
+                                and forwarded(a.value))]
+                n = len(args)
+                if any(isinstance(a, ast.Starred) for a in args):
                     n = float("inf")
                 npos[name] = max(npos.get(name, 0), n)
                 kw = keywords.setdefault(name, set())
-                kw.update(k.arg or "**" for k in node.keywords)
+                kw.update(k.arg or "**" for k in node.keywords
+                          if k.arg or not forwarded(k.value))
     unset = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
