@@ -349,6 +349,7 @@ def _unit_action(G: FiniteGroup, units):
 
 
 _BLOCK = 1 << 16              # masks per block of the canonical-form scan
+_SIGN_BLOCK = 1 << 15         # (s, q, s2, t) entries per block of _sign_tables
 
 
 def _or_tables(k: int, images):
@@ -356,12 +357,14 @@ def _or_tables(k: int, images):
     to images[i] and a union of bits to the union of their images.  With
     kl = k // 2 it maps the mask m = h*2^kl + l to hightab[h] | lowtab[l].
     Each table doubles from the empty mask: tab[2^i + x] = tab[x] | the
-    image of bit i."""
+    image of bit i.  An image may be an array of masks, and then so is each
+    table entry."""
     dtype = np.int64 if k > 30 else np.int32
     kl = k // 2
+    shape = np.shape(images[0])
 
     def table(imgs):
-        tab = np.zeros(1 << len(imgs), dtype=dtype)
+        tab = np.zeros((1 << len(imgs),) + shape, dtype=dtype)
         for i, b in enumerate(imgs):
             np.bitwise_or(tab[:1 << i], b, out=tab[1 << i:2 << i])
         return tab
@@ -457,67 +460,94 @@ def _subgroup_masks(n: int, k: int, products, masks):
 
 
 def _sign_tables(G: FiniteGroup, units):
-    """forbid[i, j, q], the mask of colours that rule out sign 1 on unit i
-    with sign q on unit j.  A sign vector x on the units gives the map psi
-    of the closed neighbourhood N[e] that fixes e and sends each a in unit i
-    to a (x_i = 0) or a^-1 (x_i = 1).  The pair {a, b}, a in unit i and b
-    in unit j, has colour c = unit(b*a^-1) and image colour
-    c' = unit(psi(b)*psi(a)^-1).  Where c != c', psi preserves colours only
-    if neither c nor c' is in the connection set, since an edge must keep
-    its colour and a non-edge must stay one.  Within one unit only equal
-    signs count.  The other sign pairs need no table: signs (0, 0) forbid
-    nothing, and (0, q) on (i, j) is (q, 0) on (j, i).  An involution
-    unit's two signs give the same map."""
-    table, inv = G.table, G.inverse
-    unit_of = {s: x for x, u in enumerate(units) for s in u}
-    k = len(units)
-    forbid = np.zeros((k, k, 2), dtype=np.int64)
-    for i, ui in enumerate(units):
-        for j, uj in enumerate(units):
-            for q in (0, 1):
-                if i == j and not q:
-                    continue
-                f = 0
-                for a in ui:
-                    for b in uj:
-                        if b == a:
-                            continue
-                        c = unit_of[table[b][inv[a]]]
-                        c2 = unit_of[table[inv[b] if q else b][a]]
-                        if c != c2:
-                            f |= 1 << c | 1 << c2
-                forbid[i, j, q] = f
-    return forbid
+    """sq[i, q, c, l], the mask of the colours c2 that, with colour c, rule
+    out sign 1 on unit i with sign q on unit l.  A sign vector x on the units
+    gives the map psi that fixes e and sends each a in unit i to a (x_i = 0)
+    or a^-1 (x_i = 1); every phi in A_1 agrees with psi on S for its own x.
+    Within one unit only equal signs count.  The other sign pairs need no
+    table: signs (0, 0) forbid nothing, and (0, q) on (i, l) is (q, 0) on
+    (l, i).  An involution unit's two signs give the same map.
+
+    Triangles, one colour (c2 = c): the pair {a, b} of N[e], a in unit i and
+    b in unit l, has colour c = unit(b*a^-1) and image colour
+    c' = unit(psi(b)*psi(a)^-1).  Where c != c', psi keeps colours only if
+    neither c nor c' is in the connection set, since an edge must keep its
+    colour and a non-edge must stay one.
+
+    4-cycles, two colours: take s in unit i, s2 in unit l and t, t2 != e
+    with g = t*s = t2*s2 and (t2, s2) != (t, s), so e-s-g and e-s2-g are
+    2-paths with edge colours c = unit(t) and c2 = unit(t2).  When both are
+    in the connection set, phi(g) is in {t*psi(s), t^-1*psi(s)} and in
+    {t2*psi(s2), t2^-1*psi(s2)}, so the signs are ruled out where those sets
+    are disjoint.  The table is built over every (s, s2, t), a block of s at
+    a time, so that no array of n^3 entries is held."""
+    n, k = G.order, len(units)
+    table = np.array(G.table)
+    inv = np.array(G.inverse)
+    unit_of = np.zeros(n, dtype=np.int64)
+    for x, u in enumerate(units):
+        unit_of[list(u)] = x
+    sq = np.zeros((k, 2, k, k), dtype=np.int64)
+    # axes (s, q, s2, t), with blocks of s of about _SIGN_BLOCK entries
+    q = np.array([0, 1], dtype=bool)[:, None, None]
+    s2 = np.arange(1, n)[:, None]
+    t = np.arange(1, n)
+    img = np.where(q, inv[s2], s2)          # psi(s2) under sign q
+    step = max(1, _SIGN_BLOCK // (2 * n * n))
+    for first in range(1, n, step):
+        s = np.arange(first, min(first + step, n))[:, None, None, None]
+        i = unit_of[s]
+        pair = (s2 != s) & ((unit_of[s2] != i) | q)
+        # triangles: the pair {s, s2} and its image
+        c, c1 = unit_of[table[s2, inv[s]]], unit_of[table[img, s]]
+        bs, qs, ls, _ = np.nonzero(pair & (c != c1))
+        for cc in (c[bs, 0, ls, 0], c1[bs, qs, ls, 0]):
+            np.bitwise_or.at(sq, (i[bs, 0, 0, 0], qs, cc, unit_of[s2[ls, 0]]),
+                             np.int64(1) << cc)
+        a0, a1 = table[t, inv[s]], table[inv[t], inv[s]]
+        t2 = table[table[t, s], inv[s2]]
+        b0, b1 = table[t2, img], table[inv[t2], img]
+        bs, qs, ls, ts = np.nonzero(pair & (t2 != 0) & (a0 != b0)
+                                    & (a0 != b1) & (a1 != b0) & (a1 != b1))
+        np.bitwise_or.at(sq, (i[bs, 0, 0, 0], qs, unit_of[t[ts]],
+                              unit_of[s2[ls, 0]]),
+                         np.int64(1) << unit_of[t2[bs, 0, ls, ts]])
+    return sq
 
 
 def _settled(G: FiniteGroup, units, masks):
     """True where the sign vectors on the units of the mask that keep every
-    pair colour (_sign_tables) are only the zero vector: unit propagation
-    from x_j = 1 ends in a conflict for every non-involution unit j of the
-    mask.  Units outside the mask are ignored.  An involution unit's two
-    signs agree, so it can only be forced both ways, a conflict: it keeps
-    sign 0.
+    clause of _sign_tables are only the zero vector: unit propagation from
+    x_j = 1 ends in a conflict for every non-involution unit j of the mask.
+    Units outside the mask are ignored.  An involution unit's two signs
+    agree, so it can only be forced both ways, a conflict: it keeps sign 0.
 
-    Propagation follows the units set to 1 only: x_i = 1 forces x_l = 1
-    where forbid[i, l, 0] meets the mask and x_l = 0 where forbid[i, l, 1]
-    does, and a unit forced both ways is a conflict.  A unit forced to 0
-    forces nothing that a unit set to 1 would not reach: signs (0, q) on
-    (l, m) are (q, 0) on (m, l), and (0, 0) is never forbidden.
+    Propagation follows the units set to 1 only: x_i = 1 forces x_l = 1 where
+    a clause on (i, l, 0) fires and x_l = 0 where one on (i, l, 1) does, and
+    a unit forced both ways is a conflict.  A clause fires when both of its
+    colours are in the mask.  A unit forced to 0 forces nothing that a unit
+    set to 1 would not reach: signs (0, q) on (l, m) are (q, 0) on (m, l),
+    and (0, 0) is never forbidden.
 
-    The first round is the pairwise check over every mask: it keeps a mask
-    once some j leaves each other unit l of it a sign whose forbidden
-    colours miss the mask, narrowing the candidates pair by pair.  Only
-    those masks are propagated in full, one row per (mask, j); a row drops
-    out at its first conflict, and a mask's rows all drop once one of them
-    reaches a fixpoint without a conflict."""
-    forbid = _sign_tables(G, units)
+    The first round is the pairwise check over every mask, on the one-colour
+    clauses only: it keeps a mask once some j leaves each other unit l of it
+    a sign whose forbidden colours miss the mask, narrowing the candidates
+    pair by pair.  Only those masks are propagated in full.  Their firing
+    clauses are gathered first: for each unit i of a mask, eff[mask, i, q]
+    holds the units l of the mask for which sq[i, q, c, l] meets the mask
+    for some colour c of it, the OR over c taken by _or_tables.  One row
+    runs per (mask, j); a row drops out at its first conflict, and a mask's
+    rows all drop once one of them reaches a fixpoint without a conflict."""
+    sq = _sign_tables(G, units)
     signed = [i for i, u in enumerate(units) if len(u) == 2]
     k = len(units)
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    single = np.bitwise_or.reduce(sq & bits[:, None], axis=2)
     left = np.zeros(len(masks), dtype=bool)
     for j in signed:
         idx = np.flatnonzero((masks >> j & 1).astype(bool) & ~left)
         for l in range(k):
-            f0, f1 = forbid[j, l]
+            f0, f1 = single[j, :, l]
             if l == j or not (f0 and f1):
                 continue
             m = masks[idx]
@@ -525,9 +555,19 @@ def _settled(G: FiniteGroup, units, masks):
         left[idx] = True
 
     cand = np.flatnonzero(left)
-    bits = np.int64(1) << np.arange(k, dtype=np.int64)
-    rows, start = np.nonzero((masks[cand, None] & bits[signed]) != 0)
-    m = masks[cand][rows]
+    mc = masks[cand]
+    kl = k // 2
+    high, low = mc >> kl, mc & ((1 << kl) - 1)
+    eff = np.zeros((len(cand), k, 2), dtype=mc.dtype)
+    for i in range(k):
+        r = np.flatnonzero(mc >> i & 1)
+        hightab, lowtab = _or_tables(k, sq[i].swapaxes(0, 1))
+        m = mc[r, None]
+        fire = hightab[high[r]]
+        fire |= lowtab[low[r]]
+        fire &= m[:, None]
+        eff[r, i] = (fire != 0) @ bits & m
+    rows, start = np.nonzero((mc[:, None] & bits[signed]) != 0)
     one = bits[signed][start]
     zero = np.zeros_like(one)
     new = one
@@ -537,16 +577,14 @@ def _settled(G: FiniteGroup, units, masks):
         for i in range(k):
             r = np.flatnonzero(new >> i & 1)
             if len(r):
-                mr = m[r]
-                grown[r] |= ((mr[:, None] & forbid[i, :, 0]) != 0) @ bits & mr
-                zero[r] |= ((mr[:, None] & forbid[i, :, 1]) != 0) @ bits & mr
+                grown[r] |= eff[rows[r], i, 0]
+                zero[r] |= eff[rows[r], i, 1]
         conflict = (grown & zero) != 0
         new = grown & ~one
         one = grown
         open_[rows[~conflict & (new == 0)]] = True
         keep = ~conflict & ~open_[rows]
-        rows, m, one, zero, new = (
-            a[keep] for a in (rows, m, one, zero, new))
+        rows, one, zero, new = (a[keep] for a in (rows, one, zero, new))
     left[cand] = open_
     return ~left
 
@@ -589,8 +627,8 @@ def enumerate_connection_sets(
     every pair inside N[e], edge or not.  So its signs lie in V, the set of
     sign vectors x on the non-involution units of S (an involution t has
     t^-1 = t) whose map of N[e] keeps every pair colour; _sign_tables lists
-    the sign pairs each colour rules out, which makes V the solution set of
-    a 2-SAT.
+    the sign pairs each colour rules out, one-colour clauses that make V the
+    solution set of a 2-SAT.
 
     (a) V contains 0, so every clause has a literal that 0 satisfies, and
     when propagation from x_j = 1 ends without a conflict, the units it set
@@ -605,6 +643,17 @@ def enumerate_connection_sets(
     element of a vertex stabiliser A_u fixes N[u] = N[e]*u pointwise.  Then
     phi in A_1 lies in A_s for each s in S, so it fixes N[s], and by
     connectivity it fixes every vertex: phi = 1, and the class is CCA.
+
+    (c) The signs of phi also keep every 4-cycle through e.  Take s, s2, t
+    and t2 in S with g = t*s = t2*s2 and (t2, s2) != (t, s).  The edges
+    {s, g} and {s2, g} have colours unit(t) and unit(t2), so phi(g) lies in
+    {t*phi(s), t^-1*phi(s)} and in {t2*phi(s2), t2^-1*phi(s2)}: signs that
+    make the two sets disjoint are ruled out, by a clause that needs both
+    colours in S.  Let V' be the vectors of V that keep these clauses too.
+    It still holds the signs of every phi in A_1, and it still contains 0,
+    since with signs 0 both sets hold g.  So (a) and (b) hold for V' word
+    for word: propagation decides V' = {0} exactly, and V' = {0} implies
+    A_1 = 1.  _settled propagates the clauses of V'.
 
     canonical-pruned mode runs the engine only on those survivors; full mode
     also runs it, with its own BFS, on every subset and checks that

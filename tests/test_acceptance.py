@@ -113,6 +113,7 @@ def test_agl17_exhaustive_classification_slow():
     assert len(rep.non_cca_classes) == 2
     G = builders.agl17()
     assert rep.class_count == subset_class_count(G, G) == 405312
+    assert rep.engine_runs == 129
     cs = canonical_sets()
     found = []
     for cls in rep.non_cca_classes:
