@@ -15,9 +15,9 @@ from .engine import (AutcResult, aut_pm1_group, autc_group, autc_stabiliser,
                      predicted_autc_complete)
 from .errors import CCAError, HypothesesNotMet, HypothesisViolated
 from .graphs import (ColouredCayleyGraph, PlainGraph, cayley, complete_cayley,
-                     graph_automorphisms, heawood, is_connected, line_graph,
+                     graph_automorphisms, heawood, is_connected,
                      quotient_graph, realize_line_graph_as_cayley,
-                     subdivision, to_dot, to_json, to_json_dict)
+                     subdivision, to_dot, to_json_dict)
 from .groups import (FiniteGroup, are_conjugate_subsets, are_isomorphic,
                      close_generators, find_isomorphism, is_normal,
                      is_subgroup, is_sylow_cyclic_order_not_div_4,

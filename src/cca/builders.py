@@ -37,8 +37,7 @@ def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> Fini
     G = FiniteGroup(elements, gens, labels=labels, meta=meta)
     if G.subgroup(gens).order != n:
         raise RuntimeError("internal error: generators do not generate")
-    if meta is not None:
-        G.meta["items"] = items
+    G.meta["items"] = items
     return G
 
 
@@ -114,7 +113,7 @@ def quaternion8() -> FiniteGroup:
         return u if s == 1 else f"-{u}"
 
     return _from_table(items, mult, (1, "1"), [(1, "i"), (1, "j")], lbl,
-                       meta={"spec": "q8", "q8": True})
+                       meta={"spec": "q8"})
 
 
 # -- products -------------------------------------------------------------
@@ -145,8 +144,7 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
         labels = ["(" + ",".join(G.labels[i] for G, i in zip(groups, combo)) + ")"
                   for combo in tuples]
     P = FiniteGroup(elements, gens, labels=labels,
-                    meta={"factors": [G.order for G in groups],
-                          "factor_groups": list(groups),
+                    meta={"factor_groups": list(groups),
                           "tuples": tuples,
                           "tuple_index": tuple_index})
     return P
@@ -175,8 +173,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
         return f"{la}*{lb}"
 
     gens = [(A.index[g], 0) for g in A.generators] + [(0, B.index[g]) for g in B.generators]
-    return _from_table(items, mult, (0, 0), gens, lbl,
-                       meta={"semidirect": (A.order, B.order)})
+    return _from_table(items, mult, (0, 0), gens, lbl)
 
 
 def generalized_dihedral(A: FiniteGroup) -> FiniteGroup:
@@ -223,8 +220,7 @@ def generalized_dicyclic(A: FiniteGroup, y: int | None = None) -> FiniteGroup:
         return "x" if a == 0 else f"{la}*x"
 
     gens = [(A.index[g], 0) for g in A.generators] + [(0, 1)]
-    G = _from_table(items, mult, (0, 0), gens, lbl,
-                    meta={"dic": True, "dic_order_A": A.order})
+    G = _from_table(items, mult, (0, 0), gens, lbl)
     # items order: coset A first, coset Ax second
     G.meta["dic_coset"] = [e for (_, e) in G.meta["items"]]
     return G
@@ -274,9 +270,7 @@ def wreath_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
             gs[i] = G.index[g]
             gens.append((0, tuple(gs)))
     ident = (0, (0,) * m)
-    X = _from_table(items, mult, ident, gens, lbl,
-                    meta={"wreath": {"m": m, "G": G, "H": H}})
-    return X
+    return _from_table(items, mult, ident, gens, lbl)
 
 
 # -- PGL(2,7) family ------------------------------------------------------
@@ -446,7 +440,7 @@ def build_spec(text: str) -> FiniteGroup:
     if text[0] == "s" and text[1:].isdigit():
         return symmetric(int(text[1:]))
     if text.startswith("prod(") and text.endswith(")"):
-        parts = _split_args(text[5:-1])
+        parts = split_top_level(text[5:-1], ";")
         G = direct_product(*[build_spec(p) for p in parts])
         G.meta["spec"] = text
         return G
@@ -455,7 +449,7 @@ def build_spec(text: str) -> FiniteGroup:
         G.meta["spec"] = text
         return G
     if text.startswith("dic(") and text.endswith(")"):
-        parts = _split_args(text[4:-1])
+        parts = split_top_level(text[4:-1], ";")
         A = build_spec(parts[0])
         y = None
         if len(parts) > 1:
@@ -466,7 +460,7 @@ def build_spec(text: str) -> FiniteGroup:
         G.meta["spec"] = text
         return G
     if text.startswith("wreath(") and text.endswith(")"):
-        parts = _split_args(text[7:-1])
+        parts = split_top_level(text[7:-1], ";")
         if len(parts) != 2 or "@" not in parts[1]:
             raise InvalidSpec("wreath(<spec>;<spec>@<m>)")
         hspec, mtxt = parts[1].rsplit("@", 1)
@@ -485,19 +479,17 @@ def _int(s: str) -> int:
     return int(s)
 
 
-def _split_args(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            cur.append(ch)
-    parts.append("".join(cur))
+def split_top_level(text: str, sep: str) -> list[str]:
+    """The stripped parts of text between the separators outside
+    parentheses, empty parts included: nested specs and product-group
+    labels such as (i,0) stay whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
     return [p.strip() for p in parts]
 
 

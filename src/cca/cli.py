@@ -36,21 +36,11 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _split_labels(text: str) -> list[str]:
-    """Split on the commas outside parentheses, so that product-group labels
-    such as (i,0) stay whole."""
-    tokens, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            tokens.append(text[start:i])
-            start = i + 1
-    tokens.append(text[start:])
-    return [t.strip() for t in tokens if t.strip()]
-
-
 def _resolve_set(G, text: str):
-    return [G.label_index(tok) for tok in _split_labels(text)]
+    """The elements of a comma-separated label list; empty labels are
+    dropped."""
+    return [G.label_index(tok)
+            for tok in builders.split_top_level(text, ",") if tok]
 
 
 def _graph_from_args(args) -> ColouredCayleyGraph:

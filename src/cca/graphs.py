@@ -1,11 +1,10 @@
 """Coloured Cayley graphs, plain graphs, and the graph operators used by the
-non-CCA constructions (quotient, line graph, subdivision, Heawood graph,
-complete Cayley graph), plus DOT/JSON export.
+non-CCA constructions (quotient, line graph realised as a Cayley graph,
+subdivision, Heawood graph, complete Cayley graph), plus DOT/JSON export.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
@@ -66,41 +65,6 @@ class PlainGraph:
         return (sorted(i for i in range(self.n) if colour[i] == 0),
                 sorted(i for i in range(self.n) if colour[i] == 1))
 
-    def girth(self) -> int:
-        best = 0
-        for src in range(self.n):
-            dist = {src: 0}
-            parent = {src: -1}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        queue.append(v)
-                    elif parent[u] != v:
-                        cyc = dist[u] + dist[v] + 1
-                        if best == 0 or cyc < best:
-                            best = cyc
-        return best
-
-
-def line_graph(P: PlainGraph) -> PlainGraph:
-    m = len(P.edges)
-    edges = []
-    incident: list[list[int]] = [[] for _ in range(P.n)]
-    for i, (u, v) in enumerate(P.edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    for lst in incident:
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                edges.append((lst[a], lst[b]))
-    L = PlainGraph(m, edges)
-    L.meta_edges = list(P.edges)
-    return L
-
 
 def subdivision(P: PlainGraph) -> PlainGraph:
     edges = []
@@ -110,7 +74,6 @@ def subdivision(P: PlainGraph) -> PlainGraph:
     S = PlainGraph(P.n + len(P.edges), edges,
                    bipartition=(list(range(P.n)),
                                 list(range(P.n, P.n + len(P.edges)))))
-    S.meta_edges = list(P.edges)
     return S
 
 
@@ -337,7 +300,6 @@ def realize_line_graph_as_cayley(P: PlainGraph, G: FiniteGroup) -> ColouredCayle
     S = [i for i, g in enumerate(G.elements)
          if adjacent_edges(edge_image(e0, g), e0)]
     Gamma = ColouredCayleyGraph(G, S)
-    Gamma.base_edge = e0
     Gamma.edge_of_vertex = [edge_image(e0, g) for g in G.elements]
     Gamma.vertex_of_edge = {e: i for i, e in enumerate(Gamma.edge_of_vertex)}
     eov = Gamma.edge_of_vertex
@@ -369,7 +331,3 @@ def to_json_dict(Gamma: ColouredCayleyGraph) -> dict:
         "connection_set": [Gamma.group.label(s) for s in Gamma.conn],
         "edges": [[u, v, c] for (u, v), c in sorted(Gamma.edge_colour.items())],
     }
-
-
-def to_json(Gamma: ColouredCayleyGraph) -> str:
-    return json.dumps(to_json_dict(Gamma), sort_keys=True)

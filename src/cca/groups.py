@@ -285,11 +285,6 @@ def is_sylow_cyclic_order_not_div_4(G: FiniteGroup) -> bool:
     return all(p_part(G.order, p) in orders for p in prime_factors(G.order))
 
 
-def squares_subgroup(H: FiniteGroup) -> FiniteGroup:
-    sqs = sorted({pmul(x, x) for x in H.elements})
-    return close_generators(sqs, H.degree, cap=max(DEFAULT_CAP, H.order))
-
-
 def centralizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """C_G(H), by scanning G's elements against H's generators."""
     hgens = H.generators or [p for p in H.elements if p != identity(H.degree)]

@@ -8,7 +8,6 @@ is a homomorphism.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable
 
 
 Perm = tuple
@@ -71,30 +70,3 @@ def porder(a: Perm) -> int:
                 length += 1
             o = lcm(o, length)
     return o
-
-
-def cycles(a: Perm) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, each starting at its least point."""
-    n = len(a)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if not seen[i] and a[i] != i:
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = a[j]
-            out.append(tuple(cyc))
-        seen[i] = True
-    return out
-
-
-def from_cycles(degree: int, cycs: Iterable[Iterable[int]]) -> Perm:
-    img = list(range(degree))
-    for cyc in cycs:
-        cyc = list(cyc)
-        for i, p in enumerate(cyc):
-            img[p] = cyc[(i + 1) % len(cyc)]
-    return tuple(img)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,9 +327,6 @@ class EnumerationReport:
                 for c in self.non_cca_classes],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         w = csv.writer(out)
@@ -532,8 +528,12 @@ def _settled(G: FiniteGroup, units, masks):
     The first round is the pairwise check over every mask, on the one-colour
     clauses only: it keeps a mask once some j leaves each other unit l of it
     a sign whose forbidden colours miss the mask, narrowing the candidates
-    pair by pair.  Only those masks are propagated in full.  Their firing
-    clauses are gathered first: for each unit i of a mask, eff[mask, i, q]
+    pair by pair.  Only those masks are propagated in full.  The round keeps
+    the gather small: without it, every mask with a non-involution unit is
+    gathered, and _settled took 0.46 s and 90 MB peak RSS instead of 0.03 s
+    and 35 MB on f21xz2, and 4.3 s and 466 MB instead of 0.15 s and 66 MB on
+    agl17 (one in-process run each, 2-core Xeon).  The firing clauses of the
+    masks left are gathered first: for each unit i of a mask, eff[mask, i, q]
     holds the units l of the mask for which sq[i, q, c, l] meets the mask
     for some colour c of it, the OR over c taken by _or_tables.  One row
     runs per (mask, j); a row drops out at its first conflict, and a mask's

@@ -30,7 +30,6 @@ def test_quaternion8():
 def test_direct_product():
     P = builders.direct_product(builders.cyclic(2), builders.cyclic(3))
     assert P.order == 6 and P.is_cyclic()
-    assert P.meta["factors"] == [2, 3]
     i = P.meta["tuple_index"][(1, 2)]
     assert P.label(i) == "(1,2)"
 
@@ -114,7 +113,8 @@ def test_build_spec_grammar():
     }
     for spec, order in cases.items():
         assert builders.build_spec(spec).order == order, spec
-    for bad in ("zz", "dic(z5)", "wreath(z3;z2@3)", "prod()", "dic(z4;3)"):
+    for bad in ("zz", "dic(z5)", "wreath(z3;z2@3)", "prod()", "dic(z4;3)",
+                "prod(z2;)"):
         with pytest.raises(InvalidSpec):
             builders.build_spec(bad)
 

@@ -28,6 +28,10 @@ def test_cayley_json_and_dot(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["connection_set"] == ["1", "5"]
+    # empty labels are dropped
+    code, out, _ = run(capsys, ["cayley", "z6", "--set=1,,5"])
+    assert code == 0
+    assert json.loads(out)["connection_set"] == ["1", "5"]
     code, out, _ = run(capsys, ["cayley", "z6", "--set", "1,5",
                                 "--format", "dot"])
     assert code == 0

@@ -1,4 +1,3 @@
-import json
 import random
 
 import networkx as nx
@@ -8,9 +7,9 @@ from cca import builders
 from cca.errors import ContainsIdentity, NotEdgeRegular, NotInverseClosed, NotNormal
 from cca.graphs import (ColouredCayleyGraph, PlainGraph, cayley, colour_units,
                         complete_cayley, graph_automorphisms, heawood,
-                        is_connected, line_graph, quotient_graph,
+                        is_connected, quotient_graph,
                         realize_line_graph_as_cayley, subdivision, to_dot,
-                        to_json, to_json_dict)
+                        to_json_dict)
 from cca.groups import close_generators
 
 from conftest import (group_pool, random_connected_cayley,
@@ -21,7 +20,6 @@ def test_plain_graph_basics():
     P = PlainGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert P.is_connected()
     assert P.two_colouring() == ([0, 2], [1, 3])
-    assert P.girth() == 4
     with pytest.raises(ValueError):
         PlainGraph(2, [(0, 0)])
 
@@ -32,7 +30,6 @@ def test_heawood_graph():
     assert all(len(nb) == 3 for nb in H.adj)
     assert H.is_connected()
     assert H.two_colouring() is not None
-    assert H.girth() == 6
 
 
 def test_heawood_automorphism_group():
@@ -71,9 +68,6 @@ def test_edge_colour_matches_reference():
 
 def test_line_graph_and_subdivision_counts():
     H = heawood()
-    L = line_graph(H)
-    assert L.n == 21
-    assert all(len(nb) == 4 for nb in L.adj)
     S = subdivision(H)
     assert S.n == 14 + 21
     assert all(len(S.adj[v]) == 2 for v in range(14, S.n))
@@ -152,5 +146,3 @@ def test_dot_and_json_export():
     d = to_json_dict(Gamma)
     assert d["connection_set"] == ["1", "3", "2"]
     assert all(len(e) == 3 for e in d["edges"])
-    assert to_json(Gamma) == to_json(Gamma)
-    json.loads(to_json(Gamma))

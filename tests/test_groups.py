@@ -13,7 +13,7 @@ from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
                         generating_sequence, is_normal,
                         is_subgroup, is_sylow_cyclic_order_not_div_4,
                         normal_subgroups, normalizer, p_part, prime_factors,
-                        squares_subgroup, sylow_subgroup, trivial_group)
+                        sylow_subgroup, trivial_group)
 from cca.perms import identity, pmul
 
 from conftest import (full_scan_bfs, group_pool, reference_closure,
@@ -157,8 +157,6 @@ def test_number_theory_helpers():
 
 def test_squares_centralizer_normalizer():
     D4 = builders.dihedral(4)
-    sq = squares_subgroup(D4)
-    assert sq.order == 2
     Z = centralizer(D4, D4)
     assert Z.order == 2
     r = D4.subgroup([D4.elements[D4.label_index("r")]])

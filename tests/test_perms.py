@@ -2,8 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from cca.perms import (cycles, from_cycles, identity, is_perm, pconj, pinv,
-                       pmul, porder, ppow)
+from cca.perms import identity, is_perm, pconj, pinv, pmul, porder, ppow
 
 
 def rand_perm(rng, n):
@@ -60,11 +59,6 @@ def test_order(a):
     for d in range(1, o):
         if o % d == 0:
             assert ppow(a, d) != identity(len(a)) or d == o
-
-
-@given(perms)
-def test_cycles_roundtrip(a):
-    assert from_cycles(len(a), cycles(a)) == a
 
 
 def test_conjugation():

@@ -17,18 +17,12 @@ def test_no_asserts_in_package():
         assert not lines, f"{path.name}: assert at lines {lines}"
 
 
-def test_no_unreferenced_functions():
-    # every top-level function of the package is named somewhere in src/,
-    # tests/ or bench/ outside its own definition: as a name, an attribute,
-    # an imported name or a string (the benchmark's tracer patches by name)
-    src = Path(cca.__file__).resolve().parent
-    root = src.parent.parent
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for top in ("src", "tests", "bench")
-             for path in sorted((root / top).rglob("*.py"))]
+def _names(paths) -> dict[str, int]:
+    """How often each name occurs in the files: as a name, an attribute, an
+    imported name or a string (the benchmark's tracer patches by name)."""
     named: dict[str, int] = {}
-    for tree in trees:
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -40,29 +34,72 @@ def test_no_unreferenced_functions():
             else:
                 continue
             named[name] = named.get(name, 0) + 1
-    unreferenced = []
+    return named
+
+
+def _functions(src: Path):
+    """(path, node, own) for every top-level function and non-special method
+    of the package.  `own` counts the function's name inside its own
+    definition (recursion), which is no use of it."""
     for path in sorted(src.glob("*.py")):
         body = ast.parse(path.read_text()).body
-        # class methods too; special methods are called by the language
+        # special methods are called by the language
         body += [node for cls in body if isinstance(cls, ast.ClassDef)
                  for node in cls.body
                  if not getattr(node, "name", "").startswith("__")]
         for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            # names inside the definition itself (recursion) do not count
-            own = sum(isinstance(sub, (ast.Name, ast.Attribute))
-                      and node.name in (getattr(sub, "id", None),
-                                        getattr(sub, "attr", None))
-                      for sub in ast.walk(node))
-            if named.get(node.name, 0) == own:
-                unreferenced.append(f"{path.name}: {node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = sum(isinstance(sub, (ast.Name, ast.Attribute))
+                          and node.name in (getattr(sub, "id", None),
+                                            getattr(sub, "attr", None))
+                          for sub in ast.walk(node))
+                yield path, node, own
+
+
+def test_no_unreferenced_functions():
+    # every top-level function and method of the package is named somewhere
+    # in src/, tests/ or bench/ outside its own definition
+    src = Path(cca.__file__).resolve().parent
+    root = src.parent.parent
+    named = _names(path for top in ("src", "tests", "bench")
+                   for path in sorted((root / top).rglob("*.py")))
+    unreferenced = [f"{path.name}: {node.name}"
+                    for path, node, own in _functions(src)
+                    if named.get(node.name, 0) == own]
     assert not unreferenced, unreferenced
 
 
+# package functions that only tests call, each kept for its own reason
+TEST_ONLY_KEPT = {
+    # the acceptance tests' class-membership oracle: conjugacy of connection
+    # sets, decided without the enumeration's canonical masks
+    "are_conjugate_subsets",
+    # the paper's Cay(G/N, S/N), on which the engine tests check that Aut_c
+    # passes to the quotient
+    "quotient_graph",
+}
+
+
+def test_no_test_only_functions():
+    # every top-level function and method of the package is named in src/
+    # outside its own definition and __init__.py, or in bench/*.py: one that
+    # only tests call reaches no command, recipe, construction or workload
+    src = Path(cca.__file__).resolve().parent
+    root = src.parent.parent
+    named = _names([path for path in sorted(src.glob("*.py"))
+                    if path.name != "__init__.py"]
+                   + sorted((root / "bench").glob("*.py")))
+    functions = list(_functions(src))
+    test_only = [f"{path.name}: {node.name}" for path, node, own in functions
+                 if named.get(node.name, 0) == own
+                 and node.name not in TEST_ONLY_KEPT]
+    assert not test_only, test_only
+    assert TEST_ONLY_KEPT <= {node.name for _, node, _ in functions}
+
+
 def test_no_unread_attributes():
-    # every attribute the package sets on self, and every dataclass field, is
-    # read somewhere in src/, tests/ or bench/ outside the function that sets
+    # every attribute the package sets, on self or on any other object, and
+    # every dataclass field, is read somewhere in src/, tests/ or bench/ outside the function that sets
     # it: as an attribute or as a string (getattr); filling it in place there
     # does not count
     src = Path(cca.__file__).resolve().parent
@@ -102,9 +139,7 @@ def test_no_unread_attributes():
                 else:
                     continue
                 for t in targets:
-                    if not (isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"):
+                    if not isinstance(t, ast.Attribute):
                         continue
                     own = sum(isinstance(sub, ast.Attribute)
                               and isinstance(sub.ctx, ast.Load)
