@@ -12,14 +12,26 @@ membership) for the named maps and for symbolic connection-set input.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
 
-from .errors import ClosureExceedsCap, IncompatibleGroup, InvalidSpec
+from .errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from .groups import DEFAULT_CAP, FiniteGroup, close_generators
 from .perms import Perm, pinv, pmul, ppow
 
 
-def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> FiniteGroup:
+def _bound(factor_orders, what: str) -> None:
+    """BoundExceeded, before any element is built, when the product of the
+    factor orders passes DEFAULT_CAP; the product stops growing there, so a
+    huge rank costs no huge integer."""
+    order = 1
+    for m in factor_orders:
+        order *= m
+        if order > DEFAULT_CAP:
+            raise BoundExceeded(f"{what}: group order exceeds cap "
+                                f"{DEFAULT_CAP}")
+
+
+def _from_table(items, mult, ident, gen_items, label_fn, meta=None) -> FiniteGroup:
     """Right-regular realisation of an abstract group given by a mult rule.
 
     `items` fixes the element order (identity first is enforced here)."""
@@ -33,8 +45,8 @@ def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> Fini
     for g in items:
         elements.append(tuple(idx[mult(x, g)] for x in items))
     gens = [elements[idx[g]] for g in gen_items]
-    labels = [label_fn(it) for it in items] if label_fn else None
-    G = FiniteGroup(elements, gens, labels=labels, meta=meta)
+    G = FiniteGroup(elements, gens, labels=[label_fn(it) for it in items],
+                    meta=meta)
     if G.subgroup(gens).order != n:
         raise RuntimeError("internal error: generators do not generate")
     G.meta["items"] = items
@@ -46,6 +58,7 @@ def _from_table(items, mult, ident, gen_items, label_fn=None, meta=None) -> Fini
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec("cyclic order must be >= 1")
+    _bound([n], f"z{n}")
     if n == 1:
         return FiniteGroup([(0,)], [], labels=["0"])
     shift = tuple((i + 1) % n for i in range(n))
@@ -70,6 +83,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (n >= 1; n >= 3 for the usual geometry)."""
     if n < 1:
         raise InvalidSpec("dihedral parameter must be >= 1")
+    _bound([2, n], f"d{n}")
     items = [(a, e) for e in (0, 1) for a in range(n)]
 
     def mult(u, v):
@@ -121,6 +135,7 @@ def quaternion8() -> FiniteGroup:
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     if len(groups) == 1:
         return groups[0]
+    _bound([G.order for G in groups], "direct product")
     degs = [G.degree for G in groups]
     offsets = [sum(degs[:i]) for i in range(len(groups))]
     total = sum(degs)
@@ -155,6 +170,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     element indices by which b in B acts.  Elements are written a*b."""
     if any(len(action[b]) != A.order for b in range(B.order)):
         raise InvalidSpec("action table has wrong size")
+    _bound([A.order, B.order], "semidirect product")
     items = [(a, b) for b in range(B.order) for a in range(A.order)]
 
     def mult(u, v):
@@ -189,6 +205,7 @@ def generalized_dihedral(A: FiniteGroup) -> FiniteGroup:
 
 def generalized_dicyclic(A: FiniteGroup, y: int | None = None) -> FiniteGroup:
     """Dic(A, y) = <A, x | x^2 = y, a^x = a^-1>, realised on 2|A| points."""
+    _bound([2, A.order], "dicyclic group")
     if not A.is_abelian():
         raise InvalidSpec("generalised dicyclic requires abelian A")
     if A.order % 2 != 0:
@@ -227,6 +244,7 @@ def generalized_dicyclic(A: FiniteGroup, y: int | None = None) -> FiniteGroup:
 
 
 def q8_times_z2(n: int) -> FiniteGroup:
+    _bound(chain([8], repeat(2, n)), f"q8xz2^{n}")
     G = quaternion8()
     if n == 0:
         G.meta["q8z2n"] = 0
@@ -242,10 +260,7 @@ def wreath_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     Elements are (h; g_1, ..., g_m) in the normal form h*g_1*...*g_m; H
     permutes the base coordinates so that g in G_i conjugates into G_{i^h}."""
     m = H.degree
-    order = (G.order ** m) * H.order
-    if order > DEFAULT_CAP:
-        raise ClosureExceedsCap(
-            f"wreath product order {order} exceeds cap {DEFAULT_CAP}")
+    _bound(chain([H.order], repeat(G.order, m)), "wreath product")
     hinv = H.inverse
     hperm = H.elements  # the distinguished action of H on Omega
 
@@ -426,7 +441,9 @@ def build_spec(text: str) -> FiniteGroup:
         return simple[text]()
     if text.startswith("z2^"):
         n = _int(text[3:])
-        G = direct_product(*[cyclic(2) for _ in range(n)]) if n > 1 else cyclic(2)
+        _bound(repeat(2, n), text)
+        G = (direct_product(*[cyclic(2) for _ in range(n)]) if n > 1
+             else cyclic(2 ** n))
         G.meta["spec"] = text
         return G
     if text.startswith("q8xz2^"):

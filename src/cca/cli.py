@@ -93,12 +93,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    mode = args.mode
-    if mode == "full" and args.base != "f21" and not args.slow:
-        sys.stderr.write(
-            "full enumeration on this base requires --slow\n")
-        return USAGE_EXIT
-    rep = enumerate_connection_sets(args.base, mode=mode)
+    rep = enumerate_connection_sets(args.base)
     if args.format == "csv":
         sys.stdout.write(rep.to_csv())
     else:
@@ -141,9 +136,6 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("enumerate",
                        help="classify connection sets up to automorphism")
     e.add_argument("base", choices=ENUMERATION_BASES)
-    e.add_argument("--mode", choices=["full", "canonical-pruned"],
-                   default="canonical-pruned")
-    e.add_argument("--slow", action="store_true")
     e.add_argument("--format", choices=["json", "csv"], default="json")
     e.set_defaults(fn=_cmd_enumerate)
     return p

@@ -147,21 +147,19 @@ def thm45_sweep() -> dict:
 
 
 def prop56_f21() -> dict:
-    rep = enumerate_connection_sets("f21", mode="full")
+    rep = enumerate_connection_sets("f21")
     return {"example": "prop56-f21", **rep.to_json_dict(),
             "class_count": len(rep.non_cca_classes)}
 
 
 def prop56_agl17() -> dict:
-    """The canonical-pruned scan; the full scan of all 2^24 subsets is
-    `cca enumerate agl17 --mode full --slow`."""
-    rep = enumerate_connection_sets("agl17", mode="canonical-pruned")
+    rep = enumerate_connection_sets("agl17")
     return {"example": "prop56-agl17", "mode": "canonical-pruned",
             **rep.to_json_dict(), "class_count": len(rep.non_cca_classes)}
 
 
 def prop56_f21xz2() -> dict:
-    rep = enumerate_connection_sets("f21xz2", mode="canonical-pruned")
+    rep = enumerate_connection_sets("f21xz2")
     return {"example": "prop56-f21xz2", **rep.to_json_dict(),
             "class_count": len(rep.non_cca_classes)}
 

@@ -597,15 +597,6 @@ def _mask_conn(mask: int, units) -> list[int]:
     return sorted(conn)
 
 
-def _verdict(n, table, inv, conn) -> str | None:
-    """The CCA verdict, or None when conn does not generate the group: the
-    search's own BFS raises NotConnected before any search."""
-    try:
-        return fast_cca_verdict(n, table, inv, conn)
-    except NotConnected:
-        return None
-
-
 def enumerate_connection_sets(
         base: str, mode: str = "canonical-pruned") -> EnumerationReport:
     """Classify inverse-closed connection sets on the base group by the CCA
@@ -655,10 +646,9 @@ def enumerate_connection_sets(
     for word: propagation decides V' = {0} exactly, and V' = {0} implies
     A_1 = 1.  _settled propagates the clauses of V'.
 
-    canonical-pruned mode runs the engine only on those survivors; full mode
-    also runs it, with its own BFS, on every subset and checks that
-    connectivity and verdicts are constant on classes."""
-    if mode not in ("full", "canonical-pruned"):
+    The engine runs only on the connected classes _settled leaves.  mode
+    accepts only "canonical-pruned", the name callers give this path."""
+    if mode != "canonical-pruned":
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
     if base not in ENUMERATION_BASES:
         raise InvalidSpec(f"unknown enumeration base {base!r}")
@@ -674,33 +664,17 @@ def enumerate_connection_sets(
     survivors = np.flatnonzero(connected)
     survivors = survivors[~_settled(G, units, reps[survivors])]
 
-    table = G.table
-    inv = G.inverse
-    # None marks a set that does not generate G
-    found = {m: _verdict(n, table, inv, _mask_conn(m, units))
-             for m in reps[survivors].tolist()}
-    if None in found.values():
-        raise RuntimeError("internal error: the product closure and the BFS "
-                           "disagree on connectivity")
-
-    if mode == "full":
-        # honest re-run on every subset; class verdicts must be constant
-        verdicts = {m: "CCA" if c else None
-                    for m, c in zip(reps.tolist(), connected.tolist())}
-        verdicts.update(found)
-        for first, canon in _canonical_blocks(k, tables):
-            for m, c in enumerate(canon.tolist(), first):
-                if _verdict(n, table, inv, _mask_conn(m, units)) \
-                        != verdicts[c]:
-                    raise RuntimeError(
-                        "connectivity or verdict not Aut(G)-invariant")
-
     non_cca = []
     for x in survivors.tolist():
         m = int(reps[x])
-        if found[m] != "NonCCA":
-            continue
         conn = _mask_conn(m, units)
+        try:
+            verdict = fast_cca_verdict(n, G.table, G.inverse, conn)
+        except NotConnected:
+            raise RuntimeError("internal error: the product closure and the "
+                               "BFS disagree on connectivity") from None
+        if verdict != "NonCCA":
+            continue
         res = autc_group(ColouredCayleyGraph(G, conn))
         if res.verdict != "NonCCA":
             raise RuntimeError("internal error: verdict routes disagree on "

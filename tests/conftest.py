@@ -9,8 +9,9 @@ import networkx as nx
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
-from cca.errors import ClosureExceedsCap
-from cca.engine import autc_group, autc_stabiliser, is_colour_preserving
+from cca.errors import ClosureExceedsCap, NotConnected
+from cca.engine import (autc_group, autc_stabiliser, fast_cca_verdict,
+                        is_colour_preserving)
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
                         conjugacy_classes, extend_isomorphism,
@@ -256,6 +257,28 @@ def reference_unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
         cg = [G.index[pconj(p, a)] for p in G.elements]
         ws.add(tuple(unit_of[cg[u[0]]] for u in units))
     return sorted(ws)
+
+
+def reference_subset_verdicts(G: FiniteGroup, Amb: FiniteGroup):
+    """(least, verdicts) over every mask m of G's colour units, each mask
+    standing for the union of its units: verdicts[m] is fast_cca_verdict on
+    that set, run subset by subset, or None where it does not generate G;
+    least[m] names m's class, the least image of m under the unit
+    permutations of reference_unit_action(G, Amb, units)."""
+    units = colour_units(G, range(1, G.order))
+    ws = reference_unit_action(G, Amb, units)
+    k = len(units)
+    least, verdicts = [], []
+    for m in range(1 << k):
+        bits = [i for i in range(k) if m >> i & 1]
+        least.append(min(sum(1 << w[i] for i in bits) for w in ws))
+        conn = sorted(s for i in bits for s in units[i])
+        try:
+            verdicts.append(fast_cca_verdict(G.order, G.table, G.inverse,
+                                             conn))
+        except NotConnected:
+            verdicts.append(None)
+    return least, verdicts
 
 
 def reference_aut_pm1(G: FiniteGroup, S):

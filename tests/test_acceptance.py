@@ -24,7 +24,7 @@ from conftest import (assert_decomposition_matches_reference,
 
 @pytest.fixture(scope="module")
 def f21_enumeration():
-    return enumerate_connection_sets("f21", mode="full")
+    return enumerate_connection_sets("f21")
 
 
 def test_complete_graph_classification_sweep():

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from cca import builders
-from cca.errors import IncompatibleGroup, InvalidSpec
+from cca.errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from cca.groups import are_isomorphic, is_normal, is_subgroup
 from cca.perms import pmul, porder
 
@@ -110,6 +112,7 @@ def test_build_spec_grammar():
         "f21": 21, "agl17": 42, "psl27": 168, "pgl27": 336, "f21xz2": 42,
         "prod(z2;z3)": 6, "dih(z5)": 10, "dic(z4)": 8,
         "dic(z6;y=3)": 12, "wreath(z3;z2@2)": 18,
+        "z2^0": 1, "z2^1": 2, "z1": 1, "q8xz2^0": 8,
     }
     for spec, order in cases.items():
         assert builders.build_spec(spec).order == order, spec
@@ -117,6 +120,19 @@ def test_build_spec_grammar():
                 "prod(z2;)"):
         with pytest.raises(InvalidSpec):
             builders.build_spec(bad)
+
+
+def test_build_spec_refuses_orders_over_the_cap():
+    # the order is known before any element is built, so each refusal is
+    # immediate; 2^14 and 101^2 pass the cap of 10000 by little, and a rank
+    # far beyond it costs no more
+    for spec in ("z10001", "d5001", "z2^14", "prod(z101;z101)",
+                 "q8xz2^11", "z2^99999999999", "wreath(z5;s4@4)"):
+        t0 = time.monotonic()
+        with pytest.raises(BoundExceeded):
+            builders.build_spec(spec)
+        assert time.monotonic() - t0 < 1, spec
+    assert builders.build_spec("z2^13").order == 8192
 
 
 def test_catalog():

@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from cca import builders, cli
 from cca.cli import main
@@ -102,12 +105,12 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, ["no-such-command"])[0] == 64
     assert run(capsys, ["check", "z6"])[0] == 64           # missing --set
     assert run(capsys, ["reproduce", "no-such-example"])[0] == 64
-    code, _, err = run(capsys, ["enumerate", "agl17", "--mode", "full"])
-    assert code == 64 and "--slow" in err
     # options that were removed
     for argv, option in ((["enumerate", "f21", "--jobs", "2"], "--jobs"),
                          (["reproduce", "prop56-f21", "--jobs", "2"], "--jobs"),
-                         (["reproduce", "prop56-agl17", "--slow"], "--slow")):
+                         (["reproduce", "prop56-agl17", "--slow"], "--slow"),
+                         (["enumerate", "f21", "--mode", "full"], "--mode"),
+                         (["enumerate", "agl17", "--slow"], "--slow")):
         code, _, err = run(capsys, argv)
         assert code == 64 and option in err, argv
 
@@ -122,6 +125,9 @@ def test_precondition_errors_exit_2(capsys):
     assert run(capsys, ["check", "z6", "--set", "2,4"])[0] == 2
     # unparsable group spec
     assert run(capsys, ["group", "build", "zz9"])[0] == 2
+    # a group over the order cap, refused before it is built
+    code, _, err = run(capsys, ["group", "build", "z10001"])
+    assert code == 2 and "cap 10000" in err
 
 
 def test_unknown_label_exit_2(capsys):
@@ -160,7 +166,7 @@ def test_closed_stdout_exits_141_quietly():
 
 
 def test_enumerate_f21(capsys):
-    code, out, _ = run(capsys, ["enumerate", "f21", "--mode", "full"])
+    code, out, _ = run(capsys, ["enumerate", "f21"])
     assert code == 0
     d = json.loads(out)
     assert d["scanned"] == 1024
@@ -168,3 +174,24 @@ def test_enumerate_f21(capsys):
     code, out, _ = run(capsys, ["enumerate", "f21", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[0] == "representative,orbit_size,autc_order"
+
+
+def test_readme_synopsis_lists_every_option():
+    # the README's "Command line" synopsis names each subcommand and exactly
+    # the options the parser defines for it, so a removed option cannot
+    # linger there
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    synopsis = readme.split("## Command line\n", 1)[1] \
+        .split("```\n", 2)[1]
+    listed = {}
+    for line in synopsis.splitlines():
+        if line.startswith("cca "):
+            command = line.split()[1]
+            listed[command] = set()
+        listed[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {opt for a in p._actions for opt in a.option_strings
+                      if opt.startswith("--") and opt != "--help"}
+               for name, p in sub.choices.items()}
+    assert listed == defined

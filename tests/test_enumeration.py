@@ -8,18 +8,19 @@ import numpy as np
 import pytest
 
 from cca import builders
-from cca.engine import autc_stabiliser
-from cca.errors import InvalidSpec
+from cca.engine import autc_stabiliser, fast_cca_verdict
+from cca.errors import InvalidSpec, NotConnected
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, bfs_tree
 from cca.perms import identity
 from cca.structure import (_canonical_blocks, _mask_conn, _mask_tables,
                            _or_tables, _orbit_sizes, _representatives,
                            _settled, _subgroup_masks, _unit_action,
-                           _unit_products, _verdict, canonical_sets,
+                           _unit_products, canonical_sets,
                            enumerate_connection_sets)
 
-from conftest import group_pool, reference_unit_action, subset_class_count
+from conftest import (group_pool, reference_subset_verdicts,
+                      reference_unit_action, subset_class_count)
 
 
 def _canonical_masks(k, tables):
@@ -143,7 +144,10 @@ def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
         conn = _mask_conn(m, units)
         order, _ = bfs_tree(n, conn, {s: table[s] for s in conn})
         assert c == sum({1 << unit_of[v] for v, _, _ in order}), m
-        verdict = _verdict(n, table, inv, conn)
+        try:
+            verdict = fast_cca_verdict(n, table, inv, conn)
+        except NotConnected:
+            verdict = None
         assert (verdict is not None) == (c == (1 << k) - 1), m
         if f:
             assert verdict == "CCA", m
@@ -291,20 +295,39 @@ def test_propagation_on_f21xz2_classes():
 def test_enumerate_rejects_unknown_inputs():
     with pytest.raises(InvalidSpec):
         enumerate_connection_sets("z6")
-    with pytest.raises(InvalidSpec):
-        enumerate_connection_sets("f21", mode="quick")
+    for mode in ("quick", "full"):
+        with pytest.raises(InvalidSpec):
+            enumerate_connection_sets("f21", mode=mode)
 
 
-def test_enumerate_f21_modes_agree():
-    pruned = enumerate_connection_sets("f21", mode="canonical-pruned")
-    full = enumerate_connection_sets("f21", mode="full")
-    assert pruned.scanned == full.scanned == 1024
-    assert pruned.orbit_size_sum == pruned.scanned
-    assert pruned.to_json_dict() == full.to_json_dict()
+def test_enumerate_f21_against_every_subset():
+    # the per-subset oracle: on each of the 1024 subsets, connectivity and
+    # the verdict are those of its class, and the classes, the connected
+    # subsets and the NonCCA classes with their sizes are the enumeration's
+    G = builders.f21()
+    least, verdicts = reference_subset_verdicts(G, builders.agl17())
+    classes = {}
+    for c, v in zip(least, verdicts):
+        classes.setdefault(c, set()).add(v)
+    assert all(len(vs) == 1 for vs in classes.values())
+    rep = enumerate_connection_sets("f21")
+    assert rep.scanned == len(verdicts) == 1024
+    assert rep.orbit_size_sum == rep.scanned
+    assert rep.class_count == len(classes)
+    assert rep.connected_count == sum(v is not None for v in verdicts)
+    units = colour_units(G, range(1, G.order))
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    non_cca = {}
+    for cls in rep.non_cca_classes:
+        m = sum({1 << unit_of[s] for s in cls["representative_indices"]})
+        non_cca[least[m]] = cls["orbit_size"]
+    assert non_cca == {c: least.count(c) for c, vs in classes.items()
+                       if vs == {"NonCCA"}}
+    assert len(non_cca) == 1
 
 
 def test_enumerate_f21_report_content():
-    rep = enumerate_connection_sets("f21", mode="full")
+    rep = enumerate_connection_sets("f21")
     # disconnected subsets: the 8 inside the order-7 subgroup (3 units,
     # empty included) and the 7 single order-3 pairs
     assert rep.connected_count == 1024 - 15

@@ -149,18 +149,18 @@ def test_no_unread_attributes():
     assert not unread, unread
 
 
-def test_no_unset_defaults():
-    # every defaulted parameter of a package function is set, by keyword or
-    # by position, by some call in src/, tests/ or bench/: a default that no
-    # caller overrides is a constant.  Calls are matched by the called name;
-    # a call of a class counts for its __init__, and *args or **kwargs in a
-    # call count as setting every parameter, except where they only forward
-    # the enclosing function's own *args or **kwargs: such a wrapper sets
-    # what its own callers set, which the scan cannot follow
+def _default_settings():
+    """(function, parameter, sets) for every defaulted parameter of a package
+    function, where sets holds, for each call of it in src/, tests/ or
+    bench/, whether that call sets the parameter, by keyword or by position.
+    Calls are matched by the called name; a call of a class counts for its
+    __init__, and *args or **kwargs in a call count as setting every
+    parameter, except where they only forward the enclosing function's own
+    *args or **kwargs: such a wrapper sets what its own callers set, which
+    the scan cannot follow."""
     src = Path(cca.__file__).resolve().parent
     root = src.parent.parent
-    npos: dict[str, float] = {}
-    keywords: dict[str, set] = {}
+    calls: dict[str, list] = {}
     for top in ("src", "tests", "bench"):
         for path in sorted((root / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
@@ -188,11 +188,9 @@ def test_no_unset_defaults():
                 n = len(args)
                 if any(isinstance(a, ast.Starred) for a in args):
                     n = float("inf")
-                npos[name] = max(npos.get(name, 0), n)
-                kw = keywords.setdefault(name, set())
-                kw.update(k.arg or "**" for k in node.keywords
-                          if k.arg or not forwarded(k.value))
-    unset = []
+                kw = {k.arg or "**" for k in node.keywords
+                      if k.arg or not forwarded(k.value)}
+                calls.setdefault(name, []).append((n, kw))
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         methods = {}
@@ -205,13 +203,25 @@ def test_no_unset_defaults():
             name = methods[id(fn)] if fn.name == "__init__" else fn.name
             # positions count the arguments a caller passes: not self
             args = [a.arg for a in fn.args.args][id(fn) in methods:]
-            kw = keywords.get(name, set())
             for pos in range(len(args) - len(fn.args.defaults), len(args)):
-                if args[pos] not in kw and "**" not in kw and \
-                        npos.get(name, 0) <= pos:
-                    unset.append(
-                        f"{path.name}:{fn.lineno}: {fn.name}({args[pos]})")
+                sets = [n > pos or args[pos] in kw or "**" in kw
+                        for n, kw in calls.get(name, [])]
+                yield f"{path.name}:{fn.lineno}: {fn.name}({args[pos]})", sets
+
+
+def test_no_unset_defaults():
+    # every defaulted parameter of a package function is set by some call:
+    # a default that no caller overrides is a constant
+    unset = [where for where, sets in _default_settings() if not any(sets)]
     assert not unset, unset
+
+
+def test_no_always_set_defaults():
+    # no defaulted parameter of a package function is set by every call of
+    # it: a default that every caller overrides is never used
+    always = [where for where, sets in _default_settings()
+              if sets and all(sets)]
+    assert not always, always
 
 
 def test_no_unused_imports():
