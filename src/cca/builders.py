@@ -19,16 +19,25 @@ from .groups import DEFAULT_CAP, FiniteGroup, close_generators
 from .perms import Perm, pinv, pmul, ppow
 
 
-def _bound(factor_orders, what: str) -> None:
-    """BoundExceeded, before any element is built, when the product of the
-    factor orders passes DEFAULT_CAP; the product stops growing there, so a
-    huge rank costs no huge integer."""
+def _order(factor_orders) -> int:
+    """The product of the factor orders, or DEFAULT_CAP + 1 once it passes
+    DEFAULT_CAP: the product stops growing there, so a huge rank costs no
+    huge integer."""
     order = 1
     for m in factor_orders:
         order *= m
         if order > DEFAULT_CAP:
-            raise BoundExceeded(f"{what}: group order exceeds cap "
-                                f"{DEFAULT_CAP}")
+            return DEFAULT_CAP + 1
+    return order
+
+
+def _bound(factor_orders, what: str) -> int:
+    """The product of the factor orders; BoundExceeded, before any element
+    is built, when it passes DEFAULT_CAP."""
+    order = _order(factor_orders)
+    if order > DEFAULT_CAP:
+        raise BoundExceeded(f"{what}: group order exceeds cap {DEFAULT_CAP}")
+    return order
 
 
 def _from_table(items, mult, ident, gen_items, label_fn, meta=None) -> FiniteGroup:
@@ -431,62 +440,86 @@ def build_spec(text: str) -> FiniteGroup:
       | prod(<spec>;<spec>;...)
       | dih(<spec>) | dic(<spec>;y=<label>)
       | wreath(<spec>;<spec>@<m>)
-    """
+
+    A product, power or wreath spec whose order passes DEFAULT_CAP is
+    refused before any of its factors is built."""
+    return parse_spec(text)[1]()
+
+
+def _named(G: FiniteGroup, text: str) -> FiniteGroup:
+    G.meta["spec"] = text
+    return G
+
+
+def parse_spec(text: str):
+    """(order, build) for a GroupSpec: the order of its group, read from the
+    text alone (DEFAULT_CAP + 1 for s<n> past the cap), and a function of no
+    arguments that builds the group.  BoundExceeded where build_spec would
+    refuse the order."""
     text = text.strip()
     if not text:
         raise InvalidSpec("empty group spec")
-    simple = {"q8": quaternion8, "f21": f21, "agl17": agl17,
-              "psl27": psl27, "pgl27": pgl27, "f21xz2": f21xz2}
+    simple = {"q8": (8, quaternion8), "f21": (21, f21), "agl17": (42, agl17),
+              "psl27": (168, psl27), "pgl27": (336, pgl27),
+              "f21xz2": (42, f21xz2)}
     if text in simple:
-        return simple[text]()
+        return simple[text]
     if text.startswith("z2^"):
         n = _int(text[3:])
-        _bound(repeat(2, n), text)
-        G = (direct_product(*[cyclic(2) for _ in range(n)]) if n > 1
-             else cyclic(2 ** n))
-        G.meta["spec"] = text
-        return G
+        return _bound(repeat(2, n), text), lambda: _named(
+            direct_product(*[cyclic(2) for _ in range(n)]) if n > 1
+            else cyclic(2 ** n), text)
     if text.startswith("q8xz2^"):
-        G = q8_times_z2(_int(text[6:]))
-        G.meta["spec"] = text
-        return G
+        n = _int(text[6:])
+        return (_bound(chain([8], repeat(2, n)), text),
+                lambda: _named(q8_times_z2(n), text))
     if text[0] == "z" and text[1:].isdigit():
-        return cyclic(int(text[1:]))
+        n = int(text[1:])
+        return n, lambda: cyclic(n)
     if text[0] == "d" and text[1:].isdigit():
-        return dihedral(int(text[1:]))
+        n = int(text[1:])
+        return 2 * n, lambda: dihedral(n)
     if text[0] == "s" and text[1:].isdigit():
-        return symmetric(int(text[1:]))
+        n = int(text[1:])
+        return _order(range(1, n + 1)), lambda: symmetric(n)
     if text.startswith("prod(") and text.endswith(")"):
-        parts = split_top_level(text[5:-1], ";")
-        G = direct_product(*[build_spec(p) for p in parts])
-        G.meta["spec"] = text
-        return G
+        parts = [parse_spec(p) for p in split_top_level(text[5:-1], ";")]
+        return (_bound([order for order, _ in parts], text),
+                lambda: _named(direct_product(*[b() for _, b in parts]),
+                               text))
     if text.startswith("dih(") and text.endswith(")"):
-        G = generalized_dihedral(build_spec(text[4:-1]))
-        G.meta["spec"] = text
-        return G
+        order, build = parse_spec(text[4:-1])
+        return (_bound([2, order], text),
+                lambda: _named(generalized_dihedral(build()), text))
     if text.startswith("dic(") and text.endswith(")"):
         parts = split_top_level(text[4:-1], ";")
-        A = build_spec(parts[0])
-        y = None
-        if len(parts) > 1:
-            if not parts[1].startswith("y="):
-                raise InvalidSpec("dic second argument must be y=<label>")
-            y = A.label_index(parts[1][2:])
-        G = generalized_dicyclic(A, y)
-        G.meta["spec"] = text
-        return G
+        order, build = parse_spec(parts[0])
+        if len(parts) > 1 and not parts[1].startswith("y="):
+            raise InvalidSpec("dic second argument must be y=<label>")
+
+        def dic():
+            A = build()
+            y = A.label_index(parts[1][2:]) if len(parts) > 1 else None
+            return _named(generalized_dicyclic(A, y), text)
+        return _bound([2, order], text), dic
     if text.startswith("wreath(") and text.endswith(")"):
         parts = split_top_level(text[7:-1], ";")
         if len(parts) != 2 or "@" not in parts[1]:
             raise InvalidSpec("wreath(<spec>;<spec>@<m>)")
         hspec, mtxt = parts[1].rsplit("@", 1)
-        H = build_spec(hspec)
-        if H.degree != _int(mtxt):
-            raise InvalidSpec(f"{hspec} does not act on {mtxt} points")
-        X = wreath_product(build_spec(parts[0]), H)
-        X.meta["spec"] = text
-        return X
+        m = _int(mtxt)
+        (gorder, gbuild), (horder, hbuild) = map(parse_spec, (parts[0], hspec))
+        # 2^b passes DEFAULT_CAP for b its bit length, and |G|^m = |G| for
+        # |G| <= 1 and m >= 1, so the exponent need not grow past b
+        b = DEFAULT_CAP.bit_length()
+        order = _bound(chain([horder], repeat(gorder, min(m, b))), text)
+
+        def wreath():
+            H = hbuild()
+            if H.degree != m:
+                raise InvalidSpec(f"{hspec} does not act on {mtxt} points")
+            return _named(wreath_product(gbuild(), H), text)
+        return order, wreath
     raise InvalidSpec(f"cannot parse group spec {text!r}")
 
 

@@ -16,8 +16,8 @@ from . import builders, recipes
 from .engine import autc_group
 from .errors import CCAError
 from .graphs import ColouredCayleyGraph, to_dot, to_json_dict
-from .structure import (ENUMERATION_BASES, decompose_structure,
-                        enumerate_connection_sets, reduction_gamma_prime)
+from .structure import (decompose_structure, enumerate_connection_sets,
+                        reduction_gamma_prime)
 
 USAGE_EXIT = 64
 BROKEN_PIPE_EXIT = 141
@@ -93,7 +93,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    rep = enumerate_connection_sets(args.base)
+    rep = enumerate_connection_sets(args.spec)
     if args.format == "csv":
         sys.stdout.write(rep.to_csv())
     else:
@@ -135,7 +135,7 @@ def _build_parser() -> _Parser:
 
     e = sub.add_parser("enumerate",
                        help="classify connection sets up to automorphism")
-    e.add_argument("base", choices=ENUMERATION_BASES)
+    e.add_argument("spec", metavar="SPEC")
     e.add_argument("--format", choices=["json", "csv"], default="json")
     e.set_defaults(fn=_cmd_enumerate)
     return p

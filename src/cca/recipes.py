@@ -146,21 +146,9 @@ def thm45_sweep() -> dict:
             "all_match": all(r["match"] for r in rows)}
 
 
-def prop56_f21() -> dict:
-    rep = enumerate_connection_sets("f21")
-    return {"example": "prop56-f21", **rep.to_json_dict(),
-            "class_count": len(rep.non_cca_classes)}
-
-
-def prop56_agl17() -> dict:
-    rep = enumerate_connection_sets("agl17")
-    return {"example": "prop56-agl17", "mode": "canonical-pruned",
-            **rep.to_json_dict(), "class_count": len(rep.non_cca_classes)}
-
-
-def prop56_f21xz2() -> dict:
-    rep = enumerate_connection_sets("f21xz2")
-    return {"example": "prop56-f21xz2", **rep.to_json_dict(),
+def _prop56(base: str) -> dict:
+    rep = enumerate_connection_sets(base)
+    return {"example": f"prop56-{base}", **rep.to_json_dict(),
             "class_count": len(rep.non_cca_classes)}
 
 
@@ -199,9 +187,9 @@ RECIPES = {
     "agl17-subdivision": agl17_subdivision,
     "wreath-demo": wreath_demo,
     "thm45-sweep": thm45_sweep,
-    "prop56-f21": prop56_f21,
-    "prop56-agl17": prop56_agl17,
-    "prop56-f21xz2": prop56_f21xz2,
+    "prop56-f21": lambda: _prop56("f21"),
+    "prop56-agl17": lambda: {**_prop56("agl17"), "mode": "canonical-pruned"},
+    "prop56-f21xz2": lambda: _prop56("f21xz2"),
     "thm51-decompose": thm51_decompose,
     "prop53-roundtrip": prop53_roundtrip,
 }

@@ -1,8 +1,9 @@
 """Structure theory for non-CCA graphs on Sylow cyclic groups of order not
 divisible by four: the (T x J) x| R decomposition of the colour-preserving
 group, the reduction to a graph on F x| R, the converse assembly, and the
-exhaustive classification of non-CCA connection sets on F21, AGL(1,7) and
-F21 x Z2.
+exhaustive classification of connection sets on any GroupSpec within the
+enumeration's bounds, up to Aut(G); F21, AGL(1,7) and F21 x Z2 are the
+worked examples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import builders
 from .engine import AutcResult, autc_group, fast_cca_verdict
-from .errors import (DecompositionNotFound, HypothesesNotMet,
+from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from .groups import (FiniteGroup, are_isomorphic, automorphisms,
@@ -302,9 +303,6 @@ def canonical_sets() -> dict:
 
 # -- exhaustive enumeration -------------------------------------------------
 
-ENUMERATION_BASES = ("f21", "agl17", "f21xz2")
-
-
 @dataclass
 class EnumerationReport:
     base: str
@@ -344,6 +342,24 @@ def _unit_action(G: FiniteGroup, units):
                    for phi in automorphisms(G)})
 
 
+def _class_count(ws) -> int:
+    """The number of classes of masks under the unit permutations ws, a
+    group W, by the orbit-counting lemma: the mean over w in W of
+    2^(number of cycles of w)."""
+    total = 0
+    for w in ws:
+        seen = [False] * len(w)
+        cycles = 0
+        for i in range(len(w)):
+            cycles += not seen[i]
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = w[j]
+        total += 1 << cycles
+    return total // len(ws)
+
+
 _BLOCK = 1 << 16              # masks per block of the canonical-form scan
 _SIGN_BLOCK = 1 << 15         # (s, q, s2, t) entries per block of _sign_tables
 
@@ -355,12 +371,11 @@ def _or_tables(k: int, images):
     Each table doubles from the empty mask: tab[2^i + x] = tab[x] | the
     image of bit i.  An image may be an array of masks, and then so is each
     table entry."""
-    dtype = np.int64 if k > 30 else np.int32
     kl = k // 2
     shape = np.shape(images[0])
 
     def table(imgs):
-        tab = np.zeros((1 << len(imgs),) + shape, dtype=dtype)
+        tab = np.zeros((1 << len(imgs),) + shape, dtype=np.int32)
         for i, b in enumerate(imgs):
             np.bitwise_or(tab[:1 << i], b, out=tab[1 << i:2 << i])
         return tab
@@ -381,14 +396,13 @@ def _canonical_blocks(k: int, tables):
     least image of the mask first + i under the unit permutations given by
     their _mask_tables.  Each w costs one outer OR per block into a buffer
     that all w share, so no array of 2^k entries is held."""
-    dtype = np.int64 if k > 30 else np.int32
     kl = k // 2
     nrows = 1 << (k - kl)
     step = max(1, _BLOCK >> kl)
     for h0 in range(0, nrows, step):
         h1 = min(h0 + step, nrows)
         canon = np.arange(h0 << kl, h1 << kl,
-                          dtype=dtype).reshape(h1 - h0, 1 << kl)
+                          dtype=np.int32).reshape(h1 - h0, 1 << kl)
         image = np.empty_like(canon)
         for hightab, lowtab in tables:
             np.bitwise_or(hightab[h0:h1, None], lowtab, out=image)
@@ -597,13 +611,26 @@ def _mask_conn(mask: int, units) -> list[int]:
     return sorted(conn)
 
 
+_MAX_UNITS = 24        # k of agl17, the largest base a shipped command runs
+_MAX_CLASSES = 500_000  # Z42's 355200 classes pass, Z49's 798960 do not
+
+
 def enumerate_connection_sets(
         base: str, mode: str = "canonical-pruned") -> EnumerationReport:
-    """Classify inverse-closed connection sets on the base group by the CCA
-    verdict, up to Aut(G): an automorphism phi maps Cay(G, S) onto
-    Cay(G, phi(S)) preserving colours, so the verdict is constant on each
-    class.  On these bases Aut(G) induces on G exactly the conjugations by
-    AGL(1,7), or by AGL(1,7) x Z2 for f21xz2.
+    """Classify inverse-closed connection sets on the group the GroupSpec
+    base names by the CCA verdict, up to Aut(G): an automorphism phi maps
+    Cay(G, S) onto Cay(G, phi(S)) preserving colours, so the verdict is
+    constant on each class.  The classes are the orbits of Aut(G) on the
+    sets of colour units (_unit_action).
+
+    The work is bounded before it starts, with BoundExceeded.  The k colour
+    units of G hold its n - 1 other elements, at most two each, so
+    k >= (n - 1) / 2: an order over 2 * _MAX_UNITS + 1 is refused before G
+    is built, and k over _MAX_UNITS before Aut(G) is computed.  A class
+    count over _MAX_CLASSES, read from the orbit-counting lemma, is refused
+    before any array of 2^k masks: Z49 (k = 24) has 798960 classes, and
+    enumerating them took 231 s and 1.1 GB peak RSS in one run on a 2-core
+    Xeon, nearly all of it in the engine.
 
     Each class is represented by the numerically least mask in it, and the
     classes are decided in bulk, over numpy arrays of those masks.  A class
@@ -650,13 +677,21 @@ def enumerate_connection_sets(
     accepts only "canonical-pruned", the name callers give this path."""
     if mode != "canonical-pruned":
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
-    if base not in ENUMERATION_BASES:
-        raise InvalidSpec(f"unknown enumeration base {base!r}")
-    G = builders.build_spec(base)
-    n = G.order
+    n, build = builders.parse_spec(base)
+    if n > 2 * _MAX_UNITS + 1:
+        raise BoundExceeded(f"{base}: order over {2 * _MAX_UNITS + 1}, so "
+                            f"more than {_MAX_UNITS} colour units")
+    G = build()
     units = colour_units(G, range(1, n))
     k = len(units)
-    tables = _mask_tables(k, _unit_action(G, units))
+    if k > _MAX_UNITS:
+        raise BoundExceeded(f"{base}: {k} colour units, more than "
+                            f"{_MAX_UNITS}")
+    ws = _unit_action(G, units)
+    if _class_count(ws) > _MAX_CLASSES:
+        raise BoundExceeded(f"{base}: {_class_count(ws)} classes, more "
+                            f"than {_MAX_CLASSES}")
+    tables = _mask_tables(k, ws)
     reps = _representatives(k, tables)
     sizes = _orbit_sizes(k, tables, reps)
     connected = _subgroup_masks(n, k, _unit_products(G, units),

@@ -225,15 +225,16 @@ def stabiliser_shape_allowed(stab, degree: int) -> bool:
     return True
 
 
-def subset_class_count(G: FiniteGroup, Amb: FiniteGroup) -> int:
-    """Orbits of Amb's conjugation action on sets of colour units of G, by the
-    orbit-counting lemma: the mean over a in Amb of 2^c(a), c(a) the number
-    of cycles in which a permutes the units."""
+def burnside_class_count(G: FiniteGroup, maps) -> int:
+    """Orbits of a group of automorphisms of G, each given as a map of
+    element indices, on sets of colour units of G, by the orbit-counting
+    lemma: the mean over the maps a of 2^c(a), c(a) the number of cycles in
+    which a permutes the units."""
     units = colour_units(G, range(1, G.order))
     unit_of = {s: i for i, u in enumerate(units) for s in u}
     total = 0
-    for a in Amb.elements:
-        w = [unit_of[G.index[pconj(G.elements[u[0]], a)]] for u in units]
+    for a in maps:
+        w = [unit_of[a[u[0]]] for u in units]
         seen = [False] * len(w)
         c = 0
         for i in range(len(w)):
@@ -244,29 +245,74 @@ def subset_class_count(G: FiniteGroup, Amb: FiniteGroup) -> int:
                     seen[j] = True
                     j = w[j]
         total += 2 ** c
-    assert total % Amb.order == 0
-    return total // Amb.order
+    assert total % len(maps) == 0
+    return total // len(maps)
 
 
-def reference_unit_action(G: FiniteGroup, Amb: FiniteGroup, units):
-    """The distinct permutations of the unit list induced by conjugation by
-    every element of an ambient group Amb normalising G, sorted."""
+def conjugation_maps(G: FiniteGroup, Amb: FiniteGroup):
+    """The maps of G's element indices induced by conjugation by every
+    element of an ambient group Amb normalising G."""
+    return [[G.index[pconj(p, a)] for p in G.elements] for a in Amb.elements]
+
+
+def subset_class_count(G: FiniteGroup, Amb: FiniteGroup) -> int:
+    """Orbits of Amb's conjugation action on sets of colour units of G."""
+    return burnside_class_count(G, conjugation_maps(G, Amb))
+
+
+def brute_force_automorphisms(G: FiniteGroup):
+    """Aut(G), each automorphism as a list of element indices, by brute
+    force.  Generators are taken greedily, highest order first, until they
+    span G; every choice of same-order images defines a map along the BFS
+    tree of the spanning, kept when it is a bijection that respects every
+    entry of G.table.  Shares no code with groups.isomorphisms."""
+    n, table, orders = G.order, G.table, G.element_orders
+    gens, tree, reached = [], [], [0]
+    for g in sorted(range(n), key=lambda g: -orders[g]):
+        if g in reached:
+            continue
+        gens.append(g)
+        tree, reached = [], [0]
+        for x in reached:
+            for i, h in enumerate(gens):
+                y = table[x][h]
+                if y not in reached:
+                    reached.append(y)
+                    tree.append((y, x, i))
+    auts = []
+    for imgs in itertools.product(*[[h for h in range(n)
+                                     if orders[h] == orders[g]]
+                                    for g in gens]):
+        phi = [0] * n
+        for y, x, i in tree:
+            phi[y] = table[phi[x]][imgs[i]]
+        if len(set(phi)) == n and all(phi[table[x][y]] == table[phi[x]][phi[y]]
+                                      for x in range(n) for y in range(n)):
+            auts.append(phi)
+    return auts
+
+
+def unit_permutations(G: FiniteGroup, maps):
+    """The distinct permutations of G's colour units induced by the maps of
+    element indices, sorted."""
+    units = colour_units(G, range(1, G.order))
     unit_of = {s: i for i, u in enumerate(units) for s in u}
-    ws = set()
-    for a in Amb.elements:
-        cg = [G.index[pconj(p, a)] for p in G.elements]
-        ws.add(tuple(unit_of[cg[u[0]]] for u in units))
-    return sorted(ws)
+    return sorted({tuple(unit_of[a[u[0]]] for u in units) for a in maps})
 
 
-def reference_subset_verdicts(G: FiniteGroup, Amb: FiniteGroup):
+def reference_unit_action(G: FiniteGroup, Amb: FiniteGroup):
+    """The distinct permutations of G's colour units induced by conjugation
+    by every element of an ambient group Amb normalising G, sorted."""
+    return unit_permutations(G, conjugation_maps(G, Amb))
+
+
+def reference_subset_verdicts(G: FiniteGroup, ws):
     """(least, verdicts) over every mask m of G's colour units, each mask
     standing for the union of its units: verdicts[m] is fast_cca_verdict on
     that set, run subset by subset, or None where it does not generate G;
     least[m] names m's class, the least image of m under the unit
-    permutations of reference_unit_action(G, Amb, units)."""
+    permutations ws."""
     units = colour_units(G, range(1, G.order))
-    ws = reference_unit_action(G, Amb, units)
     k = len(units)
     least, verdicts = [], []
     for m in range(1 << k):

@@ -116,6 +116,7 @@ def test_build_spec_grammar():
     }
     for spec, order in cases.items():
         assert builders.build_spec(spec).order == order, spec
+        assert builders.parse_spec(spec)[0] == order, spec
     for bad in ("zz", "dic(z5)", "wreath(z3;z2@3)", "prod()", "dic(z4;3)",
                 "prod(z2;)"):
         with pytest.raises(InvalidSpec):
@@ -124,10 +125,11 @@ def test_build_spec_grammar():
 
 def test_build_spec_refuses_orders_over_the_cap():
     # the order is known before any element is built, so each refusal is
-    # immediate; 2^14 and 101^2 pass the cap of 10000 by little, and a rank
-    # far beyond it costs no more
+    # immediate; 2^14 and 101^2 pass the cap of 10000 by little, a rank far
+    # beyond it costs no more, and no factor of a refused spec is built
     for spec in ("z10001", "d5001", "z2^14", "prod(z101;z101)",
-                 "q8xz2^11", "z2^99999999999", "wreath(z5;s4@4)"):
+                 "q8xz2^11", "z2^99999999999", "wreath(z5;s4@4)",
+                 "dih(z5001)", "dic(z5002)", "prod(z9999;z2)"):
         t0 = time.monotonic()
         with pytest.raises(BoundExceeded):
             builders.build_spec(spec)

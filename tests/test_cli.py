@@ -4,12 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from cca import builders, cli
+from cca import builders, cli, structure
 from cca.cli import main
 from cca.engine import autc_group
 from cca.graphs import ColouredCayleyGraph
+from cca.structure import enumerate_connection_sets
+
+from conftest import brute_force_automorphisms, burnside_class_count
 
 
 def run(capsys, argv):
@@ -174,6 +178,39 @@ def test_enumerate_f21(capsys):
     code, out, _ = run(capsys, ["enumerate", "f21", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[0] == "representative,orbit_size,autc_order"
+
+
+def test_enumerate_any_spec(capsys):
+    # Z6 has 8 classes of unit sets under Aut(Z6) = {1, -1}, the same
+    # number the orbit-counting lemma gives over Aut(Z6) found by brute force
+    code, out, _ = run(capsys, ["enumerate", "z6"])
+    assert code == 0
+    rep = enumerate_connection_sets("z6")
+    assert json.loads(out) == rep.to_json_dict()
+    G = builders.build_spec("z6")
+    assert rep.class_count == burnside_class_count(
+        G, brute_force_automorphisms(G)) == 8
+
+
+def test_enumerate_refusals_exit_2_at_once(capsys, monkeypatch):
+    # an order over 49, k over 24 (Aut(Z2^5) has about 10^7 elements) and
+    # more than 500000 classes (Z49 has 798960) are each refused before the
+    # work they bound: the order refusal builds no group, the k refusal
+    # computes no automorphism and the class refusal scans no mask
+    def refuse(*args):
+        raise RuntimeError("the refusal came too late")
+
+    for spec, reason, late in (("z9999", "order over 49", "cyclic"),
+                               ("z2^5", "31 colour units", "automorphisms"),
+                               ("z49", "798960 classes",
+                                "_canonical_blocks")):
+        with monkeypatch.context() as m:
+            m.setattr(builders if late == "cyclic" else structure, late,
+                      refuse)
+            t0 = time.monotonic()
+            code, out, err = run(capsys, ["enumerate", spec])
+            assert time.monotonic() - t0 < 1, spec
+        assert (code, out) == (2, "") and reason in err, (spec, err)
 
 
 def test_readme_synopsis_lists_every_option():

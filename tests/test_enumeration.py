@@ -19,8 +19,10 @@ from cca.structure import (_canonical_blocks, _mask_conn, _mask_tables,
                            _unit_products, canonical_sets,
                            enumerate_connection_sets)
 
-from conftest import (group_pool, reference_subset_verdicts,
-                      reference_unit_action, subset_class_count)
+from conftest import (brute_force_automorphisms, burnside_class_count,
+                      group_pool, reference_subset_verdicts,
+                      reference_unit_action, subset_class_count,
+                      unit_permutations)
 
 
 def _canonical_masks(k, tables):
@@ -61,7 +63,7 @@ def test_unit_action_matches_ambient_conjugation(base, amb):
     units = colour_units(G, range(1, G.order))
     ws = _unit_action(G, units)
     assert len(ws) == 42
-    assert ws == reference_unit_action(G, getattr(builders, amb)(), units)
+    assert ws == reference_unit_action(G, getattr(builders, amb)())
 
 
 def test_canonical_masks_against_direct_minimum():
@@ -293,29 +295,51 @@ def test_propagation_on_f21xz2_classes():
 
 
 def test_enumerate_rejects_unknown_inputs():
-    with pytest.raises(InvalidSpec):
-        enumerate_connection_sets("z6")
     for mode in ("quick", "full"):
         with pytest.raises(InvalidSpec):
             enumerate_connection_sets("f21", mode=mode)
 
 
-def test_enumerate_f21_against_every_subset():
-    # the per-subset oracle: on each of the 1024 subsets, connectivity and
-    # the verdict are those of its class, and the classes, the connected
-    # subsets and the NonCCA classes with their sizes are the enumeration's
-    G = builders.f21()
-    least, verdicts = reference_subset_verdicts(G, builders.agl17())
+@pytest.mark.parametrize("spec", ["z6", "z15", "z21", "d7", "dih(z9)",
+                                  "prod(z3;d5)", "q8xz2^1", "prod(z4;z4)"])
+def test_class_count_against_brute_force_automorphisms(spec):
+    # the classes are the Aut(G) orbits: their number is the orbit-counting
+    # mean over Aut(G) found by brute force, and their sizes add up to 2^k
+    G = builders.build_spec(spec)
+    rep = enumerate_connection_sets(spec)
+    assert rep.class_count == burnside_class_count(
+        G, brute_force_automorphisms(G))
+    assert rep.orbit_size_sum == rep.scanned
+
+
+def _check_against_every_subset(spec, ws):
+    """The per-subset oracle under the unit permutations ws: on each
+    subset, connectivity and the verdict are those of its class, and every
+    class, with its size, connectivity and verdict, is the enumeration's.
+    Returns the number of NonCCA classes."""
+    G = builders.build_spec(spec)
+    n = G.order
+    least, verdicts = reference_subset_verdicts(G, ws)
     classes = {}
     for c, v in zip(least, verdicts):
         classes.setdefault(c, set()).add(v)
     assert all(len(vs) == 1 for vs in classes.values())
-    rep = enumerate_connection_sets("f21")
-    assert rep.scanned == len(verdicts) == 1024
+    rep = enumerate_connection_sets(spec)
+    assert rep.scanned == len(verdicts)
     assert rep.orbit_size_sum == rep.scanned
     assert rep.class_count == len(classes)
     assert rep.connected_count == sum(v is not None for v in verdicts)
-    units = colour_units(G, range(1, G.order))
+    units = colour_units(G, range(1, n))
+    k = len(units)
+    tables = _mask_tables(k, _unit_action(G, units))
+    reps = _representatives(k, tables)
+    sizes = _orbit_sizes(k, tables, reps).tolist()
+    assert dict(zip(reps.tolist(), sizes)) == {c: least.count(c)
+                                               for c in classes}
+    closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
+    assert {m: c == (1 << k) - 1 for m, c in zip(reps.tolist(),
+                                                   closed.tolist())} \
+        == {c: None not in vs for c, vs in classes.items()}
     unit_of = {s: i for i, u in enumerate(units) for s in u}
     non_cca = {}
     for cls in rep.non_cca_classes:
@@ -323,7 +347,23 @@ def test_enumerate_f21_against_every_subset():
         non_cca[least[m]] = cls["orbit_size"]
     assert non_cca == {c: least.count(c) for c, vs in classes.items()
                        if vs == {"NonCCA"}}
-    assert len(non_cca) == 1
+    return len(non_cca)
+
+
+def test_enumerate_f21_against_every_subset():
+    # the classes under conjugation by AGL(1,7), over all 1024 subsets
+    G = builders.f21()
+    ws = reference_unit_action(G, builders.agl17())
+    assert _check_against_every_subset("f21", ws) == 1
+
+
+@pytest.mark.parametrize("spec, non_cca_count", [("q8xz2^1", 44), ("d7", 0)])
+def test_enumerate_against_every_subset_under_aut(spec, non_cca_count):
+    # off the three worked bases: the classes under Aut(G) found by brute
+    # force, on a group with NonCCA classes and on one without
+    G = builders.build_spec(spec)
+    ws = unit_permutations(G, brute_force_automorphisms(G))
+    assert _check_against_every_subset(spec, ws) == non_cca_count
 
 
 def test_enumerate_f21_report_content():
