@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from cca import builders, recipes
 from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
@@ -19,7 +20,7 @@ from conftest import (assert_decomposition_matches_reference,
                       brute_force_stabiliser, generating_connection_sets,
                       group_pool, is_power_of_two, random_connected_cayley,
                       reference_autc, stabiliser_shape_allowed,
-                      subset_class_count)
+                      subset_class_count, vf2_stabiliser)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,33 @@ def test_f21xz2_classification_eleven_classes():
         assert_decomposition_matches_reference(
             ColouredCayleyGraph(G, cls["representative_indices"]))
     assert time.monotonic() - t0 < 600
+
+
+def test_autc_order_by_schreier_sims(f21_enumeration):
+    # |Aut_c| and the normality of G_R on the named sets and on every NonCCA
+    # class of F21 and F21 x Z2, by a route that shares no code with the
+    # engine: A_1 from VF2, and the group G_R and A_1 generate closed by
+    # sympy's Schreier-Sims.  That group is all of Aut_c, since G_R is
+    # transitive and A_1 is the whole stabiliser of the identity.
+    t0 = time.monotonic()
+    named = canonical_sets()
+    graphs = [ColouredCayleyGraph(*named[name])
+              for name in ("S21", "S42_1", "S42_2")]
+    for G, rep in ((builders.f21(), f21_enumeration),
+                   (builders.f21xz2(), enumerate_connection_sets("f21xz2"))):
+        graphs += [ColouredCayleyGraph(G, cls["representative_indices"])
+                   for cls in rep.non_cca_classes]
+    assert len(graphs) == 15
+    for Gamma in graphs:
+        G = Gamma.group
+        G_R = PermutationGroup([Permutation([G.table[x][g]
+                                             for x in range(G.order)])
+                                for g in range(G.order)])
+        full = PermutationGroup(G_R.generators + [
+            Permutation(list(p)) for p in vf2_stabiliser(Gamma)])
+        assert full.order() == autc_group(Gamma).autc_order
+        assert not G_R.is_normal(full)
+    assert time.monotonic() - t0 < 30
 
 
 def test_agl17_named_sets_and_random_consistency():

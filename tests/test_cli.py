@@ -7,7 +7,7 @@ import sys
 import time
 from pathlib import Path
 
-from cca import builders, cli, structure
+from cca import builders, cli, masks, structure
 from cca.cli import main
 from cca.engine import autc_group
 from cca.graphs import ColouredCayleyGraph
@@ -149,24 +149,62 @@ def test_internal_key_error_exit_1(capsys, monkeypatch):
     assert code == 1 and "internal error" in err
 
 
+def _subprocess_env():
+    """The environment for a fresh interpreter that imports this cca."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_141_quietly():
     """A reader that closes the pipe before the output ends, as
     `cca group build ... | head -c 100` may, gets exit 141 (128 + SIGPIPE)
     and nothing on stderr.  The reader here closes before the first write,
     so every run takes the same path."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "cca.cli", "group", "build",
              "prod(f21;z5;z2)"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(),
+            timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cca
+from cca import cli
+steps = [["import cca", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_only_the_enumeration_loads_numpy():
+    # importing numpy takes about half of a fresh `cca check` process, so
+    # only an enumeration that passes its bounds may load it; one process
+    # runs the steps in order, with the step that loads numpy last
+    steps = [("check q8 --set=-j,j,-k,k", 0, False),
+             ("decompose f21 --set y^2,y^4,x*y^2,x^5*y^4", 0, False),
+             ("cayley z6 --set 1,5", 0, False),
+             ("enumerate z9999", 2, False),
+             ("enumerate z49", 2, False),
+             ("enumerate f21", 0, True)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE,
+         json.dumps([argv.split() for argv, _, _ in steps])],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [tuple(step) for step in json.loads(proc.stdout)] == \
+        [("import cca", None, False), *steps]
 
 
 def test_enumerate_f21(capsys):
@@ -200,13 +238,12 @@ def test_enumerate_refusals_exit_2_at_once(capsys, monkeypatch):
     def refuse(*args):
         raise RuntimeError("the refusal came too late")
 
-    for spec, reason, late in (("z9999", "order over 49", "cyclic"),
-                               ("z2^5", "31 colour units", "automorphisms"),
-                               ("z49", "798960 classes",
-                                "_canonical_blocks")):
+    for spec, reason, module, late in (
+            ("z9999", "order over 49", builders, "cyclic"),
+            ("z2^5", "31 colour units", structure, "automorphisms"),
+            ("z49", "798960 classes", masks, "_canonical_blocks")):
         with monkeypatch.context() as m:
-            m.setattr(builders if late == "cyclic" else structure, late,
-                      refuse)
+            m.setattr(module, late, refuse)
             t0 = time.monotonic()
             code, out, err = run(capsys, ["enumerate", spec])
             assert time.monotonic() - t0 < 1, spec

@@ -13,10 +13,10 @@ from cca.errors import InvalidSpec, NotConnected
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, bfs_tree
 from cca.perms import identity
-from cca.structure import (_canonical_blocks, _mask_conn, _mask_tables,
-                           _or_tables, _orbit_sizes, _representatives,
-                           _settled, _subgroup_masks, _unit_action,
-                           _unit_products, canonical_sets,
+from cca.masks import (_canonical_blocks, _mask_tables, _or_tables,
+                       _orbit_sizes, _representatives, _settled,
+                       _subgroup_masks, _unit_products)
+from cca.structure import (_mask_conn, _unit_action, canonical_sets,
                            enumerate_connection_sets)
 
 from conftest import (brute_force_automorphisms, burnside_class_count,

@@ -17,6 +17,26 @@ def test_no_asserts_in_package():
         assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+def test_only_masks_imports_numpy():
+    # numpy takes about half of a fresh `cca check` process, so it stays
+    # behind the enumeration: cca.masks holds every numpy kernel, and no
+    # other module imports numpy, at module level or inside a function
+    src = Path(cca.__file__).resolve().parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers and all(where.startswith("masks.py:")
+                             for where in importers), importers
+
+
 def _names(paths) -> dict[str, int]:
     """How often each name occurs in the files: as a name, an attribute, an
     imported name or a string (the benchmark's tracer patches by name)."""
