@@ -2,9 +2,7 @@
 under the Aut(G) unit action, class sizes, product closure and sign
 propagation.  structure.enumerate_connection_sets imports this module when it
 starts the work, after its bound checks, so no other command loads numpy.
-
-A mask is a set of colour units, bit i for unit i; masks are held as int32,
-which the enumeration's bound k <= 24 keeps in range.
+A mask is a set of colour units, bit i for unit i.
 """
 
 from __future__ import annotations
