@@ -70,9 +70,11 @@ def cyclic(n: int) -> FiniteGroup:
     _bound([n], f"z{n}")
     if n == 1:
         return FiniteGroup([(0,)], [], labels=["0"])
-    shift = tuple((i + 1) % n for i in range(n))
-    elements = [ppow(shift, k) for k in range(n)]
-    return FiniteGroup(elements, [shift], labels=[str(k) for k in range(n)],
+    # the k-th power of the shift x -> x + 1, by slicing
+    r = tuple(range(n))
+    elements = [r[k:] + r[:k] for k in range(n)]
+    return FiniteGroup(elements, [elements[1]],
+                       labels=[str(k) for k in range(n)],
                        meta={"spec": f"z{n}"})
 
 

@@ -17,7 +17,7 @@ from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      realize_line_graph_as_cayley, subdivision)
-from .groups import FiniteGroup, close_generators, is_subgroup
+from .groups import FiniteGroup, close_generators, generated, is_subgroup
 from .perms import Perm, identity, pconj
 
 
@@ -176,8 +176,7 @@ def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
     nbrs = P.adj[v]
     pos = {u: i for i, u in enumerate(nbrs)}
     induced = {tuple(pos[g[u]] for u in nbrs) for g in A.elements if g[v] == v}
-    return close_generators(sorted(induced), len(nbrs),
-                            cap=len(induced) + 1)
+    return generated(sorted(induced), len(nbrs), cap=len(induced) + 1)
 
 
 def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):
@@ -207,20 +206,29 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
 
     Hypotheses verified: P connected bipartite; G <= H <= Aut(P); G
     edge-regular; the H-orbits on vertices are exactly the biparts; at every
-    vertex the induced local groups coincide or form a complete colour pair.
+    vertex the induced local groups coincide or form a complete colour pair,
+    decided once for each distinct pair of local groups.
 
-    The embedding h -> (action of h on the edges) is checked faithful on
-    every element of H, but colour-preserving on H's generators only, after
-    checking that their images generate exactly the images of H's elements.
-    This is exact: the embedding is a homomorphism and the colour-preserving
-    maps form a group, so they contain all of H once they contain its
-    generators."""
+    H's generators are checked to act on P and to generate H, closed on P's
+    own P.n points; so every element of H acts on P.  The embedding h ->
+    (action of h on the edges) is checked faithful on every element of H,
+    but colour-preserving on H's generators only.  This is exact: the
+    embedding is an injective homomorphism, so the images of H's generators
+    generate the embedded copy H_emb, and the colour-preserving maps form a
+    group, so they contain all of H_emb once they contain those images.  For
+    the same reason H_emb lies in Aut_c iff its generators do."""
     if not P.is_connected():
         raise HypothesisViolated("graph is not connected")
     bip = P.bipartition or P.two_colouring()
     if bip is None:
         raise HypothesisViolated("graph is not bipartite")
     _check_acts(P, H, "H")
+    try:
+        span = close_generators(H.generators, P.n, cap=H.order)
+    except ClosureExceedsCap:
+        span = None
+    if span is None or not is_subgroup(H, span):
+        raise HypothesisViolated("the generators of H do not generate H")
     if not is_subgroup(G, H):
         raise HypothesisViolated("G is not a subgroup of H")
 
@@ -228,12 +236,16 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     if orbits != {frozenset(bip[0]), frozenset(bip[1])}:
         raise HypothesisViolated("H-orbits on vertices are not the biparts")
 
+    is_pair = {}
     for v in range(P.n):
         loc_G = _local_group(P, G, v)
         loc_H = _local_group(P, H, v)
-        if set(loc_G.elements) == set(loc_H.elements):
+        key = (frozenset(loc_G.elements), frozenset(loc_H.elements))
+        if key[0] == key[1]:
             continue
-        if not is_complete_colour_pair(loc_G, loc_H).is_pair:
+        if key not in is_pair:
+            is_pair[key] = is_complete_colour_pair(loc_G, loc_H).is_pair
+        if not is_pair[key]:
             raise HypothesisViolated(
                 f"local pair condition fails at vertex {v}")
 
@@ -253,12 +265,6 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise HypothesisViolated("H does not act faithfully on the edges")
     H_emb = FiniteGroup(emb_elems, [induced(h) for h in H.generators],
                         labels=H.labels)
-    try:
-        span = close_generators(H_emb.generators, Gamma.n, cap=H.order)
-    except ClosureExceedsCap:
-        span = None
-    if span is None or set(span.elements) != set(emb_elems):
-        raise HypothesisViolated("the generators of H do not generate H")
     for g, p in zip(H.generators, H_emb.generators):
         if not is_colour_preserving(Gamma, p):
             raise HypothesisViolated(

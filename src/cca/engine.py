@@ -13,8 +13,9 @@ path: m strong generators, |A_1| = 2^m.  A_1 is closed from them only when
 2^m is within the cap, and listed in the order of a full descent.
 |Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
 automorphism, which holds iff it holds on the generators, and those elements
-form Aut_{+-1}(G, S).  Aut_c itself is closed from G_R and A_1 only on first
-access; the tests check this route against the closure-and-normality route.
+form Aut_{+-1}(G, S).  Membership in Aut_c is decided against A_1 alone;
+Aut_c itself is closed from G_R and A_1 only on first access of full_group,
+and the tests check this route against the closure-and-normality route.
 """
 
 from __future__ import annotations
@@ -167,6 +168,9 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
 
 @dataclass
 class AutcResult:
+    """Aut_c of a connected coloured Cayley graph, held as A_1: its order
+    is n*|A_1|, `p in res` decides membership without closing it, and
+    full_group closes it on first access."""
     graph: ColouredCayleyGraph
     stabiliser: list[Perm]       # A_1, in search order
     aut_pm1: FiniteGroup
@@ -179,12 +183,30 @@ class AutcResult:
         return self.graph.n * len(self.stabiliser)
 
     @cached_property
+    def _stabiliser_set(self) -> frozenset:
+        return frozenset(self.stabiliser)
+
+    def __contains__(self, p: Perm) -> bool:
+        """p in Aut_c, decided without closing Aut_c.  G_R lies in Aut_c and
+        is regular, and A_1 is the whole stabiliser of the identity vertex,
+        so p lies in Aut_c iff p followed by the right translation taking
+        p(1) back to 1, which fixes 1, lies in A_1: the stabiliser membership
+        test (Seress 2003), one pass over p."""
+        G = self.graph.group
+        if len(p) != G.order:
+            return False
+        back = G.right_row(G.inverse[p[0]])
+        return tuple([back[x] for x in p]) in self._stabiliser_set
+
+    @cached_property
     def full_group(self) -> FiniteGroup:
         """All of Aut_c on first access, closed from the generators of G_R
         and of the subgroup the elements of A_1 generate.  That is the group
         that G_R and all of A_1 generate, so the check |Aut_c| = n*|A_1|
         keeps its strength: a stabiliser list that is not closed under
-        products still gives a larger group."""
+        products still gives a larger group.  Membership needs no closure
+        (`p in res`); this serves decompose_structure, which scans every
+        element, and the tests, which compare the two routes."""
         G = self.graph.group
         cap = max(10_000, self.autc_order + 1)
         stab = generated(self.stabiliser, G.order, cap=cap)

@@ -38,6 +38,9 @@ def _heawood_groups():
 
 
 def _result_summary(Gamma, res, embedded=None):
+    """The verdict and orders of res.  With `embedded`, a group that its
+    construction checked to be generated by its generators, also its order
+    and whether it lies in Aut_c, which holds iff its generators do."""
     out = {
         "vertices": Gamma.n,
         "connection_size": len(Gamma.conn),
@@ -48,8 +51,7 @@ def _result_summary(Gamma, res, embedded=None):
     }
     if embedded is not None:
         out["embedded_order"] = embedded.order
-        out["embedded_in_autc"] = all(p in res.full_group.index
-                                      for p in embedded.elements)
+        out["embedded_in_autc"] = all(h in res for h in embedded.generators)
     return out
 
 
@@ -67,8 +69,9 @@ def agl17_subdivision() -> dict:
     return {"example": "agl17-subdivision", **_result_summary(Gamma, res, Hemb)}
 
 
-def knn_q8() -> dict:
-    """L(K_{8,8}) as a 64-vertex non-CCA Cayley graph on Q8 x Q8."""
+def _knn_q8_inputs():
+    """(K_{8,8}, G = Q8 x Q8 acting edge-regularly, H = B x B), with B the
+    order-64 overgroup of Q8's right-regular copy by the three sigma maps."""
     A = builders.q8_times_z2(0)
     AR = A.right_regular
     sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
@@ -79,7 +82,12 @@ def knn_q8() -> dict:
                    bipartition=(list(range(8)), list(range(8, 16))))
     G16 = builders.direct_product(AR, AR)
     H16 = builders.direct_product(B, B)
-    Gamma, Hemb = line_graph_construction(K, G16, H16)
+    return K, G16, H16
+
+
+def knn_q8() -> dict:
+    """L(K_{8,8}) as a 64-vertex non-CCA Cayley graph on Q8 x Q8."""
+    Gamma, Hemb = line_graph_construction(*_knn_q8_inputs())
     res = autc_group(Gamma)
     return {"example": "knn-q8", "n": 8, **_result_summary(Gamma, res, Hemb)}
 
@@ -136,8 +144,10 @@ def thm45_sweep() -> dict:
         cap = max(pred.predicted_order, res.autc_order) + 1
         predicted = close_generators(pred.predicted_generators, G.order,
                                      cap=cap)
-        match = (predicted.order == pred.predicted_order
-                 and set(predicted.elements) == set(res.full_group.elements))
+        # the predicted group lies in Aut_c iff its generators do, and it
+        # is all of Aut_c iff it also has Aut_c's order
+        match = (predicted.order == pred.predicted_order == res.autc_order
+                 and all(p in res for p in pred.predicted_generators))
         rows.append({"spec": name,
                      "order": G.order, "case": pred.case,
                      "predicted_order": pred.predicted_order,

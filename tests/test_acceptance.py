@@ -83,19 +83,20 @@ def test_f21xz2_classification_eleven_classes():
 
 def test_autc_order_by_schreier_sims(f21_enumeration):
     # |Aut_c| and the normality of G_R on the named sets and on every NonCCA
-    # class of F21 and F21 x Z2, by a route that shares no code with the
-    # engine: A_1 from VF2, and the group G_R and A_1 generate closed by
-    # sympy's Schreier-Sims.  That group is all of Aut_c, since G_R is
+    # class of F21, AGL(1,7) and F21 x Z2, by a route that shares no code
+    # with the engine: A_1 from VF2, and the group G_R and A_1 generate
+    # closed by sympy's Schreier-Sims.  That group is all of Aut_c, since G_R is
     # transitive and A_1 is the whole stabiliser of the identity.
     t0 = time.monotonic()
     named = canonical_sets()
     graphs = [ColouredCayleyGraph(*named[name])
               for name in ("S21", "S42_1", "S42_2")]
     for G, rep in ((builders.f21(), f21_enumeration),
+                   (builders.agl17(), enumerate_connection_sets("agl17")),
                    (builders.f21xz2(), enumerate_connection_sets("f21xz2"))):
         graphs += [ColouredCayleyGraph(G, cls["representative_indices"])
                    for cls in rep.non_cca_classes]
-    assert len(graphs) == 15
+    assert len(graphs) == 17
     for Gamma in graphs:
         G = Gamma.group
         G_R = PermutationGroup([Permutation([G.table[x][g]

@@ -5,13 +5,23 @@ import pytest
 from cca import builders
 from cca.errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from cca.groups import are_isomorphic, is_normal, is_subgroup
-from cca.perms import pmul, porder
+from cca.perms import pmul, porder, ppow
 
 
 def test_cyclic():
     G = builders.cyclic(6)
     assert G.order == 6 and G.is_cyclic()
     assert G.label(1) == "1" and G.label_index("5") == 5
+
+
+def test_cyclic_elements_are_shift_powers():
+    # the elements are built by slicing; they must be the powers of the
+    # shift x -> x + 1, in order
+    for n in list(range(1, 65)) + [997]:
+        shift = tuple((i + 1) % n for i in range(n))
+        G = builders.cyclic(n)
+        assert G.elements == [ppow(shift, k) for k in range(n)], n
+        assert G.generators == ([shift] if n > 1 else [])
 
 
 def test_symmetric_and_dihedral():

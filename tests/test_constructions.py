@@ -10,7 +10,7 @@ from cca.engine import autc_group, is_colour_preserving
 from cca.errors import HypothesisViolated, NotArcRegular, NotRegular
 from cca.graphs import PlainGraph, graph_automorphisms, heawood
 from cca.groups import FiniteGroup, close_generators, trivial_group
-from cca.recipes import _dihedral_coset_tau, _heawood_groups
+from cca.recipes import _dihedral_coset_tau, _heawood_groups, _knn_q8_inputs
 
 
 def test_wreath_witness_z3():
@@ -139,6 +139,42 @@ def test_line_graph_construction_names_colour_breaking_generator(monkeypatch):
         line_graph_construction(K, G, H)
     assert str(err.value) == \
         f"{H.label(H.index[gens[2]])} in H changes line-graph colours"
+
+
+def test_line_graph_decides_each_local_pair_once(monkeypatch):
+    # on K_{8,8} all 16 vertices see one pair of local groups: the complete
+    # colour pair check runs once for it, not once per vertex
+    K, G, H = _knn_q8_inputs()
+    pairs = set()
+    for v in range(K.n):
+        key = (frozenset(constructions._local_group(K, G, v).elements),
+               frozenset(constructions._local_group(K, H, v).elements))
+        if key[0] != key[1]:
+            pairs.add(key)
+    calls = []
+    check = constructions.is_complete_colour_pair
+
+    def counted(loc_G, loc_H):
+        calls.append((frozenset(loc_G.elements), frozenset(loc_H.elements)))
+        return check(loc_G, loc_H)
+
+    monkeypatch.setattr(constructions, "is_complete_colour_pair", counted)
+    Gamma, Hemb = line_graph_construction(K, G, H)
+    assert (Gamma.n, Hemb.order) == (64, 4096)
+    assert len(calls) == len(pairs) == 1
+    assert set(calls) == pairs
+
+
+def test_line_graph_construction_refuses_generators_of_a_subgroup():
+    # H's generators are closed on K_{8,8}'s 16 points: generators that
+    # span only G, or an element list that is no group, are refused
+    K, G, H = _knn_q8_inputs()
+    with pytest.raises(HypothesisViolated, match="generators of H"):
+        line_graph_construction(K, G, FiniteGroup(H.elements, G.generators))
+    extra = next(h for h in H.elements if h not in G.index)
+    partial = FiniteGroup(G.elements + [extra], G.generators + [extra])
+    with pytest.raises(HypothesisViolated, match="generators of H"):
+        line_graph_construction(K, G, partial)
 
 
 def test_subdivision_construction_heawood():

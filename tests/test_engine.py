@@ -8,6 +8,7 @@ import pytest
 
 import cca
 from cca import builders
+from cca.constructions import line_graph_construction
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         colour_break, fast_cca_verdict, is_colour_preserving,
                         predicted_autc_complete)
@@ -16,7 +17,8 @@ from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
 from cca.groups import (FiniteGroup, automorphisms, close_generators,
                         is_normal, normal_subgroups)
-from cca.perms import identity, pconj
+from cca.perms import identity, pconj, pmul
+from cca.recipes import _knn_q8_inputs
 from cca.structure import canonical_sets
 
 from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
@@ -193,6 +195,37 @@ def test_search_order_matches_reference():
             capped += 1
     assert capped >= 10
     assert autc_group(graphs[-1]).verdict == "NonCCA"
+
+
+def test_membership_matches_full_group():
+    # p in res tests p against A_1 after the right translation taking p(1)
+    # back to 1; the closed group answers by lookup.  Every element of Aut_c
+    # is asked, and each composed with a random transposition, which is
+    # mostly not one
+    rng = random.Random(59)
+    pool = group_pool(48)
+    graphs = [random_connected_cayley(rng, pool) for _ in range(20)]
+    named = canonical_sets()
+    graphs += [ColouredCayleyGraph(*named[k])
+               for k in ("S21", "S42_1", "S42_2")]
+    graphs.append(line_graph_construction(*_knn_q8_inputs())[0])
+    assert graphs[-1].n == 64
+    members = outside = 0
+    for Gamma in graphs:
+        res = autc_group(Gamma)
+        A = res.full_group
+        n = Gamma.n
+        for p in A.elements:
+            assert p in res
+            i, j = rng.sample(range(n), 2)
+            t = list(range(n))
+            t[i], t[j] = j, i
+            q = pmul(p, tuple(t))
+            assert (q in res) == (q in A.index), Gamma.conn
+            members += 1
+            outside += q not in A.index
+        assert identity(n + 1) not in res
+    assert members > 5000 and outside > 1000
 
 
 def test_aut_pm1_z8():
