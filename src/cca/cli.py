@@ -12,12 +12,10 @@ import json
 import os
 import sys
 
-from . import builders, recipes
+from . import builders
 from .engine import autc_group
 from .errors import CCAError
 from .graphs import ColouredCayleyGraph, to_dot, to_json_dict
-from .structure import (decompose_structure, enumerate_connection_sets,
-                        reduction_gamma_prime)
 
 USAGE_EXIT = 64
 BROKEN_PIPE_EXIT = 141
@@ -30,6 +28,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_EXIT)
+
+
+class _RecipeNames:
+    """The recipe names in sorted order, as the `reproduce` choices.  They
+    are read from cca.recipes when argparse first checks or lists them, so
+    that only a `reproduce` command loads the recipes."""
+
+    def __iter__(self):
+        from .recipes import RECIPES
+
+        return iter(sorted(RECIPES))
+
+    def __contains__(self, name):
+        from .recipes import RECIPES
+
+        return name in RECIPES
 
 
 def _emit(obj) -> None:
@@ -77,6 +91,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .structure import decompose_structure, reduction_gamma_prime
+
     Gamma = _graph_from_args(args)
     res = autc_group(Gamma)
     dec = decompose_structure(Gamma, res)
@@ -88,11 +104,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import recipes
+
     _emit(recipes.reproduce(args.example))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .structure import enumerate_connection_sets
+
     rep = enumerate_connection_sets(args.spec)
     if args.format == "csv":
         sys.stdout.write(rep.to_csv())
@@ -130,7 +150,8 @@ def _build_parser() -> _Parser:
     d.set_defaults(fn=_cmd_decompose)
 
     r = sub.add_parser("reproduce", help="run a named end-to-end computation")
-    r.add_argument("example", choices=sorted(recipes.RECIPES))
+    # set after add_argument, which would list the choices at once
+    r.add_argument("example").choices = _RecipeNames()
     r.set_defaults(fn=_cmd_reproduce)
 
     e = sub.add_parser("enumerate",

@@ -58,12 +58,15 @@ def _names(paths) -> dict[str, int]:
 
 
 def _functions(src: Path):
-    """(path, node, own) for every top-level function and non-special method
-    of the package.  `own` counts the function's name inside its own
-    definition (recursion), which is no use of it."""
+    """(path, node, own) for every top-level function and method of the
+    package that is not special.  `own` counts the function's name inside
+    its own definition (recursion), which is no use of it."""
     for path in sorted(src.glob("*.py")):
-        body = ast.parse(path.read_text()).body
-        # special methods are called by the language
+        # special methods, and special module functions such as a package's
+        # __getattr__ (PEP 562), are called by the language
+        body = [node for node in ast.parse(path.read_text()).body
+                if not (getattr(node, "name", "").startswith("__")
+                        and node.name.endswith("__"))]
         body += [node for cls in body if isinstance(cls, ast.ClassDef)
                  for node in cls.body
                  if not getattr(node, "name", "").startswith("__")]
