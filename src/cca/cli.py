@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 class _RecipeNames:
     """The recipe names in sorted order, as the `reproduce` choices.  They
-    are read from cca.recipes when argparse first checks or lists them, so
+    are read from cca.recipes each time argparse checks or lists them, so
     that only a `reproduce` command loads the recipes."""
 
     def __iter__(self):
