@@ -40,11 +40,6 @@ class _RecipeNames:
 
         return iter(sorted(RECIPES))
 
-    def __contains__(self, name):
-        from .recipes import RECIPES
-
-        return name in RECIPES
-
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))

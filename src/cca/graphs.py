@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from collections import deque
 
-# perms.pmul is called through its module: bound by name while the
-# benchmark's call counter has it rebound, it would outlive the counter
+# pmul is looked up in perms at each call, so a rebinding of perms.pmul is
+# followed here even if this module is first imported while it is in place
 from . import perms
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)

@@ -14,8 +14,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-# perms.pmul is called through its module: bound by name while the
-# benchmark's call counter has it rebound, it would outlive the counter
+# pmul is looked up in perms at each call, so a rebinding of perms.pmul is
+# followed here even if this module is first imported while it is in place
 from . import builders, perms
 from .engine import AutcResult, autc_group, fast_cca_verdict
 from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
