@@ -272,8 +272,8 @@ def wreath_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     permutes the base coordinates so that g in G_i conjugates into G_{i^h}."""
     m = H.degree
     _bound(chain([H.order], repeat(G.order, m)), "wreath product")
-    hinv = H.inverse
-    hperm = H.elements  # the distinguished action of H on Omega
+    # the distinguished action of H on Omega, inverted
+    hinv_pts = [pinv(p) for p in H.elements]
 
     items = [(h, gs) for h in range(H.order)
              for gs in product(range(G.order), repeat=m)]
@@ -281,7 +281,7 @@ def wreath_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     def mult(u, v):
         h, a = u
         k, b = v
-        kinv_pts = pinv(hperm[k])
+        kinv_pts = hinv_pts[k]
         c = tuple(G.imul(a[kinv_pts[j]], b[j]) for j in range(m))
         return (H.imul(h, k), c)
 

@@ -20,7 +20,6 @@ and the tests check this route against the closure-and-normality route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotConnected, StabiliserTooLarge
@@ -166,16 +165,18 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     return close_generators(found, G.order, cap=max(len(found) + 1, 2))
 
 
-@dataclass
 class AutcResult:
     """Aut_c of a connected coloured Cayley graph, held as A_1: its order
     is n*|A_1|, `p in res` decides membership without closing it, and
     full_group closes it on first access."""
-    graph: ColouredCayleyGraph
-    stabiliser: list[Perm]       # A_1, in search order
-    aut_pm1: FiniteGroup
-    verdict: str                 # "CCA" | "NonCCA"
-    witness: Perm | None
+
+    def __init__(self, graph: ColouredCayleyGraph, stabiliser: list[Perm],
+                 aut_pm1: FiniteGroup, verdict: str, witness: Perm | None):
+        self.graph = graph
+        self.stabiliser = stabiliser     # A_1, in search order
+        self.aut_pm1 = aut_pm1
+        self.verdict = verdict           # "CCA" | "NonCCA"
+        self.witness = witness
 
     @property
     def autc_order(self) -> int:
@@ -252,11 +253,12 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
 
 # -- classification of Aut_c on complete Cayley graphs ---------------------
 
-@dataclass
 class CompletePrediction:
-    case: str                    # "1" | "2" | "3" | "CCA"
-    predicted_order: int
-    predicted_generators: list[Perm]
+    def __init__(self, case: str, predicted_order: int,
+                 predicted_generators: list[Perm]):
+        self.case = case                 # "1" | "2" | "3" | "CCA"
+        self.predicted_order = predicted_order
+        self.predicted_generators = predicted_generators
 
 
 def _find_dicyclic_structure(G: FiniteGroup):

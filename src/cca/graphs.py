@@ -6,10 +6,8 @@ subdivision, Heawood graph, complete Cayley graph), plus DOT/JSON export.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
-# pmul is looked up in perms at each call, so a rebinding of perms.pmul is
-# followed here even if this module is first imported while it is in place
-from . import perms
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)
 from .groups import (FiniteGroup, bfs_tree, close_generators, is_normal,
@@ -192,24 +190,42 @@ class ColouredCayleyGraph:
         self.conn = conn_list
         self.colour_classes = colour_units(group, conn_list)
         self.n = n
-        # Edges of distinct colours are distinct, so each colour unit adds
-        # its own edges: a pair {s, s^-1} has n distinct edges {v, s*v}
-        # (two coincide only if s^2 = 1), an involution has the n/2 edges
-        # with v < s*v.  The insertion order is that of v.
-        self.edge_colour: dict[tuple[int, int], int] = {}
+
+    @cached_property
+    def edge_colour(self) -> dict[tuple[int, int], int]:
+        """Colour class by edge (u, v), u < v, built on first read.  Edges
+        of distinct colours are distinct, so each colour unit adds its own
+        edges: a pair {s, s^-1} has n distinct edges {v, s*v} (two coincide
+        only if s^2 = 1), an involution has the n/2 edges with v < s*v.  The
+        insertion order is that of v."""
+        edge_colour: dict[tuple[int, int], int] = {}
         for ci, cls in enumerate(self.colour_classes):
-            row = group.left_row(cls[0])
+            row = self.group.left_row(cls[0])
             if len(cls) == 2:
-                self.edge_colour.update(
-                    ((v, w) if v < w else (w, v), ci)
-                    for v, w in enumerate(row))
+                edge_colour.update(((v, w) if v < w else (w, v), ci)
+                                   for v, w in enumerate(row))
             else:
-                self.edge_colour.update(
-                    ((v, w), ci) for v, w in enumerate(row) if v < w)
+                edge_colour.update(((v, w), ci)
+                                   for v, w in enumerate(row) if v < w)
+        return edge_colour
 
     @property
     def edges(self):
-        return sorted(self.edge_colour)
+        return [(u, v) for u, v, _ in sorted_edges(self)]
+
+
+def sorted_edges(Gamma: ColouredCayleyGraph) -> list[tuple[int, int, int]]:
+    """The edges (u, v, colour), u < v, in increasing order, read from the
+    left rows of the connection set: the pairs (u, s*u) with u < s*u.
+    Distinct elements s give distinct neighbours s*u, so each edge is
+    listed once, from its lesser end."""
+    G = Gamma.group
+    edges = []
+    for ci, cls in enumerate(Gamma.colour_classes):
+        for s in cls:
+            edges += [(u, v, ci) for u, v in enumerate(G.left_row(s)) if u < v]
+    edges.sort()
+    return edges
 
 
 def cayley(G: FiniteGroup, S) -> ColouredCayleyGraph:
@@ -239,13 +255,13 @@ def quotient_graph(Gamma: ColouredCayleyGraph, N: FiniteGroup) -> ColouredCayley
     G = Gamma.group
     if not is_subgroup(N, G) or not is_normal(N, G):
         raise NotNormal("N must be a normal subgroup of G")
-    nset = set(N.elements)
+    nidx = [G.index[x] for x in N.elements]
     coset_of = {}
     cosets = []
-    for i, e in enumerate(G.elements):
+    for i in range(G.order):
         if i in coset_of:
             continue
-        coset = sorted(G.index[perms.pmul(x, e)] for x in nset)
+        coset = sorted(G.imul(x, i) for x in nidx)
         ci = len(cosets)
         cosets.append(coset)
         for j in coset:
@@ -321,7 +337,7 @@ def to_dot(Gamma: ColouredCayleyGraph) -> str:
     lines = ["graph cayley {"]
     for v in range(Gamma.n):
         lines.append(f'  {v} [label="{Gamma.group.label(v)}"];')
-    for (u, v), c in sorted(Gamma.edge_colour.items()):
+    for u, v, c in sorted_edges(Gamma):
         col = _DOT_PALETTE[c % len(_DOT_PALETTE)]
         lines.append(f"  {u} -- {v} [color={col}];")
     lines.append("}")
@@ -332,5 +348,5 @@ def to_json_dict(Gamma: ColouredCayleyGraph) -> dict:
     return {
         "group_spec": Gamma.group.meta.get("spec"),
         "connection_set": [Gamma.group.label(s) for s in Gamma.conn],
-        "edges": [[u, v, c] for (u, v), c in sorted(Gamma.edge_colour.items())],
+        "edges": [[u, v, c] for u, v, c in sorted_edges(Gamma)],
     }

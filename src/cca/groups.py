@@ -1,8 +1,11 @@
 """Fully enumerated permutation groups and the subgroup-theoretic queries
 used throughout the package.
 
-Groups are small (a few thousand elements at most); everything is done by
-explicit element lists, which keeps every operation exactly verifiable.
+Groups are small (a few thousand elements at most) and hold explicit element
+lists, which keeps every operation exactly verifiable.  Products of elements
+are read from a base: a few points whose images tell the elements apart
+(Seress, Permutation Group Algorithms, 2003), so no product permutation is
+built; see FiniteGroup.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from operator import itemgetter
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                      NotConnected, UnknownLabel)
-from .perms import Perm, identity, is_perm, pconj, pinv, pmul, porder
+from .perms import Perm, identity, is_perm, pconj, pmul, porder
 
 DEFAULT_CAP = 10_000
 ISO_BOUND = 400
@@ -22,6 +25,15 @@ ISO_BOUND = 400
 class FiniteGroup:
     """A finite group given by its full element list (permutations of a common
     degree), with identity at index 0.
+
+    Index arithmetic goes through a base, computed on first use: points
+    whose images determine each element (Seress 2003).  With the convention
+    (a*b)(x) = b(a(x)), e_i*e_j sends the base where e_j sends the base's
+    images under e_i, so one itemgetter of those images per element,
+    applied to e_j, gives the base image of e_i*e_j, and a map from base
+    images to indices gives its index.  A right-regular group on its own
+    element indices, as every table-built group and every cyclic group is,
+    needs only point 0, which e_i sends to i.
 
     Immutable after construction apart from lazily filled caches; safe to share.
     """
@@ -70,12 +82,47 @@ class FiniteGroup:
 
     # -- index arithmetic -------------------------------------------------
 
+    @cached_property
+    def base(self) -> tuple[int, ...]:
+        """Points in increasing order, each one telling apart some elements
+        that the points before it do not, until the images tell all elements
+        apart; empty for the trivial group."""
+        base: list[int] = []
+        images = [()] * self.order
+        distinct = 1
+        for p in range(self.degree):
+            if distinct == self.order:
+                break
+            ext = [img + (e[p],) for img, e in zip(images, self.elements)]
+            split = len(set(ext))
+            if split > distinct:
+                base.append(p)
+                images, distinct = ext, split
+        return tuple(base)
+
+    @cached_property
+    def _base_images(self) -> list:
+        """_base_images[i] reads a permutation at the images of the base
+        under e_i: applied to e_j it gives the base image of e_i*e_j, a
+        point for a one-point base and a tuple otherwise."""
+        return [_getter([e[p] for p in self.base]) for e in self.elements]
+
+    @cached_property
+    def _base_index(self) -> dict:
+        """Element index by base image."""
+        return {img: i for i, img in
+                enumerate(map(self._base_images[0], self.elements))}
+
     def imul(self, i: int, j: int) -> int:
-        return self.index[pmul(self.elements[i], self.elements[j])]
+        return self._base_index[self._base_images[i](self.elements[j])]
 
     @cached_property
     def inverse(self) -> list[int]:
-        return [self.index[pinv(p)] for p in self.elements]
+        """e^-1 sends each base point to its preimage under e."""
+        base = self.base
+        img = _getter(range(len(base)))
+        return [self._base_index[img([e.index(p) for p in base])]
+                for e in self.elements]
 
     @cached_property
     def element_orders(self) -> list[int]:
@@ -85,15 +132,15 @@ class FiniteGroup:
         """Row of the multiplication table: x -> s*x (left multiplication)."""
         row = self._rows.get(s)
         if row is None:
-            es = self.elements[s]
-            row = tuple(self.index[pmul(es, e)] for e in self.elements)
+            row = tuple(map(self._base_index.__getitem__,
+                            map(self._base_images[s], self.elements)))
             self._rows[s] = row
         return row
 
     def right_row(self, s: int) -> tuple[int, ...]:
         """x -> x*s; this is the right-regular image of element s."""
-        es = self.elements[s]
-        return tuple(self.index[pmul(e, es)] for e in self.elements)
+        es, pos = self.elements[s], self._base_index
+        return tuple([pos[img(es)] for img in self._base_images])
 
     @cached_property
     def table(self) -> list[tuple[int, ...]]:
@@ -121,8 +168,9 @@ class FiniteGroup:
         return H
 
     def is_abelian(self) -> bool:
-        gens = self.generators or self.elements
-        return all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
+        gens = [self.index[g] for g in self.generators] or range(self.order)
+        return all(self.imul(a, b) == self.imul(b, a)
+                   for a in gens for b in gens)
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders
@@ -132,6 +180,12 @@ class FiniteGroup:
         for o in self.element_orders:
             e = lcm(e, o)
         return e
+
+
+def _getter(points):
+    """itemgetter(*points): a bare value for one point, a tuple for more,
+    and () for none."""
+    return itemgetter(*points) if points else lambda p: ()
 
 
 def trivial_group(degree: int) -> FiniteGroup:

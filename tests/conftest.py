@@ -82,6 +82,14 @@ def reference_closure(gens, degree, cap):
     return elements
 
 
+def reference_products(G):
+    """(table, inverse) of G by permutation products: table[i][j] is the
+    index of the permutation e_i*e_j and inverse[i] that of e_i^-1, each
+    found by building the permutation and hashing it."""
+    table = [[G.index[pmul(a, b)] for b in G.elements] for a in G.elements]
+    return table, [G.index[pinv(p)] for p in G.elements]
+
+
 def reference_edge_colour(Gamma):
     """The edge colours by one pass over every vertex of every colour unit,
     keeping the first colour each edge {v, s*v} is given."""

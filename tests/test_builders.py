@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -61,6 +62,24 @@ def test_generalized_dicyclic():
     assert G12.order == 12 and G12.element_orders.count(2) == 1
     with pytest.raises(InvalidSpec):
         builders.generalized_dicyclic(builders.cyclic(5))
+
+
+def test_table_builds_multiply_no_permutations(monkeypatch):
+    # a semidirect or dicyclic build takes n^2 products in A; each one is
+    # read from A's base images, so no product permutation is built
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pmul(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cca" and getattr(module, "pmul", None) is pmul:
+            monkeypatch.setattr(module, "pmul", counted)
+    D = builders.build_spec("dih(z100)")
+    Q = builders.build_spec("dic(z12)")
+    assert (D.order, Q.order) == (200, 24)
+    assert calls == []
 
 
 def test_wreath_product():

@@ -214,15 +214,17 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "cca")
 
 import cca
-steps = [["import cca", None, loaded()]]
+steps = [["import cca", None, loaded(), "dataclasses" in sys.modules]]
 cca.builders.build_spec("f21xz2")
-steps.append(["build_spec f21xz2", None, loaded()])
+steps.append(["build_spec f21xz2", None, loaded(),
+              "dataclasses" in sys.modules])
 from cca import cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    steps.append([" ".join(argv), code, loaded()])
+    steps.append([" ".join(argv), code, loaded(),
+                  "dataclasses" in sys.modules])
 print(json.dumps(steps))
 """
 
@@ -230,26 +232,29 @@ print(json.dumps(steps))
 def test_each_step_loads_only_the_modules_it_uses():
     # `import cca` loads no submodule, building a group loads four, and each
     # command loads what it runs; one process runs the steps in order, so
-    # each set is the one before it plus what that step needs
+    # each set is the one before it plus what that step needs.  dataclasses
+    # (which imports inspect) comes in only with structure, so a `cca
+    # check` process never pays for it
     def cca_modules(*names):
         return sorted(["cca", *(f"cca.{name}" for name in names)])
 
     build = ("builders", "errors", "groups", "perms")
     command = (*build, "cli", "engine", "graphs")
-    steps = [("import cca", None, cca_modules()),
-             ("build_spec f21xz2", None, cca_modules(*build)),
-             ("check q8 --set=-j,j,-k,k", 0, cca_modules(*command)),
-             ("group build z6", 0, cca_modules(*command)),
-             ("cayley z6 --set 1,5", 0, cca_modules(*command)),
+    steps = [("import cca", None, cca_modules(), False),
+             ("build_spec f21xz2", None, cca_modules(*build), False),
+             ("check q8 --set=-j,j,-k,k", 0, cca_modules(*command), False),
+             ("group build z6", 0, cca_modules(*command), False),
+             ("cayley z6 --set 1,5", 0, cca_modules(*command), False),
              ("decompose f21 --set y^2,y^4,x*y^2,x^5*y^4", 0,
-              cca_modules(*command, "structure")),
-             ("enumerate f21", 0, cca_modules(*command, "structure", "masks")),
+              cca_modules(*command, "structure"), True),
+             ("enumerate f21", 0, cca_modules(*command, "structure", "masks"),
+              True),
              ("reproduce no-such-example", 64,
               cca_modules(*command, "structure", "masks", "recipes",
-                          "constructions"))]
+                          "constructions"), True)]
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE,
-         json.dumps([argv.split() for argv, _, _ in steps[2:]])],
+         json.dumps([argv.split() for argv, *_ in steps[2:]])],
         capture_output=True, text=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [tuple(step) for step in json.loads(proc.stdout)] == steps

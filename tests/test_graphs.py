@@ -4,8 +4,10 @@ import networkx as nx
 import pytest
 
 from cca import builders
+from cca.engine import autc_group
 from cca.errors import ContainsIdentity, NotEdgeRegular, NotInverseClosed, NotNormal
-from cca.graphs import (ColouredCayleyGraph, PlainGraph, cayley, colour_units,
+from cca.graphs import (_DOT_PALETTE, ColouredCayleyGraph, PlainGraph, cayley,
+                        colour_units,
                         complete_cayley, graph_automorphisms, heawood,
                         is_connected, quotient_graph,
                         realize_line_graph_as_cayley, subdivision, to_dot,
@@ -146,3 +148,25 @@ def test_dot_and_json_export():
     d = to_json_dict(Gamma)
     assert d["connection_set"] == ["1", "3", "2"]
     assert all(len(e) == 3 for e in d["edges"])
+
+
+def test_edge_listing_matches_sorted_edge_colour():
+    # the exports and `edges` list the edges from the left rows, in the
+    # order of sorted(edge_colour.items()), and never build edge_colour
+    rng = random.Random(53)
+    graphs = [random_connected_cayley(rng, group_pool(48)) for _ in range(40)]
+    graphs += [random_connected_cayley(rng, [builders.build_spec(spec)])
+               for spec in ("psl27", "pgl27") for _ in range(3)]
+    for Gamma in graphs:
+        Gamma = ColouredCayleyGraph(Gamma.group, Gamma.conn)
+        res = autc_group(Gamma)
+        d = to_json_dict(Gamma)
+        dot = to_dot(Gamma)
+        assert res.to_json_dict()["graph"] == d
+        assert "edge_colour" not in Gamma.__dict__
+        edges = sorted(Gamma.edge_colour.items())
+        assert d["edges"] == [[u, v, c] for (u, v), c in edges]
+        assert [line for line in dot.splitlines() if " -- " in line] == \
+            [f"  {u} -- {v} [color={_DOT_PALETTE[c % len(_DOT_PALETTE)]}];"
+             for (u, v), c in edges]
+        assert Gamma.edges == [e for e, _ in edges]

@@ -6,6 +6,7 @@ import pytest
 from cca import builders
 from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
+from cca.engine import aut_pm1_group
 from cca.graphs import colour_units
 from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
                         bfs_tree, centralizer, close_generators,
@@ -17,7 +18,7 @@ from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
 from cca.perms import identity, pmul
 
 from conftest import (full_scan_bfs, group_pool, reference_closure,
-                      reference_normal_subgroups)
+                      reference_normal_subgroups, reference_products)
 
 
 def test_close_generators_deterministic_order():
@@ -79,6 +80,40 @@ def test_identity_first_and_index_arithmetic():
         for j in range(G.order):
             assert G.elements[G.imul(i, j)] == pmul(G.elements[i], G.elements[j])
         assert G.imul(i, G.inverse[i]) == 0
+
+
+def _arithmetic_groups():
+    """Groups of every shape a base takes: right-regular ones (one point),
+    products and permutation groups (several points), groups that fix
+    point 0 and trivial groups (no point)."""
+    for _, G in builders.catalog():
+        yield G
+    for spec in ("psl27", "pgl27", "agl17", "f21xz2", "s4",
+                 "wreath(z3;z2@2)", "dic(z6)"):
+        yield builders.build_spec(spec)
+    yield builders.agl17xz2()
+    S4 = builders.symmetric(4)
+    yield centralizer(S4, S4.subgroup([(1, 0, 3, 2)]))
+    P = builders.agl17xz2()
+    yield centralizer(P, P)                     # Z2 on points 8 and 9
+    G = builders.quaternion8()
+    yield aut_pm1_group(G, list(range(1, G.order)))
+    Z = builders.cyclic(6)
+    yield aut_pm1_group(Z, [1, 5])              # inversion, fixing 0 and 3
+    for degree in (0, 1, 4):
+        yield trivial_group(degree)
+
+
+def test_index_arithmetic_matches_permutation_products():
+    for G in _arithmetic_groups():
+        table, inverse = reference_products(G)
+        assert G.table == [tuple(row) for row in table], G.base
+        assert [G.imul(i, j) for i in range(G.order)
+                for j in range(G.order)] == sum(table, []), G.base
+        for s in range(G.order):
+            assert G.left_row(s) == tuple(table[s])
+            assert G.right_row(s) == tuple(row[s] for row in table)
+        assert G.inverse == inverse, G.base
 
 
 def test_label_index_rejects_unknown_labels():
