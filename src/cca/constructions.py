@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import builders
-from .engine import colour_break, is_colour_preserving, predicted_autc_complete
+from .engine import (_is_multiplicative, colour_break, is_colour_preserving,
+                     predicted_autc_complete)
 from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
-                     realize_line_graph_as_cayley, subdivision)
+                     is_connected, realize_line_graph_as_cayley, subdivision)
 from .groups import FiniteGroup, close_generators, generated, is_subgroup
 from .perms import Perm, identity, pconj
 
@@ -30,14 +31,6 @@ class WreathWitness:
     tau_prime: Perm
     graph: ColouredCayleyGraph
     non_hom_pair: tuple[int, int]   # tau'(ab) != tau'(a)tau'(b) here
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.X.order,
-            "connection_set": [self.X.label(s) for s in self.T_conn],
-            "tau_prime": list(self.tau_prime),
-            "non_hom_pair": [self.X.label(i) for i in self.non_hom_pair],
-        }
 
 
 def _move_point_zero(H: FiniteGroup) -> FiniteGroup:
@@ -68,22 +61,17 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
         raise HypothesisViolated("first hypothesis: S contains the identity")
     if any(G.inverse[s] not in S for s in S):
         raise HypothesisViolated("first hypothesis: S is not inverse-closed")
-    if G.subgroup([G.elements[s] for s in S]).order != n:
+    base = ColouredCayleyGraph(G, S)
+    if not is_connected(base):
         raise HypothesisViolated("first hypothesis: S does not generate G")
     if sorted(tau) != list(range(n)) or tau[0] != 0:
         raise HypothesisViolated("first hypothesis: tau must be a bijection fixing 1")
     if tau == identity(n):
         raise HypothesisViolated("first hypothesis: tau is the identity")
-    for s in S:
-        ls, lsi = G.left_row(s), G.left_row(G.inverse[s])
-        for g in range(n):
-            if tau[ls[g]] not in (ls[tau[g]], lsi[tau[g]]):
-                raise HypothesisViolated(
-                    "first hypothesis: tau(sg) != s^{+-1} tau(g) at "
-                    f"s={G.label(s)}, g={G.label(g)}")
-    tau_is_aut = all(tau[G.imul(a, b)] == G.imul(tau[a], tau[b])
-                     for a in range(n) for b in range(n))
-    if H.order == 1 and tau_is_aut:
+    if (edge := colour_break(base, tau)) is not None:
+        raise HypothesisViolated("first hypothesis: tau changes the colour "
+                                 "of the edge " + "-".join(map(G.label, edge)))
+    if H.order == 1 and _is_multiplicative(base, tau):
         raise HypothesisViolated(
             "second hypothesis: H is trivial and tau is an automorphism of G")
 

@@ -33,13 +33,22 @@ STABILISER_CAP = 2 ** 14
 
 
 def colour_break(Gamma: ColouredCayleyGraph, p: Perm) -> tuple[int, int] | None:
-    """The first edge (u, v) that p does not map to an edge of the same colour
-    class, or None if p preserves colours."""
+    """The first edge (u, v), u < v, that p does not map to an edge of the
+    same colour class, or None if p preserves colours.
+
+    The edge {u, s*u} keeps its colour, the unit of s, iff p(s*u) is s*p(u)
+    or s^-1*p(u).  Units are scanned in colour_classes order and u
+    ascending; an involution's edge fails from both ends or from neither,
+    so it is reported from its lesser end, as it comes first."""
     if len(p) != Gamma.n:
         raise ValueError("permutation degree does not match the graph")
-    ec = Gamma.edge_colour
-    return next(((u, v) for (u, v), c in ec.items()
-                 if ec.get((min(p[u], p[v]), max(p[u], p[v]))) != c), None)
+    rows = Gamma.left_rows
+    for cls in Gamma.colour_classes:
+        row, row_inv = rows[cls[0]], rows[cls[-1]]
+        for u, v in enumerate(row):
+            if p[v] != row[p[u]] and p[v] != row_inv[p[u]]:
+                return (u, v) if u < v else (v, u)
+    return None
 
 
 def is_colour_preserving(Gamma: ColouredCayleyGraph, p: Perm) -> bool:
@@ -47,12 +56,7 @@ def is_colour_preserving(Gamma: ColouredCayleyGraph, p: Perm) -> bool:
     return colour_break(Gamma, p) is None
 
 
-def _graph_context(Gamma: ColouredCayleyGraph):
-    G, conn = Gamma.group, Gamma.conn
-    return Gamma.n, conn, {s: G.left_row(s) for s in conn}, G.inverse
-
-
-def _search_stabiliser(n, conn, left, inv):
+def _search_stabiliser(Gamma: ColouredCayleyGraph):
     """Yield (v, u, s, g_k) for each BFS level k at which some colour-
     preserving automorphism fixing vertex 0 and the earlier BFS vertices
     moves v = s*u; g_k is the first such map the search meets.
@@ -73,6 +77,8 @@ def _search_stabiliser(n, conn, left, inv):
     below it to the first leaf.  Maps are yielded from the last level to
     the first.  Raises NotConnected, from the BFS alone, when the connection
     set does not generate the group."""
+    n, conn, left = Gamma.n, Gamma.conn, Gamma.left_rows
+    inv = Gamma.group.inverse
     order, _ = bfs_tree(n, conn, left)
     if len(order) != n - 1:
         raise NotConnected("graph is not connected")
@@ -115,39 +121,41 @@ def _search_stabiliser(n, conn, left, inv):
             yield v, u, s, g
 
 
-def autc_stabiliser(Gamma: ColouredCayleyGraph, cap=STABILISER_CAP) -> list[Perm]:
+def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
     """All colour-preserving automorphisms of a connected Cayley graph fixing
     the identity vertex, in the order a full descent of the search would
     find them, the identity first.
 
-    |A_1| = 2^m for the m strong generators, so a stabiliser larger than cap
-    raises StabiliserTooLarge before any closure.  Otherwise A_1 is closed
-    from the generators and sorted by the descent key: one bit per level at
-    which a generator was found, 0 when img[v] = s*img[u], the candidate a
-    descent tries first, and 1 otherwise.  At a level where A^(k) =
+    |A_1| = 2^m for the m strong generators, so a stabiliser larger than
+    STABILISER_CAP, read at each call, raises StabiliserTooLarge before any
+    closure.  Otherwise A_1 is closed from the generators and sorted by the
+    descent key: one bit per level at which a generator was found, 0 when
+    img[v] = s*img[u], the candidate a descent tries first, and 1
+    otherwise.  At a level where A^(k) =
     A^(k+1), the images of the earlier base vertices fix that of v_k, so two
     maps first differ at a generator level, and the key orders them as the
     descent does."""
-    n, conn, left, inv = _graph_context(Gamma)
-    levels = list(_search_stabiliser(n, conn, left, inv))
+    levels = list(_search_stabiliser(Gamma))
     size = 1 << len(levels)
-    if size > cap:
-        raise StabiliserTooLarge(f"stabiliser exceeds cap {cap}")
-    stab = close_generators([g for *_, g in levels], n, cap=size)
+    if size > STABILISER_CAP:
+        raise StabiliserTooLarge(f"stabiliser exceeds cap {STABILISER_CAP}")
+    stab = close_generators([g for *_, g in levels], Gamma.n, cap=size)
     if stab.order != size:
         raise RuntimeError("internal error: |A_1| != 2^m")
+    left = Gamma.left_rows
     key = [(v, u, left[s]) for v, u, s, _ in reversed(levels)]
     return sorted(stab.elements,
                   key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
 
 
-def _is_multiplicative(b, n, conn, left) -> bool:
-    """b fixes vertex 0; true iff b(s*g) = b(s)*b(g) for all g and s in the
-    connection set, which (S generating) makes b a group automorphism."""
-    for s in conn:
-        row = left[s]
+def _is_multiplicative(Gamma: ColouredCayleyGraph, b: Perm) -> bool:
+    """b fixes vertex 0 and preserves colours, so it sends each s in S into
+    {s, s^-1}; true iff b(s*g) = b(s)*b(g) for all g and s in S, which (S
+    generating) makes b a group automorphism."""
+    left = Gamma.left_rows
+    for s, row in left.items():
         row_bs = left[b[s]]
-        for g in range(n):
+        for g in range(Gamma.n):
             if b[row[g]] != row_bs[b[g]]:
                 return False
     return True
@@ -235,14 +243,13 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
     """Aut_c(Gamma) from the stabiliser A_1 of the identity vertex.  A NonCCA
     witness is the first element of A_1 that is not a group automorphism,
     which for a map fixing the identity means it does not normalise G_R."""
-    n, conn, left, _ = _graph_context(Gamma)
     stab = autc_stabiliser(Gamma)
-    if stab[0] != identity(n):
+    if stab[0] != identity(Gamma.n):
         raise RuntimeError("internal error: the identity is not found first")
     pm1 = stab[:1]
     witness = None
     for b in stab[1:]:
-        if _is_multiplicative(b, n, conn, left):
+        if _is_multiplicative(Gamma, b):
             pm1.append(b)
         elif witness is None:
             witness = b
@@ -320,14 +327,15 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
 
 # -- fast verdict for enumeration ------------------------------------------
 
-def fast_cca_verdict(n: int, table, inv: list[int], conn: list[int]) -> str:
-    """CCA verdict for Cay(G, S) from a precomputed multiplication table.
+def fast_cca_verdict(Gamma: ColouredCayleyGraph) -> str:
+    """The CCA verdict on Gamma from the strong generators of A_1 alone,
+    without listing A_1.
 
     Group automorphisms are closed under composition, so A_1 consists of
     them iff its strong generators do; the search stops at the first
     generator that is not one.  It reaches at most n - 1 leaves and needs no
-    cap."""
-    gens = _search_stabiliser(n, conn, table, inv)
-    if all(_is_multiplicative(g, n, conn, table) for *_, g in gens):
+    cap.  Raises NotConnected, as autc_group does, on a disconnected graph."""
+    gens = _search_stabiliser(Gamma)
+    if all(_is_multiplicative(Gamma, g) for *_, g in gens):
         return "CCA"
     return "NonCCA"

@@ -192,22 +192,10 @@ class ColouredCayleyGraph:
         self.n = n
 
     @cached_property
-    def edge_colour(self) -> dict[tuple[int, int], int]:
-        """Colour class by edge (u, v), u < v, built on first read.  Edges
-        of distinct colours are distinct, so each colour unit adds its own
-        edges: a pair {s, s^-1} has n distinct edges {v, s*v} (two coincide
-        only if s^2 = 1), an involution has the n/2 edges with v < s*v.  The
-        insertion order is that of v."""
-        edge_colour: dict[tuple[int, int], int] = {}
-        for ci, cls in enumerate(self.colour_classes):
-            row = self.group.left_row(cls[0])
-            if len(cls) == 2:
-                edge_colour.update(((v, w) if v < w else (w, v), ci)
-                                   for v, w in enumerate(row))
-            else:
-                edge_colour.update(((v, w), ci)
-                                   for v, w in enumerate(row) if v < w)
-        return edge_colour
+    def left_rows(self) -> dict[int, tuple[int, ...]]:
+        """The row x -> s*x of each s in S: every edge, colour and map test
+        reads the graph from these."""
+        return {s: self.group.left_row(s) for s in self.conn}
 
     @property
     def edges(self):
@@ -219,11 +207,11 @@ def sorted_edges(Gamma: ColouredCayleyGraph) -> list[tuple[int, int, int]]:
     left rows of the connection set: the pairs (u, s*u) with u < s*u.
     Distinct elements s give distinct neighbours s*u, so each edge is
     listed once, from its lesser end."""
-    G = Gamma.group
+    rows = Gamma.left_rows
     edges = []
     for ci, cls in enumerate(Gamma.colour_classes):
         for s in cls:
-            edges += [(u, v, ci) for u, v in enumerate(G.left_row(s)) if u < v]
+            edges += [(u, v, ci) for u, v in enumerate(rows[s]) if u < v]
     edges.sort()
     return edges
 
@@ -237,9 +225,7 @@ def cayley(G: FiniteGroup, S) -> ColouredCayleyGraph:
 def is_connected(Gamma: ColouredCayleyGraph) -> bool:
     """True iff <S> = G: the BFS over left rows from the identity vertex,
     the one the engine's stabiliser search walks, reaches every vertex."""
-    G = Gamma.group
-    order, _ = bfs_tree(Gamma.n, Gamma.conn,
-                        {s: G.left_row(s) for s in Gamma.conn})
+    order, _ = bfs_tree(Gamma.n, Gamma.conn, Gamma.left_rows)
     return len(order) == Gamma.n - 1
 
 

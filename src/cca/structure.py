@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 # pmul is looked up in perms at each call, so a rebinding of perms.pmul is
 # followed here even if this module is first imported while it is in place
 from . import builders, perms
-from .engine import AutcResult, autc_group, fast_cca_verdict
+from .engine import (AutcResult, _search_stabiliser, autc_group,
+                     fast_cca_verdict)
 from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
@@ -435,8 +436,12 @@ def enumerate_connection_sets(
     for word: propagation decides V' = {0} exactly, and V' = {0} implies
     A_1 = 1.  _settled propagates the clauses of V'.
 
-    The engine runs only on the connected classes _settled leaves.  mode
-    accepts only "canonical-pruned", the name callers give this path."""
+    The engine runs only on the connected classes _settled leaves:
+    fast_cca_verdict decides each on its Cayley graph from the strong
+    generators of A_1, and a NonCCA class's |Aut_c| = n*2^m is read from
+    the search's m levels.  A_1 is never listed, so STABILISER_CAP does not
+    apply here.  mode accepts only "canonical-pruned", the name callers
+    give this path."""
     if mode != "canonical-pruned":
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
     n, build = builders.parse_spec(base)
@@ -468,22 +473,19 @@ def enumerate_connection_sets(
     for x in survivors.tolist():
         m = int(reps[x])
         conn = _mask_conn(m, units)
+        Gamma = ColouredCayleyGraph(G, conn)
         try:
-            verdict = fast_cca_verdict(n, G.table, G.inverse, conn)
+            verdict = fast_cca_verdict(Gamma)
         except NotConnected:
             raise RuntimeError("internal error: the product closure and the "
                                "BFS disagree on connectivity") from None
         if verdict != "NonCCA":
             continue
-        res = autc_group(ColouredCayleyGraph(G, conn))
-        if res.verdict != "NonCCA":
-            raise RuntimeError("internal error: verdict routes disagree on "
-                               f"representative {m}")
         non_cca.append({
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
             "orbit_size": int(sizes[x]),
-            "autc_order": res.autc_order,
+            "autc_order": n << len(list(_search_stabiliser(Gamma))),
         })
     return EnumerationReport(
         base=base, scanned=1 << k,

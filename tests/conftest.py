@@ -41,7 +41,7 @@ def vf2_stabiliser(Gamma):
     X = nx.Graph()
     X.add_nodes_from((v, {"root": v == 0}) for v in range(Gamma.n))
     X.add_edges_from((u, v, {"colour": c})
-                     for (u, v), c in Gamma.edge_colour.items())
+                     for (u, v), c in reference_edge_colour(Gamma).items())
     gm = GraphMatcher(X, X,
                       node_match=lambda a, b: a["root"] == b["root"],
                       edge_match=lambda a, b: a["colour"] == b["colour"])
@@ -328,8 +328,7 @@ def reference_subset_verdicts(G: FiniteGroup, ws):
         least.append(min(sum(1 << w[i] for i in bits) for w in ws))
         conn = sorted(s for i in bits for s in units[i])
         try:
-            verdicts.append(fast_cca_verdict(G.order, G.table, G.inverse,
-                                             conn))
+            verdicts.append(fast_cca_verdict(ColouredCayleyGraph(G, conn)))
         except NotConnected:
             verdicts.append(None)
     return least, verdicts

@@ -119,7 +119,6 @@ def test_agl17_named_sets_and_random_consistency():
         assert res.full_group.order == 336
     G = builders.agl17()
     units = colour_units(G, range(1, G.order))
-    table, inv, n = G.table, G.inverse, G.order
     rng = random.Random(42)
     compared = 0
     for _ in range(10_000):
@@ -128,7 +127,7 @@ def test_agl17_named_sets_and_random_consistency():
         Gamma = ColouredCayleyGraph(G, conn)
         if not is_connected(Gamma):
             continue
-        fast = fast_cca_verdict(n, table, inv, conn)
+        fast = fast_cca_verdict(Gamma)
         ref = reference_autc(Gamma)
         assert fast == ref.verdict, conn
         # the stabiliser reference_autc starts from is the engine's own;

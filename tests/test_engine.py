@@ -23,7 +23,8 @@ from cca.structure import canonical_sets
 
 from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
                       random_connected_cayley, reference_aut_pm1,
-                      reference_autc, reference_stabiliser,
+                      reference_autc, reference_edge_colour,
+                      reference_stabiliser,
                       stabiliser_shape_allowed, vf2_stabiliser)
 
 
@@ -40,6 +41,36 @@ def test_colour_preserving_basics():
     assert colour_break(Gamma, reflection) is None
 
 
+def test_colour_break_matches_edge_scan():
+    # the first broken edge read from the left rows is the first one a scan
+    # over the reference edge colours, in their insertion order, meets:
+    # on stabiliser elements, on those with two images swapped, on random
+    # permutations and on maps that are not bijections
+    rng = random.Random(67)
+    pool = group_pool(48)
+    compared = breaking = 0
+    for _ in range(120):
+        Gamma = random_connected_cayley(rng, pool)
+        n = Gamma.n
+        ec = reference_edge_colour(Gamma)
+        maps = autc_stabiliser(Gamma)[:16]
+        for b in list(maps):
+            q = list(b)
+            i, j = rng.sample(range(n), 2)
+            q[i], q[j] = q[j], q[i]
+            maps.append(tuple(q))
+        maps += [tuple(rng.sample(range(n), n)) for _ in range(16)]
+        maps += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(16)]
+        for p in maps:
+            first = next(((u, v) for (u, v), c in ec.items()
+                          if ec.get((min(p[u], p[v]), max(p[u], p[v]))) != c),
+                         None)
+            assert colour_break(Gamma, p) == first, (Gamma.conn, p)
+            compared += 1
+            breaking += first is not None
+    assert compared > 4000 and breaking > 3000 and compared - breaking > 300
+
+
 def test_stabiliser_z4():
     Gamma = ColouredCayleyGraph(builders.cyclic(4), [1, 3])
     stab = autc_stabiliser(Gamma)
@@ -47,10 +78,11 @@ def test_stabiliser_z4():
     assert len(stab) == 2
 
 
-def test_stabiliser_cap_refuses():
+def test_stabiliser_cap_refuses(monkeypatch):
     # the complete graph on Q8 has a stabiliser of order 8
-    with pytest.raises(StabiliserTooLarge):
-        autc_stabiliser(complete_cayley(builders.quaternion8()), cap=4)
+    monkeypatch.setattr("cca.engine.STABILISER_CAP", 4)
+    with pytest.raises(StabiliserTooLarge, match="exceeds cap 4"):
+        autc_stabiliser(complete_cayley(builders.quaternion8()))
 
 
 def test_stabiliser_cap_refuses_before_closure(monkeypatch):
@@ -78,7 +110,7 @@ def test_stabiliser_requires_connected():
         autc_stabiliser(Gamma)
     # the enumeration reads a disconnected class from this error
     with pytest.raises(NotConnected):
-        fast_cca_verdict(G.order, G.table, G.inverse, [2, 4])
+        fast_cca_verdict(Gamma)
     with pytest.raises(NotConnected):
         aut_pm1_group(G, [2, 4])
 
@@ -154,10 +186,8 @@ def test_search_finds_identity_first(monkeypatch):
     pool = group_pool(48)
     for _ in range(30):
         Gamma = random_connected_cayley(rng, pool)
-        G = Gamma.group
         assert autc_stabiliser(Gamma)[0] == identity(Gamma.n)
-        fast = fast_cca_verdict(G.order, G.table, G.inverse, Gamma.conn)
-        assert fast == autc_group(Gamma).verdict
+        assert fast_cca_verdict(Gamma) == autc_group(Gamma).verdict
     Gamma = complete_cayley(builders.quaternion8())
     stab = autc_stabiliser(Gamma)
     monkeypatch.setattr("cca.engine.autc_stabiliser",
@@ -171,7 +201,7 @@ def _is_automorphism(G, b):
                for g in range(G.order) for h in range(G.order))
 
 
-def test_search_order_matches_reference():
+def test_search_order_matches_reference(monkeypatch):
     # the search starts at the identity leaf and walks back up its path;
     # a plain descent from the root must give the same list in the same
     # order, hence the same witness and the same cap behaviour
@@ -189,9 +219,12 @@ def test_search_order_matches_reference():
         witness = next((b for b in stab if not _is_automorphism(G, b)), None)
         assert autc_group(Gamma).witness == witness, Gamma.conn
         if len(stab) > 1:
+            monkeypatch.setattr("cca.engine.STABILISER_CAP", len(stab) - 1)
             with pytest.raises(StabiliserTooLarge):
-                autc_stabiliser(Gamma, cap=len(stab) - 1)
-            assert autc_stabiliser(Gamma, cap=len(stab)) == stab
+                autc_stabiliser(Gamma)
+            monkeypatch.setattr("cca.engine.STABILISER_CAP", len(stab))
+            assert autc_stabiliser(Gamma) == stab
+            monkeypatch.undo()
             capped += 1
     assert capped >= 10
     assert autc_group(graphs[-1]).verdict == "NonCCA"
@@ -303,9 +336,7 @@ def test_fast_verdict_matches_engine():
     pool = group_pool(24)
     for _ in range(30):
         Gamma = random_connected_cayley(rng, pool)
-        G = Gamma.group
-        fast = fast_cca_verdict(G.order, G.table, G.inverse, Gamma.conn)
-        assert fast == autc_group(Gamma).verdict
+        assert fast_cca_verdict(Gamma) == autc_group(Gamma).verdict
 
 
 def test_prediction_z6():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cca import builders
-from cca.engine import autc_stabiliser, fast_cca_verdict
-from cca.errors import InvalidSpec, NotConnected
+from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
+from cca.errors import InvalidSpec, NotConnected, StabiliserTooLarge
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, bfs_tree
 from cca.perms import identity
@@ -141,13 +141,12 @@ def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
     connected = closed == (1 << k) - 1
     settled = np.zeros(len(reps), dtype=bool)
     settled[connected] = _settled(G, units, reps[connected])
-    table, inv = G.table, G.inverse
     for m, c, f in zip(reps.tolist(), closed.tolist(), settled.tolist()):
-        conn = _mask_conn(m, units)
-        order, _ = bfs_tree(n, conn, {s: table[s] for s in conn})
+        Gamma = ColouredCayleyGraph(G, _mask_conn(m, units))
+        order, _ = bfs_tree(n, Gamma.conn, Gamma.left_rows)
         assert c == sum({1 << unit_of[v] for v, _, _ in order}), m
         try:
-            verdict = fast_cca_verdict(n, table, inv, conn)
+            verdict = fast_cca_verdict(Gamma)
         except NotConnected:
             verdict = None
         assert (verdict is not None) == (c == (1 << k) - 1), m
@@ -364,6 +363,23 @@ def test_enumerate_against_every_subset_under_aut(spec, non_cca_count):
     G = builders.build_spec(spec)
     ws = unit_permutations(G, brute_force_automorphisms(G))
     assert _check_against_every_subset(spec, ws) == non_cca_count
+
+
+def test_enumeration_never_lists_the_stabiliser(monkeypatch):
+    # a NonCCA class's |Aut_c| = n*2^m comes from the search's m levels, so
+    # the cap on listing A_1 never applies, though autc_group, which lists
+    # A_1 and gives the same orders under the default cap, obeys it
+    rep = enumerate_connection_sets("q8xz2^1")
+    G = builders.build_spec("q8xz2^1")
+    assert len(rep.non_cca_classes) == 44
+    for cls in rep.non_cca_classes:
+        Gamma = ColouredCayleyGraph(G, cls["representative_indices"])
+        assert cls["autc_order"] == autc_group(Gamma).autc_order
+    monkeypatch.setattr("cca.engine.STABILISER_CAP", 1)
+    with pytest.raises(StabiliserTooLarge, match="exceeds cap 1$"):
+        autc_group(Gamma)
+    assert enumerate_connection_sets("q8xz2^1").to_json_dict() \
+        == rep.to_json_dict()
 
 
 def test_enumerate_f21_report_content():

@@ -54,20 +54,6 @@ def test_graph_automorphisms_match_reference():
         assert auts == reference_graph_automorphisms(P)
 
 
-def test_edge_colour_matches_reference():
-    # same edges, colours and insertion order as one pass over every vertex
-    rng = random.Random(71)
-    pool = group_pool(48)
-    graphs = [random_connected_cayley(rng, pool) for _ in range(40)]
-    graphs += [complete_cayley(builders.build_spec(spec))
-               for spec in ("q8", "z2^4", "s4")]
-    for Gamma in graphs:
-        assert list(Gamma.edge_colour.items()) \
-            == list(reference_edge_colour(Gamma).items()), Gamma.conn
-    assert sum(len(u) == 1 for Gamma in graphs[:40]
-               for u in Gamma.colour_classes) >= 10
-
-
 def test_line_graph_and_subdivision_counts():
     H = heawood()
     S = subdivision(H)
@@ -152,19 +138,21 @@ def test_dot_and_json_export():
 
 def test_edge_listing_matches_sorted_edge_colour():
     # the exports and `edges` list the edges from the left rows, in the
-    # order of sorted(edge_colour.items()), and never build edge_colour
+    # order of the sorted reference edge colours
     rng = random.Random(53)
     graphs = [random_connected_cayley(rng, group_pool(48)) for _ in range(40)]
     graphs += [random_connected_cayley(rng, [builders.build_spec(spec)])
                for spec in ("psl27", "pgl27") for _ in range(3)]
+    graphs += [complete_cayley(builders.build_spec(spec))
+               for spec in ("q8", "z2^4", "s4")]
+    assert sum(len(u) == 1 for Gamma in graphs[:40]
+               for u in Gamma.colour_classes) >= 10
     for Gamma in graphs:
-        Gamma = ColouredCayleyGraph(Gamma.group, Gamma.conn)
         res = autc_group(Gamma)
         d = to_json_dict(Gamma)
         dot = to_dot(Gamma)
         assert res.to_json_dict()["graph"] == d
-        assert "edge_colour" not in Gamma.__dict__
-        edges = sorted(Gamma.edge_colour.items())
+        edges = sorted(reference_edge_colour(Gamma).items())
         assert d["edges"] == [[u, v, c] for (u, v), c in edges]
         assert [line for line in dot.splitlines() if " -- " in line] == \
             [f"  {u} -- {v} [color={_DOT_PALETTE[c % len(_DOT_PALETTE)]}];"
