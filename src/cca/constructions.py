@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import builders
-from .engine import (_is_multiplicative, colour_break, is_colour_preserving,
+from .engine import (colour_break, is_colour_preserving, multiplicative_break,
                      predicted_autc_complete)
 from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
@@ -30,7 +30,7 @@ class WreathWitness:
     T_conn: list[int]
     tau_prime: Perm
     graph: ColouredCayleyGraph
-    non_hom_pair: tuple[int, int]   # tau'(ab) != tau'(a)tau'(b) here
+    non_hom_pair: tuple[int, int]   # (s, g), s in T: tau'(sg) != tau'(s)tau'(g)
 
 
 def _move_point_zero(H: FiniteGroup) -> FiniteGroup:
@@ -71,7 +71,7 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
     if (edge := colour_break(base, tau)) is not None:
         raise HypothesisViolated("first hypothesis: tau changes the colour "
                                  "of the edge " + "-".join(map(G.label, edge)))
-    if H.order == 1 and _is_multiplicative(base, tau):
+    if H.order == 1 and multiplicative_break(base, tau) is None:
         raise HypothesisViolated(
             "second hypothesis: H is trivial and tau is an automorphism of G")
 
@@ -96,9 +96,9 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
     if (edge := colour_break(graph, tau_prime)) is not None:
         raise HypothesisViolated("tau' changes the colour of the edge "
                                  + "-".join(map(X.label, edge)))
-    pair = next(((a, b) for a in range(X.order) for b in range(X.order)
-                 if tau_prime[X.imul(a, b)]
-                 != X.imul(tau_prime[a], tau_prime[b])), None)
+    # S generates G and H - 1 lies in T, so T generates X: no break on the
+    # left rows of T means tau' is an automorphism
+    pair = multiplicative_break(graph, tau_prime)
     if pair is None:
         raise HypothesisViolated("tau' is a group automorphism of X")
     return WreathWitness(X, T, tau_prime, graph, pair)

@@ -25,8 +25,8 @@ from functools import cached_property
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
 from .groups import (FiniteGroup, bfs_tree, close_generators,
-                     find_isomorphism, generated, generating_sequence,
-                     isomorphisms, normal_subgroups)
+                     find_isomorphism, generated, isomorphisms,
+                     normal_subgroups)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -148,25 +148,35 @@ def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
                   key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
 
 
-def _is_multiplicative(Gamma: ColouredCayleyGraph, b: Perm) -> bool:
-    """b fixes vertex 0 and preserves colours, so it sends each s in S into
-    {s, s^-1}; true iff b(s*g) = b(s)*b(g) for all g and s in S, which (S
-    generating) makes b a group automorphism."""
-    left = Gamma.left_rows
-    for s, row in left.items():
-        row_bs = left[b[s]]
+def multiplicative_break(Gamma: ColouredCayleyGraph,
+                         b: Perm) -> tuple[int, int] | None:
+    """The first pair (s, g), s in S in connection-set order and g
+    ascending, with b(s*g) != b(s)*b(g), or None if there is none.
+
+    For a bijection b fixing vertex 0, None holds iff b is a group
+    automorphism, since S generates G: b(s_1*...*s_k*g) =
+    b(s_1)*...*b(s_k)*b(g) word by word.  The row of b(s) is the group's
+    cached left row, one of the graph's when b preserves colours, since b(s)
+    is then s or s^-1."""
+    row_of = Gamma.group.left_row
+    for s, row in Gamma.left_rows.items():
+        row_bs = row_of(b[s])
         for g in range(Gamma.n):
             if b[row[g]] != row_bs[b[g]]:
-                return False
-    return True
+                return s, g
+    return None
 
 
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
     every isomorphism G -> G sending each generator s to s or s^-1 that does
-    so on all of S.  Raises NotConnected unless S generates G."""
+    so on all of S.  The generators are those generated picks from S.
+    Raises NotConnected unless S generates G."""
     inv = G.inverse
-    gens = generating_sequence(G, S)
+    sub = generated([G.elements[s] for s in S], G.degree, cap=G.order)
+    if sub.order != G.order:
+        raise NotConnected("the candidates do not generate the group")
+    gens = [G.index[g] for g in sub.generators]
     choices = [dict.fromkeys((s, inv[s])) for s in gens]
     found = [tuple(phi) for phi in isomorphisms(G, G, gens, choices)
              if all(phi[s] in (s, inv[s]) for s in S)]
@@ -249,7 +259,7 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
     pm1 = stab[:1]
     witness = None
     for b in stab[1:]:
-        if _is_multiplicative(Gamma, b):
+        if multiplicative_break(Gamma, b) is None:
             pm1.append(b)
         elif witness is None:
             witness = b
@@ -336,6 +346,6 @@ def fast_cca_verdict(Gamma: ColouredCayleyGraph) -> str:
     generator that is not one.  It reaches at most n - 1 leaves and needs no
     cap.  Raises NotConnected, as autc_group does, on a disconnected graph."""
     gens = _search_stabiliser(Gamma)
-    if all(_is_multiplicative(Gamma, g) for *_, g in gens):
+    if all(multiplicative_break(Gamma, g) is None for *_, g in gens):
         return "CCA"
     return "NonCCA"

@@ -15,7 +15,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
-                     NotConnected, UnknownLabel)
+                     UnknownLabel)
 from .perms import Perm, identity, is_perm, pconj, pmul, porder
 
 DEFAULT_CAP = 10_000
@@ -377,16 +377,16 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
     return classes
 
 
-def normal_subgroups(G: FiniteGroup,
-                     cap: int = DEFAULT_CAP) -> list[FiniteGroup]:
-    """All normal subgroups, as joins of normal closures of conjugacy classes.
+def normal_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
+    """All normal subgroups, as joins of normal closures of conjugacy classes;
+    a group over DEFAULT_CAP, read at each call, raises BoundExceeded.
 
     Every normal subgroup is the join of the class closures inside it, so
     joining each subgroup found with each class closure, one closure at a
     time, reaches all of them.  A join that is one of its two parts is
     skipped, and two closures are joined once."""
-    if G.order > cap:
-        raise BoundExceeded(f"|G| = {G.order} exceeds bound {cap}")
+    if G.order > DEFAULT_CAP:
+        raise BoundExceeded(f"|G| = {G.order} exceeds bound {DEFAULT_CAP}")
     classes = conjugacy_classes(G)
     if len(classes) > 64:
         raise BoundExceeded(f"{len(classes)} conjugacy classes exceed bound 64")
@@ -420,24 +420,6 @@ def _order_histogram(G: FiniteGroup) -> dict[int, int]:
     for o in G.element_orders:
         hist[o] = hist.get(o, 0) + 1
     return hist
-
-
-def generating_sequence(G: FiniteGroup, candidates=None) -> list[int]:
-    """A small deterministic generating sequence: adjoin each candidate (by
-    default every element, in index order) that lies outside the subgroup
-    generated so far.  Raises NotConnected if the candidates do not generate
-    G."""
-    gens: list[int] = []
-    left: dict[int, tuple[int, ...]] = {}
-    pos = [0] + [-1] * (G.order - 1)
-    for c in range(1, G.order) if candidates is None else candidates:
-        if pos[c] == -1:
-            gens.append(c)
-            left[c] = G.left_row(c)
-            _, pos = bfs_tree(G.order, gens, left)
-    if -1 in pos:
-        raise NotConnected("the candidates do not generate the group")
-    return gens
 
 
 def extend_isomorphism(G: FiniteGroup, H: FiniteGroup, gens: list[int],
@@ -525,24 +507,26 @@ def automorphisms(G: FiniteGroup) -> list[list[int]]:
     """Aut(G), each automorphism as a list mapping element indices to
     element indices, from every choice of same-order images of a generating
     sequence that extends to an isomorphism."""
-    return list(isomorphisms(G, G, generating_sequence(G)))
+    gens = generated(G.elements, G.degree, cap=G.order).generators
+    return list(isomorphisms(G, G, [G.index[g] for g in gens]))
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
-                     bound: int = ISO_BOUND) -> list[int] | None:
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
     """An isomorphism G -> H as a list mapping G-indices to H-indices, or None.
 
     Groups of different orders, order histograms or commutativity are
-    rejected at once; otherwise the first map isomorphisms yields over the
+    rejected at once, and groups over ISO_BOUND, read at each call, with
+    BoundExceeded; otherwise the first map isomorphisms yields over the
     same-order images of a generating sequence of G."""
     if G.order != H.order:
         return None
-    if G.order > bound or H.order > bound:
-        raise BoundExceeded(f"isomorphism test bound {bound} exceeded")
+    if G.order > ISO_BOUND or H.order > ISO_BOUND:
+        raise BoundExceeded(f"isomorphism test bound {ISO_BOUND} exceeded")
     if G.is_abelian() != H.is_abelian() or \
             _order_histogram(G) != _order_histogram(H):
         return None
-    return next(isomorphisms(G, H, generating_sequence(G)), None)
+    gens = generated(G.elements, G.degree, cap=G.order).generators
+    return next(isomorphisms(G, H, [G.index[g] for g in gens]), None)
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:

@@ -126,9 +126,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
             continue
         gspan = close_generators(F.generators + H.generators + R.generators,
                                  n, cap=n + 1)
-        cj_h = [g for g in J.elements
-                if all(perms.pmul(g, h) == perms.pmul(h, g)
-                       for h in H.generators)]
+        cj_h = centralizer(J, H).elements
         Q = sylow_subgroup(J, 2)
         props = {
             "(i) T normal copy of PSL(2,7)": is_normal(T, A),
@@ -455,8 +453,9 @@ def enumerate_connection_sets(
         raise BoundExceeded(f"{base}: {k} colour units, more than "
                             f"{_MAX_UNITS}")
     ws = _unit_action(G, units)
-    if _class_count(ws) > _MAX_CLASSES:
-        raise BoundExceeded(f"{base}: {_class_count(ws)} classes, more "
+    classes = _class_count(ws)
+    if classes > _MAX_CLASSES:
+        raise BoundExceeded(f"{base}: {classes} classes, more "
                             f"than {_MAX_CLASSES}")
     # numpy loads with the kernels, so a refused spec never loads it
     from . import masks

@@ -15,7 +15,7 @@ from cca.engine import (autc_group, autc_stabiliser, fast_cca_verdict,
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
                         conjugacy_classes, extend_isomorphism,
-                        generating_sequence, is_normal, normal_subgroups,
+                        is_normal, normal_subgroups,
                         sylow_subgroup, trivial_group)
 from cca.perms import identity, pconj, pinv, pmul
 from cca.structure import (StructureDecomposition, decompose_structure,
@@ -334,12 +334,33 @@ def reference_subset_verdicts(G: FiniteGroup, ws):
     return least, verdicts
 
 
+def reference_generating_sequence(G: FiniteGroup, candidates):
+    """First fit: each candidate element index that the subgroup generated
+    so far does not reach is adjoined, the subgroup being re-grown by a BFS
+    over G.table from the identity after each one."""
+    gens = []
+    reached = {0}
+    for c in candidates:
+        if c in reached:
+            continue
+        gens.append(c)
+        queue = [0]
+        reached = {0}
+        for x in queue:
+            for g in gens:
+                y = G.table[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+    return gens
+
+
 def reference_aut_pm1(G: FiniteGroup, S):
     """Aut_{+-1}(G, S) by trying every choice of images s -> s^{+-1} of a
-    generating sequence drawn from S, in product order, and keeping those
-    that extend to an automorphism sending all of S to S^{+-1}."""
+    first-fit generating sequence drawn from S, in product order, and keeping
+    those that extend to an automorphism sending all of S to S^{+-1}."""
     inv = G.inverse
-    gens = generating_sequence(G, S)
+    gens = reference_generating_sequence(G, S)
     found = []
     for imgs in itertools.product(*[(s,) if inv[s] == s else (s, inv[s])
                                     for s in gens]):

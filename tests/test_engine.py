@@ -11,7 +11,7 @@ from cca import builders
 from cca.constructions import line_graph_construction
 from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
                         colour_break, fast_cca_verdict, is_colour_preserving,
-                        predicted_autc_complete)
+                        multiplicative_break, predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
@@ -69,6 +69,52 @@ def test_colour_break_matches_edge_scan():
             compared += 1
             breaking += first is not None
     assert compared > 4000 and breaking > 3000 and compared - breaking > 300
+
+
+def test_multiplicative_break_matches_pair_scan():
+    # multiplicative_break is None iff no pair of elements breaks
+    # b(a*c) = b(a)*b(c), and otherwise it is the first breaking (s, g), s in
+    # S in connection-set order and g ascending: on the stabiliser elements
+    # of NonCCA sets, automorphisms of G with two images swapped or not, and
+    # random bijections, all fixing the identity.  Aut(G) is not listed on
+    # orders 16, 27, 32 and 48, where Z2^4, Z3^3, Z2^5 and Z2^4 x Z3 have
+    # from 11232 to 9999360 automorphisms
+    rng = random.Random(79)
+    pool = group_pool(48)
+    auts = {}
+    seen = {"stabiliser": [0, 0], "automorphism": [0, 0], "swapped": [0, 0],
+            "random": [0, 0]}
+    for _ in range(360):
+        Gamma = random_connected_cayley(rng, pool)
+        G, n = Gamma.group, Gamma.n
+        maps = [("random", (0,) + tuple(rng.sample(range(1, n), n - 1)))
+                for _ in range(4)]
+        if n not in (16, 27, 32, 48):
+            if id(G) not in auts:
+                auts[id(G)] = automorphisms(G)
+            for phi in rng.sample(auts[id(G)], min(4, len(auts[id(G)]))):
+                maps.append(("automorphism", tuple(phi)))
+                if n > 2:
+                    q = list(phi)
+                    i, j = rng.sample(range(1, n), 2)
+                    q[i], q[j] = q[j], q[i]
+                    maps.append(("swapped", tuple(q)))
+        if fast_cca_verdict(Gamma) == "NonCCA":
+            maps += [("stabiliser", b) for b in autc_stabiliser(Gamma)[:16]]
+        for kind, b in maps:
+            scan = next(((a, c) for a in range(n) for c in range(n)
+                         if b[G.imul(a, c)] != G.imul(b[a], b[c])), None)
+            got = multiplicative_break(Gamma, b)
+            assert (got is None) == (scan is None), (Gamma.conn, b)
+            if got is not None:
+                assert got == next((s, g) for s in Gamma.conn
+                                   for g in range(n)
+                                   if b[G.imul(s, g)]
+                                   != G.imul(b[s], b[g])), (Gamma.conn, b)
+            seen[kind][got is None] += 1
+    assert seen["stabiliser"][0] > 50 and seen["stabiliser"][1] > 25, seen
+    assert seen["automorphism"][0] == 0 and seen["automorphism"][1] > 500
+    assert seen["swapped"][0] > 500 and seen["random"][0] > 1000, seen
 
 
 def test_stabiliser_z4():

@@ -11,13 +11,13 @@ from cca.graphs import colour_units
 from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
                         bfs_tree, centralizer, close_generators,
                         conjugacy_classes, find_isomorphism, generated,
-                        generating_sequence, is_normal,
-                        is_subgroup, is_sylow_cyclic_order_not_div_4,
+                        is_normal, is_subgroup, is_sylow_cyclic_order_not_div_4,
                         normal_subgroups, normalizer, p_part, prime_factors,
                         sylow_subgroup, trivial_group)
 from cca.perms import identity, pmul
 
 from conftest import (full_scan_bfs, group_pool, reference_closure,
+                      reference_generating_sequence,
                       reference_normal_subgroups, reference_products)
 
 
@@ -64,11 +64,21 @@ def test_close_generators_matches_reference_closure():
 
 
 def test_generated_keeps_few_generators():
+    # generated adjoins the candidates a first fit over a BFS of the table
+    # adjoins, in the same order: from all elements and from seeded
+    # connection sets
+    rng = random.Random(83)
     for G in group_pool(48):
         H = generated(G.elements, G.degree)
         assert set(H.elements) == set(G.elements)
-        assert len(H.generators) <= len(generating_sequence(G))
-        assert all(g in G.index for g in H.generators)
+        assert [G.index[g] for g in H.generators] == \
+            reference_generating_sequence(G, range(G.order))
+        units = colour_units(G, range(1, G.order))
+        for _ in range(3):
+            conn = [s for u in units if rng.random() < 0.5 for s in u]
+            H = generated([G.elements[s] for s in conn], G.degree)
+            assert [G.index[g] for g in H.generators] == \
+                reference_generating_sequence(G, conn), conn
     T = generated([(0,), (0,)], 1)
     assert T.elements == [(0,)] and T.generators == []
 
@@ -224,18 +234,14 @@ def test_normal_subgroups_match_reference():
         assert [N.elements for N in got] == [N.elements for N in ref]
 
 
-def test_bounds_refuse_large_groups():
+def test_bounds_refuse_large_groups(monkeypatch):
     G = builders.symmetric(4)
-    with pytest.raises(BoundExceeded):
-        find_isomorphism(G, G, bound=G.order - 1)
-    with pytest.raises(BoundExceeded):
-        normal_subgroups(G, cap=G.order - 1)
-
-
-def test_generating_sequence():
-    G = builders.quaternion8()
-    gens = generating_sequence(G)
-    assert G.subgroup([G.elements[i] for i in gens]).order == 8
+    monkeypatch.setattr("cca.groups.ISO_BOUND", G.order - 1)
+    with pytest.raises(BoundExceeded, match="bound 23 exceeded"):
+        find_isomorphism(G, G)
+    monkeypatch.setattr("cca.groups.DEFAULT_CAP", G.order - 1)
+    with pytest.raises(BoundExceeded, match="exceeds bound 23"):
+        normal_subgroups(G)
 
 
 def test_bfs_tree_matches_full_scan():
