@@ -30,7 +30,7 @@ class WreathWitness:
     T_conn: list[int]
     tau_prime: Perm
     graph: ColouredCayleyGraph
-    non_hom_pair: tuple[int, int]   # (s, g), s in T: tau'(sg) != tau'(s)tau'(g)
+    non_hom_pair: tuple[int, int]  # (s, g), s in T: tau'(sg) != tau'(s)tau'(g)
 
 
 def _move_point_zero(H: FiniteGroup) -> FiniteGroup:

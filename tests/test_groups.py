@@ -11,9 +11,10 @@ from cca.graphs import colour_units
 from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
                         bfs_tree, centralizer, close_generators,
                         conjugacy_classes, find_isomorphism, generated,
-                        is_normal, is_subgroup, is_sylow_cyclic_order_not_div_4,
-                        normal_subgroups, normalizer, p_part, prime_factors,
-                        sylow_subgroup, trivial_group)
+                        is_normal, is_subgroup,
+                        is_sylow_cyclic_order_not_div_4, normal_subgroups,
+                        normalizer, p_part, prime_factors, sylow_subgroup,
+                        trivial_group)
 from cca.perms import identity, pmul
 
 from conftest import (full_scan_bfs, group_pool, reference_closure,
