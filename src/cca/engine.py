@@ -9,13 +9,12 @@ map found is colour-preserving by construction (the tests compare with
 networkx's VF2).  With the BFS order as base, each level at most doubles the
 stabiliser A_1 of the identity vertex, so the search finds one map per
 level that does, starting from the identity leaf and walking back up its
-path: m strong generators, |A_1| = 2^m.  A_1 is closed from them only when
-2^m is within the cap, and listed in the order of a full descent.
-|Aut_c| = n*|A_1|; G_R is normal iff every element of A_1 is a group
-automorphism, which holds iff it holds on the generators, and those elements
-form Aut_{+-1}(G, S).  Membership in Aut_c is decided against A_1 alone;
-Aut_c itself is closed from G_R and A_1 only on first access of full_group,
-and the tests check this route against the closure-and-normality route.
+path: m strong generators, |A_1| = 2^m.  AutcResult runs the search once
+and holds them: |Aut_c| = n*2^m, and G_R is normal iff every element of A_1
+is a group automorphism, which holds iff it holds on the generators.  A_1
+is listed in the order of a full descent, and Aut_c closed from G_R and the
+generators, only on first access; the tests check this route against the
+closure-and-normality route.
 """
 
 from __future__ import annotations
@@ -121,33 +120,6 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
             yield v, u, s, g
 
 
-def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
-    """All colour-preserving automorphisms of a connected Cayley graph fixing
-    the identity vertex, in the order a full descent of the search would
-    find them, the identity first.
-
-    |A_1| = 2^m for the m strong generators, so a stabiliser larger than
-    STABILISER_CAP, read at each call, raises StabiliserTooLarge before any
-    closure.  Otherwise A_1 is closed from the generators and sorted by the
-    descent key: one bit per level at which a generator was found, 0 when
-    img[v] = s*img[u], the candidate a descent tries first, and 1
-    otherwise.  At a level where A^(k) =
-    A^(k+1), the images of the earlier base vertices fix that of v_k, so two
-    maps first differ at a generator level, and the key orders them as the
-    descent does."""
-    levels = list(_search_stabiliser(Gamma))
-    size = 1 << len(levels)
-    if size > STABILISER_CAP:
-        raise StabiliserTooLarge(f"stabiliser exceeds cap {STABILISER_CAP}")
-    stab = close_generators([g for *_, g in levels], Gamma.n, cap=size)
-    if stab.order != size:
-        raise RuntimeError("internal error: |A_1| != 2^m")
-    left = Gamma.left_rows
-    key = [(v, u, left[s]) for v, u, s, _ in reversed(levels)]
-    return sorted(stab.elements,
-                  key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
-
-
 def multiplicative_break(Gamma: ColouredCayleyGraph,
                          b: Perm) -> tuple[int, int] | None:
     """The first pair (s, g), s in S in connection-set order and g
@@ -184,22 +156,64 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
 
 
 class AutcResult:
-    """Aut_c of a connected coloured Cayley graph, held as A_1: its order
-    is n*|A_1|, `p in res` decides membership without closing it, and
-    full_group closes it on first access."""
+    """Aut_c of a connected coloured Cayley graph, held as the strong
+    generators of A_1 from one stabiliser search, which give its orders and
+    the verdict; `p in res` decides membership without closing Aut_c.
+    Raises NotConnected when S does not generate G."""
 
-    def __init__(self, graph: ColouredCayleyGraph, stabiliser: list[Perm],
-                 aut_pm1: FiniteGroup, verdict: str, witness: Perm | None):
+    def __init__(self, graph: ColouredCayleyGraph):
         self.graph = graph
-        self.stabiliser = stabiliser     # A_1, in search order
-        self.aut_pm1 = aut_pm1
-        self.verdict = verdict           # "CCA" | "NonCCA"
-        self.witness = witness
+        self._levels = list(_search_stabiliser(graph))
+        self.stabiliser_order = 1 << len(self._levels)
+        self.autc_order = graph.n * self.stabiliser_order
+        self.verdict = "CCA" if all(
+            multiplicative_break(graph, g) is None
+            for *_, g in self._levels) else "NonCCA"
+
+    @cached_property
+    def stabiliser(self) -> list[Perm]:
+        """A_1, closed from the generators and listed in the order a full
+        descent of the search would find it, the identity first: sorted by
+        one bit per level at which a generator was found, 0 when
+        img[v] = s*img[u], the candidate a descent tries first, and 1
+        otherwise.  At a level where A^(k) = A^(k+1), the images of the
+        earlier base vertices fix that of v_k, so two maps first differ at a
+        generator level, and the key orders them as the descent does."""
+        stab = close_generators([g for *_, g in self._levels], self.graph.n,
+                                cap=self.stabiliser_order)
+        if stab.order != self.stabiliser_order:
+            raise RuntimeError("internal error: |A_1| != 2^m")
+        left = self.graph.left_rows
+        key = [(v, u, left[s]) for v, u, s, _ in reversed(self._levels)]
+        return sorted(stab.elements,
+                      key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
+
+    @cached_property
+    def _pm1_and_witness(self) -> tuple[list[Perm], Perm | None]:
+        """Aut_pm1's elements and the witness: A_1 and None on a CCA graph,
+        where A_1 = Aut_pm1, and otherwise one pass over A_1."""
+        if self.verdict == "CCA":
+            return self.stabiliser, None
+        pm1, witness = [], None
+        for b in self.stabiliser:
+            if multiplicative_break(self.graph, b) is None:
+                pm1.append(b)
+            elif witness is None:
+                witness = b
+        return pm1, witness
 
     @property
-    def autc_order(self) -> int:
-        """|Aut_c| = n*|A_1| by orbit-stabiliser."""
-        return self.graph.n * len(self.stabiliser)
+    def witness(self) -> Perm | None:
+        """The first element of A_1 that is not a group automorphism, which
+        for a map fixing the identity means it does not normalise G_R; None
+        on a CCA graph, which lists nothing for it."""
+        return None if self.verdict == "CCA" else self._pm1_and_witness[1]
+
+    @cached_property
+    def aut_pm1(self) -> FiniteGroup:
+        """Aut_{+-1}(G, S): the elements of A_1 that are automorphisms."""
+        pm1 = self._pm1_and_witness[0]
+        return FiniteGroup(pm1, pm1[1:])
 
     @cached_property
     def _stabiliser_set(self) -> frozenset:
@@ -220,17 +234,14 @@ class AutcResult:
     @cached_property
     def full_group(self) -> FiniteGroup:
         """All of Aut_c on first access, closed from the generators of G_R
-        and of the subgroup the elements of A_1 generate.  That is the group
-        that G_R and all of A_1 generate, so the check |Aut_c| = n*|A_1|
-        keeps its strength: a stabiliser list that is not closed under
-        products still gives a larger group.  Membership needs no closure
+        and the strong generators of A_1, and checked against the order
+        n*2^m that the search gives.  Membership needs no closure
         (`p in res`); this serves decompose_structure, which scans every
         element, and the tests, which compare the two routes."""
         G = self.graph.group
-        cap = max(10_000, self.autc_order + 1)
-        stab = generated(self.stabiliser, G.order, cap=cap)
-        full = close_generators(G.right_regular.generators + stab.generators,
-                                G.order, cap=cap)
+        full = close_generators(
+            G.right_regular.generators + [g for *_, g in self._levels],
+            G.order, cap=max(10_000, self.autc_order + 1))
         if full.order != self.autc_order:
             raise RuntimeError("internal error: |Aut_c| != n*|A_1|")
         return full
@@ -239,33 +250,35 @@ class AutcResult:
         from .graphs import to_json_dict
         d = {
             "graph": to_json_dict(self.graph),
-            "stabiliser_order": len(self.stabiliser),
+            "stabiliser_order": self.stabiliser_order,
             "full_group_order": self.autc_order,
-            "aut_pm1_order": self.aut_pm1.order,
+            "aut_pm1_order": self.stabiliser_order,
             "verdict": self.verdict,
         }
         if self.witness is not None:
+            d["aut_pm1_order"] = self.aut_pm1.order
             d["witness_permutation"] = list(self.witness)
         return d
 
 
 def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
-    """Aut_c(Gamma) from the stabiliser A_1 of the identity vertex.  A NonCCA
-    witness is the first element of A_1 that is not a group automorphism,
-    which for a map fixing the identity means it does not normalise G_R."""
-    stab = autc_stabiliser(Gamma)
-    if stab[0] != identity(Gamma.n):
-        raise RuntimeError("internal error: the identity is not found first")
-    pm1 = stab[:1]
-    witness = None
-    for b in stab[1:]:
-        if multiplicative_break(Gamma, b) is None:
-            pm1.append(b)
-        elif witness is None:
-            witness = b
-    verdict = "CCA" if witness is None else "NonCCA"
-    return AutcResult(Gamma, stab, FiniteGroup(pm1, pm1[1:]), verdict,
-                      witness)
+    """AutcResult(Gamma), refused with StabiliserTooLarge when |A_1| = 2^m
+    exceeds STABILISER_CAP, read at each call, before A_1 is listed."""
+    res = AutcResult(Gamma)
+    if res.stabiliser_order > STABILISER_CAP:
+        raise StabiliserTooLarge(f"stabiliser exceeds cap {STABILISER_CAP}")
+    return res
+
+
+def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
+    """A_1 in descent order, the identity first, under autc_group's cap."""
+    return autc_group(Gamma).stabiliser
+
+
+def fast_cca_verdict(Gamma: ColouredCayleyGraph) -> str:
+    """AutcResult(Gamma).verdict: the CCA verdict from the strong generators
+    of A_1, which is never listed, so no cap applies."""
+    return AutcResult(Gamma).verdict
 
 
 # -- classification of Aut_c on complete Cayley graphs ---------------------
@@ -334,18 +347,3 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
     gens = reg_gens + [p for p in pm1.elements if p != identity(n)]
     return CompletePrediction("CCA", n * pm1.order, gens)
 
-
-# -- fast verdict for enumeration ------------------------------------------
-
-def fast_cca_verdict(Gamma: ColouredCayleyGraph) -> str:
-    """The CCA verdict on Gamma from the strong generators of A_1 alone,
-    without listing A_1.
-
-    Group automorphisms are closed under composition, so A_1 consists of
-    them iff its strong generators do; the search stops at the first
-    generator that is not one.  It reaches at most n - 1 leaves and needs no
-    cap.  Raises NotConnected, as autc_group does, on a disconnected graph."""
-    gens = _search_stabiliser(Gamma)
-    if all(multiplicative_break(Gamma, g) is None for *_, g in gens):
-        return "CCA"
-    return "NonCCA"

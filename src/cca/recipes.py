@@ -46,7 +46,7 @@ def _result_summary(Gamma, res, embedded=None):
         "connection_size": len(Gamma.conn),
         "verdict": res.verdict,
         "autc_order": res.autc_order,
-        "stabiliser_order": len(res.stabiliser),
+        "stabiliser_order": res.stabiliser_order,
         "aut_pm1_order": res.aut_pm1.order,
     }
     if embedded is not None:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 # pmul is looked up in perms at each call, so a rebinding of perms.pmul is
 # followed here even if this module is first imported while it is in place
 from . import builders, perms
-from .engine import (AutcResult, _search_stabiliser, autc_group,
-                     fast_cca_verdict)
+from .engine import AutcResult, autc_group
 from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
@@ -434,11 +433,11 @@ def enumerate_connection_sets(
     for word: propagation decides V' = {0} exactly, and V' = {0} implies
     A_1 = 1.  _settled propagates the clauses of V'.
 
-    The engine runs only on the connected classes _settled leaves:
-    fast_cca_verdict decides each on its Cayley graph from the strong
-    generators of A_1, and a NonCCA class's |Aut_c| = n*2^m is read from
-    the search's m levels.  A_1 is never listed, so STABILISER_CAP does not
-    apply here.  mode accepts only "canonical-pruned", the name callers
+    The engine runs only on the connected classes _settled leaves: one
+    AutcResult on each class's Cayley graph, one stabiliser search, gives
+    the verdict from the strong generators of A_1 and a NonCCA class's
+    |Aut_c| = n*2^m.  A_1 is never listed, so STABILISER_CAP does not apply
+    here.  mode accepts only "canonical-pruned", the name callers
     give this path."""
     if mode != "canonical-pruned":
         raise InvalidSpec(f"unknown enumeration mode {mode!r}")
@@ -472,19 +471,18 @@ def enumerate_connection_sets(
     for x in survivors.tolist():
         m = int(reps[x])
         conn = _mask_conn(m, units)
-        Gamma = ColouredCayleyGraph(G, conn)
         try:
-            verdict = fast_cca_verdict(Gamma)
+            res = AutcResult(ColouredCayleyGraph(G, conn))
         except NotConnected:
             raise RuntimeError("internal error: the product closure and the "
                                "BFS disagree on connectivity") from None
-        if verdict != "NonCCA":
+        if res.verdict != "NonCCA":
             continue
         non_cca.append({
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
             "orbit_size": int(sizes[x]),
-            "autc_order": n << len(list(_search_stabiliser(Gamma))),
+            "autc_order": res.autc_order,
         })
     return EnumerationReport(
         base=base, scanned=1 << k,

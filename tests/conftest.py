@@ -10,8 +10,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
 from cca.errors import ClosureExceedsCap, NotConnected
-from cca.engine import (autc_group, autc_stabiliser, fast_cca_verdict,
-                        is_colour_preserving)
+from cca.engine import autc_group, fast_cca_verdict, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
                         conjugacy_classes, extend_isomorphism,
@@ -409,13 +408,14 @@ def group_pool(max_order: int):
 
 
 def reference_autc(Gamma):
-    """The closure route to Aut_c, independent of the engine's multiplicative
-    test: close G_R and G_R + A_1 by tuple products, decide normality with
-    is_normal, take the first stabiliser element that does not normalise G_R
-    as the witness, and try every choice of generator images for Aut_pm1."""
+    """The closure route to Aut_c, independent of the engine: take A_1 from
+    reference_stabiliser, close G_R and G_R + A_1 by tuple products, decide
+    normality with is_normal, take the first stabiliser element that does
+    not normalise G_R as the witness, and try every choice of generator
+    images for Aut_pm1."""
     G = Gamma.group
     n = G.order
-    stab = autc_stabiliser(Gamma)
+    stab = reference_stabiliser(Gamma)
     reg_gens = [G.right_row(G.index[g]) for g in G.generators]
     G_R = close_generators(reg_gens, n, cap=n + 1)
     assert G_R.order == n

@@ -130,8 +130,8 @@ def test_agl17_named_sets_and_random_consistency():
         fast = fast_cca_verdict(Gamma)
         ref = reference_autc(Gamma)
         assert fast == ref.verdict, conn
-        # the stabiliser reference_autc starts from is the engine's own;
-        # for the first 500 sets, VF2 checks it independently
+        # reference_autc takes A_1 from a plain descent that shares no code
+        # with the engine; for the first 500 sets, VF2 checks it as well
         if compared < 500:
             assert sorted(ref.stabiliser) == vf2_stabiliser(Gamma), conn
         compared += 1

@@ -9,9 +9,10 @@ import pytest
 import cca
 from cca import builders
 from cca.constructions import line_graph_construction
-from cca.engine import (aut_pm1_group, autc_group, autc_stabiliser,
-                        colour_break, fast_cca_verdict, is_colour_preserving,
-                        multiplicative_break, predicted_autc_complete)
+from cca.engine import (AutcResult, aut_pm1_group, autc_group,
+                        autc_stabiliser, colour_break, fast_cca_verdict,
+                        is_colour_preserving, multiplicative_break,
+                        predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
@@ -225,21 +226,44 @@ def test_result_invariants_on_random_graphs():
         assert (res.witness is not None) == (res.verdict == "NonCCA")
 
 
-def test_search_finds_identity_first(monkeypatch):
-    # autc_group and fast_cca_verdict skip the multiplicative test on the
-    # first element found, which must therefore be the identity
+def test_search_finds_identity_first():
+    # A_1 is listed in descent order, which starts at the identity, and the
+    # verdict fast_cca_verdict reads from the generators is autc_group's
     rng = random.Random(47)
     pool = group_pool(48)
     for _ in range(30):
         Gamma = random_connected_cayley(rng, pool)
         assert autc_stabiliser(Gamma)[0] == identity(Gamma.n)
         assert fast_cca_verdict(Gamma) == autc_group(Gamma).verdict
-    Gamma = complete_cayley(builders.quaternion8())
-    stab = autc_stabiliser(Gamma)
-    monkeypatch.setattr("cca.engine.autc_stabiliser",
-                        lambda _: stab[1:] + stab[:1])
-    with pytest.raises(RuntimeError, match="identity"):
-        autc_group(Gamma)
+
+
+def test_cca_check_closes_nothing(monkeypatch):
+    # on a CCA graph the orders and the verdict come from the strong
+    # generators, and A_1 = Aut_pm1 with no witness, so a check closes no
+    # group, even where |A_1| > 1; the orders are the reference search's
+    # and the generator-image search's
+    rng = random.Random(61)
+    pool = group_pool(24)
+    graphs = [random_connected_cayley(rng, pool) for _ in range(40)]
+    refs = [(len(reference_stabiliser(Gamma)),
+             reference_aut_pm1(Gamma.group, Gamma.conn).order)
+            for Gamma in graphs]
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("close_generators called")
+
+    monkeypatch.setattr("cca.engine.close_generators", no_closure)
+    checked = nontrivial = 0
+    for Gamma, (stab, pm1) in zip(graphs, refs):
+        if pm1 != stab:
+            continue
+        d = autc_group(Gamma).to_json_dict()
+        assert d["verdict"] == "CCA" and "witness_permutation" not in d
+        assert d["stabiliser_order"] == d["aut_pm1_order"] == stab
+        assert d["full_group_order"] == Gamma.n * stab
+        checked += 1
+        nontrivial += stab > 1
+    assert checked > 20 and nontrivial > 10, (checked, nontrivial)
 
 
 def _is_automorphism(G, b):
@@ -490,11 +514,15 @@ def _assert_matches_reference(Gamma):
     assert set(res.full_group.elements) == set(ref.full_group.elements)
 
 
-def test_verdict_routes_cross_validate():
+def _random_oracle_graphs():
     rng = random.Random(23)
     pool = group_pool(20)
-    for _ in range(20):
-        _assert_matches_reference(random_connected_cayley(rng, pool))
+    return [random_connected_cayley(rng, pool) for _ in range(20)]
+
+
+def test_verdict_routes_cross_validate():
+    for Gamma in _random_oracle_graphs():
+        _assert_matches_reference(Gamma)
 
 
 def _sparse_cayley(rng, G, most=4):
@@ -509,16 +537,36 @@ def _sparse_cayley(rng, G, most=4):
             return ColouredCayleyGraph(G, conn)
 
 
-def test_autc_group_matches_reference_oracle():
+def _sparse_oracle_graphs():
     rng = random.Random(31)
+    graphs = []
     for spec in ("f21", "agl17", "f21xz2", "q8xz2^1", "psl27"):
         G = builders.build_spec(spec)
-        for _ in range(6):
-            _assert_matches_reference(_sparse_cayley(rng, G))
+        graphs += [_sparse_cayley(rng, G) for _ in range(6)]
     named = canonical_sets()
-    for name in ("S21", "S42_1", "S42_2"):
-        G, S = named[name]
-        _assert_matches_reference(ColouredCayleyGraph(G, S))
+    return graphs + [ColouredCayleyGraph(*named[name])
+                     for name in ("S21", "S42_1", "S42_2")]
+
+
+def test_autc_group_matches_reference_oracle():
+    for Gamma in _sparse_oracle_graphs():
+        _assert_matches_reference(Gamma)
+
+
+def test_full_group_closes_from_strong_generators(monkeypatch):
+    # full_group is closed from the generators of G_R and the search's
+    # strong generators without listing A_1, and it is the group the
+    # closure route builds from all of A_1, on the graphs compared above
+    graphs = _random_oracle_graphs() + _sparse_oracle_graphs()
+    refs = [reference_autc(Gamma).full_group for Gamma in graphs]
+
+    def unlisted(self):
+        raise AssertionError("A_1 listed")
+
+    monkeypatch.setattr(AutcResult, "stabiliser", property(unlisted))
+    for Gamma, ref in zip(graphs, refs):
+        res = autc_group(Gamma)
+        assert set(res.full_group.elements) == set(ref.elements), Gamma.conn
 
 
 def test_stabiliser_matches_vf2_oracle():

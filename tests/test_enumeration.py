@@ -3,11 +3,12 @@ import functools
 import io
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from cca import builders
+from cca import builders, engine
 from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
 from cca.errors import InvalidSpec, NotConnected, StabiliserTooLarge
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
@@ -380,6 +381,26 @@ def test_enumeration_never_lists_the_stabiliser(monkeypatch):
         autc_group(Gamma)
     assert enumerate_connection_sets("q8xz2^1").to_json_dict() \
         == rep.to_json_dict()
+
+
+def test_enumeration_searches_once_per_engine_run(monkeypatch):
+    # each class left to the engine is decided, and a NonCCA class's
+    # |Aut_c| read, from one stabiliser search; the search is counted in
+    # every cca module that binds it
+    search = engine._search_stabiliser
+    calls = []
+
+    def counted(Gamma):
+        calls.append(Gamma.conn)
+        return search(Gamma)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cca.") and \
+                getattr(mod, "_search_stabiliser", None) is search:
+            monkeypatch.setattr(mod, "_search_stabiliser", counted)
+    rep = enumerate_connection_sets("q8xz2^1")
+    assert len(rep.non_cca_classes) == 44
+    assert len(calls) == rep.engine_runs
 
 
 def test_enumerate_f21_report_content():

@@ -37,6 +37,21 @@ def test_only_masks_imports_numpy():
                              for where in importers), importers
 
 
+def test_no_private_imports_across_modules():
+    # a module's private names are its own: no package module imports a
+    # name beginning with "_" from another one
+    src = Path(cca.__file__).resolve().parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("cca")):
+                private += [f"{path.name}:{node.lineno}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private
+
+
 def _names(paths) -> dict[str, int]:
     """How often each name occurs in the files: as a name, an attribute, an
     imported name or a string (the benchmark's tracer patches by name)."""
