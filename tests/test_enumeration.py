@@ -368,8 +368,8 @@ def test_enumerate_against_every_subset_under_aut(spec, non_cca_count):
 
 def test_enumeration_never_lists_the_stabiliser(monkeypatch):
     # a NonCCA class's |Aut_c| = n*2^m comes from the search's m levels, so
-    # the cap on listing A_1 never applies, though autc_group, which lists
-    # A_1 and gives the same orders under the default cap, obeys it
+    # the cap on listing A_1 never applies, though autc_group, which gives
+    # the same orders under the default cap, obeys it
     rep = enumerate_connection_sets("q8xz2^1")
     G = builders.build_spec("q8xz2^1")
     assert len(rep.non_cca_classes) == 44
