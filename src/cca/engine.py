@@ -158,7 +158,7 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
 class AutcResult:
     """Aut_c of a connected coloured Cayley graph, held as the strong
     generators of A_1 from one stabiliser search, which give its orders and
-    the verdict; `p in res` decides membership without closing Aut_c.
+    the verdict; `p in res` decides membership without listing any group.
     Raises NotConnected when S does not generate G."""
 
     def __init__(self, graph: ColouredCayleyGraph):
@@ -191,11 +191,13 @@ class AutcResult:
     @cached_property
     def _pm1_and_witness(self) -> tuple[list[Perm], Perm | None]:
         """Aut_pm1's elements and the witness: A_1 and None on a CCA graph,
-        where A_1 = Aut_pm1, and otherwise one pass over A_1."""
+        where A_1 = Aut_pm1, and otherwise one pass over A_1 after the
+        identity, which stabiliser lists first and which is an
+        automorphism."""
         if self.verdict == "CCA":
             return self.stabiliser, None
-        pm1, witness = [], None
-        for b in self.stabiliser:
+        pm1, witness = self.stabiliser[:1], None
+        for b in self.stabiliser[1:]:
             if multiplicative_break(self.graph, b) is None:
                 pm1.append(b)
             elif witness is None:
@@ -215,21 +217,15 @@ class AutcResult:
         pm1 = self._pm1_and_witness[0]
         return FiniteGroup(pm1, pm1[1:])
 
-    @cached_property
-    def _stabiliser_set(self) -> frozenset:
-        return frozenset(self.stabiliser)
-
     def __contains__(self, p: Perm) -> bool:
-        """p in Aut_c, decided without closing Aut_c.  G_R lies in Aut_c and
-        is regular, and A_1 is the whole stabiliser of the identity vertex,
-        so p lies in Aut_c iff p followed by the right translation taking
-        p(1) back to 1, which fixes 1, lies in A_1: the stabiliser membership
-        test (Seress 2003), one pass over p."""
-        G = self.graph.group
-        if len(p) != G.order:
-            return False
-        back = G.right_row(G.inverse[p[0]])
-        return tuple([back[x] for x in p]) in self._stabiliser_set
+        """p in Aut_c, from the definition: p permutes the n vertices and
+        colour_break finds no edge that p fails to map to an edge of the
+        same colour.  Such a bijection maps the finite edge set into itself
+        injectively, so onto it, and is an automorphism; no group is listed
+        or closed."""
+        n = self.graph.n
+        return (len(p) == n and sorted(p) == list(range(n))
+                and colour_break(self.graph, p) is None)
 
     @cached_property
     def full_group(self) -> FiniteGroup:

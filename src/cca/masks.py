@@ -1,8 +1,9 @@
-"""The numpy kernels of the connection-set enumeration: canonical masks
-under the Aut(G) unit action, class sizes, product closure and sign
-propagation.  structure.enumerate_connection_sets imports this module when it
-starts the work, after its bound checks, so no other command loads numpy.
-A mask is a set of colour units, bit i for unit i.
+"""The numpy kernels of the connection-set enumeration: one mask per class
+under the Aut(G) unit action and the class sizes, found by a two-level
+scan, then product closure and sign propagation on those masks.
+structure.enumerate_connection_sets imports this module when it starts the
+work, after its bound checks, so no other command loads numpy.  A mask is a
+set of colour units, bit i for unit i.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 from .groups import FiniteGroup
 
 
-_BLOCK = 1 << 16              # masks per block of the canonical-form scan
+_BLOCK = 1 << 16              # masks per block of a canonical-form scan
+_SPAN = 1 << 18               # mask images held at once by that scan
 _SIGN_BLOCK = 1 << 15         # (s, q, s2, t) entries per block of _sign_tables
 
 
@@ -35,52 +37,115 @@ def _or_tables(k: int, images):
     return table(images[kl:]), table(images[:kl])
 
 
-def _mask_tables(k: int, ws):
-    """One _or_tables pair per unit permutation w other than the identity:
-    w maps the mask m = h*2^kl + l to hightab[h] | lowtab[l]."""
-    ident = tuple(range(k))
-    return [_or_tables(k, [1 << x for x in w]) for w in ws if w != ident]
-
-
-def _canonical_blocks(k: int, tables):
-    """Yield (first, canon) over consecutive blocks of whole rows of the
-    (2^(k-kl), 2^kl) grid of masks, about _BLOCK masks each: canon[i] is the
-    least image of the mask first + i under the unit permutations given by
-    their _mask_tables.  Each w costs one outer OR per block into a buffer
-    that all w share, so no array of 2^k entries is held."""
-    kl = k // 2
-    nrows = 1 << (k - kl)
-    step = max(1, _BLOCK >> kl)
+def _least_in_orbit(perms, counts):
+    """The masks on kk bits that are least in their orbit, ascending, and
+    for each the number of elements of W that fix it.  Row j of perms, a
+    (p, kk) array, is a map sending bit i to bit perms[j, i], and stands for
+    counts[j] elements of W.  The masks are scanned in blocks of whole rows
+    of the (2^(kk-kl), 2^kl) grid, about _BLOCK masks each, against at most
+    _SPAN images at a time; the maps fixing a least mask are counted over
+    the least masks only."""
+    p, kk = perms.shape
+    if p == 1:                      # the identity alone: every mask is least
+        return (np.arange(1 << kk, dtype=np.int64),
+                np.full(1 << kk, counts[0], dtype=np.int64))
+    bits = (1 << perms).astype(np.int32)
+    hightab, lowtab = (np.ascontiguousarray(tab.T)
+                       for tab in _or_tables(kk, list(bits.T)))
+    kl = kk // 2
+    width = 1 << kl
+    nrows = 1 << (kk - kl)
+    step = min(nrows, max(1, _BLOCK >> kl))
+    chunk = max(1, _SPAN // (step * width))
+    least, fixes = [], []
     for h0 in range(0, nrows, step):
         h1 = min(h0 + step, nrows)
-        canon = np.arange(h0 << kl, h1 << kl,
-                          dtype=np.int32).reshape(h1 - h0, 1 << kl)
-        image = np.empty_like(canon)
-        for hightab, lowtab in tables:
-            np.bitwise_or(hightab[h0:h1, None], lowtab, out=image)
-            np.minimum(canon, image, out=canon)
-        yield h0 << kl, canon.ravel()
+        block = np.arange(h0 << kl, h1 << kl,
+                          dtype=np.int32).reshape(h1 - h0, width)
+        canon = block.copy()
+        for j in range(0, p, chunk):
+            image = hightab[j:j + chunk, h0:h1, None] | lowtab[j:j + chunk,
+                                                                None]
+            np.minimum(canon, image.min(axis=0), out=canon)
+        found = block[canon == block]
+        high, low = found >> kl, found & (width - 1)
+        fix = np.zeros(len(found), dtype=np.int64)
+        span = max(1, _SPAN // max(1, len(found)))
+        for j in range(0, p, span):
+            fix += counts[j:j + span] @ ((hightab[j:j + span][:, high]
+                                          | lowtab[j:j + span][:, low])
+                                         == found)
+        least.append(found)
+        fixes.append(fix)
+    return np.concatenate(least).astype(np.int64), np.concatenate(fixes)
 
 
-def _representatives(k: int, tables):
-    """The masks equal to their least image, one per class, ascending."""
-    return np.concatenate([
-        first + np.flatnonzero(block == np.arange(first, first + len(block),
-                                                  dtype=block.dtype))
-        for first, block in _canonical_blocks(k, tables)])
+def _spread(units, masks):
+    """Each mask on len(units) bits with bit i moved to bit units[i]."""
+    if not len(units):
+        return np.zeros_like(masks)
+    kl = len(units) // 2
+    hightab, lowtab = _or_tables(len(units), [1 << int(u) for u in units])
+    return (hightab[masks >> kl] | lowtab[masks & ((1 << kl) - 1)]).astype(
+        np.int64)
 
 
-def _orbit_sizes(k: int, tables, masks):
-    """The size of each mask's class, by orbit-stabiliser: the unit
-    permutations form a group W (the identity plus those in tables), and the
-    class of m has |W| / #{w in W : w(m) = m} members."""
-    kl = k // 2
-    high = masks >> kl
-    low = masks & ((1 << kl) - 1)
-    fixes = np.ones(len(masks), dtype=np.int64)
-    for hightab, lowtab in tables:
-        fixes += (hightab[high] | lowtab[low]) == masks
-    return (len(tables) + 1) // fixes
+def _classes(k: int, ws):
+    """(reps, sizes): one mask of each class of k-bit masks under the unit
+    permutations ws, a group W, and the size of its class, by a two-level
+    scan (the two-level case of minimal images through a stabiliser chain:
+    Jefferson, Jonauskyte, Pfeiffer and Waldecker, J. Algebra 521, 2019).
+    W maps the W-orbit B of the highest unit onto itself, and so also the
+    other units R, so w(m) = w(t) | w(r) for the top t, the units of m in
+    B, and the rest r, those in R.  Tops are compared as masks on the bits
+    of B alone, and rests on those of R, which keeps their order.
+
+    Level 1 keeps the tops that are least among their images under W.
+    Level 2 keeps, for each such t, the rests that are least among their
+    images under its stabiliser W_t = {w : w(t) = t}.  Each class has
+    exactly one such (t, r): t is the least image t* of the class's tops,
+    and the maps taking a mask's top to t* form a coset of W_t*, so the
+    least image of its rest under them is the same for every mask of the
+    class.  The maps fixing (t, r) are the w in W_t fixing r, counted in
+    the same scan; the class has |W| divided by that many masks.
+
+    W is held as its distinct restrictions to B and to R, with their
+    multiplicities, so no array of 2^k masks, nor of the |W| images of
+    every top, is built.  Where W is transitive on the units, R is empty
+    and level 1 is the whole scan.  Since B is not in general the highest
+    bits, a representative need not be the least mask of its class."""
+    w = np.array(ws, dtype=np.int64)
+    top = np.unique(w[:, k - 1])
+    rest = np.setdiff1d(np.arange(k), top)
+    pos = np.empty(k, dtype=np.int64)
+    pos[top] = np.arange(len(top))
+    pos[rest] = np.arange(len(rest))
+    wb, bid, nb = np.unique(pos[w[:, top]], axis=0, return_inverse=True,
+                            return_counts=True)
+    wr, rid = np.unique(pos[w[:, rest]], axis=0, return_inverse=True)
+    bid, rid = bid.ravel(), rid.ravel()
+    tops, _ = _least_in_orbit(wb, nb)
+    rests, fixes = [], []
+    for t in tops.tolist():
+        img = (np.int64(1) << wb[:, [i for i in range(len(top))
+                                     if t >> i & 1]]).sum(axis=1)
+        counts = np.bincount(rid[(img == t)[bid]], minlength=len(wr))
+        rows = np.flatnonzero(counts)
+        r, fix = _least_in_orbit(wr[rows], counts[rows])
+        rests.append(r)
+        fixes.append(fix)
+    tops = np.repeat(tops, [len(r) for r in rests])
+    reps = _spread(top, tops) | _spread(rest, np.concatenate(rests))
+    return reps, len(w) // np.concatenate(fixes)
+
+
+def _least_images(ws, masks):
+    """The least image of each mask under the unit permutations ws, one
+    numpy reduction over all of W per mask."""
+    img = np.int64(1) << np.array(ws, dtype=np.int64)
+    k = img.shape[1]
+    return [int(img[:, [i for i in range(k) if m >> i & 1]].sum(axis=1)
+                .min()) for m in masks]
 
 
 def _unit_products(G: FiniteGroup, units):

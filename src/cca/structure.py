@@ -386,14 +386,24 @@ def enumerate_connection_sets(
     k >= (n - 1) / 2: an order over 2 * _MAX_UNITS + 1 is refused before G
     is built, and k over _MAX_UNITS before Aut(G) is computed.  A class
     count over _MAX_CLASSES, read from the orbit-counting lemma, is refused
-    before any array of 2^k masks: Z49 (k = 24) has 798960 classes, and
+    before any mask is scanned: Z49 (k = 24) has 798960 classes, and
     enumerating them took 231 s and 1.1 GB peak RSS in one run on a 2-core
     Xeon, nearly all of it in the engine.
 
-    Each class is represented by the numerically least mask in it, and the
-    classes are decided in bulk, over numpy arrays of those masks, by the
-    kernels in cca.masks; that module, and with it numpy, is imported only
-    once the bounds have passed.  A class is connected iff the product
+    Each class is represented by its two-level canonical mask
+    (masks._classes): among the masks whose top, their units in the
+    Aut(G)-orbit B of the highest unit, is least among its images, the one
+    whose other units are least among their images under that top's
+    stabiliser.  Each class has exactly one, so this is a canonical form,
+    though not in general the class's least mask.  Its class count must
+    equal the orbit-counting lemma's, and its class sizes must add up to
+    2^k; either failure is an internal error.  The classes are decided in
+    bulk, over numpy arrays of those masks, by the kernels in cca.masks;
+    that module, and with it numpy, is imported only once the bounds have
+    passed.  Connectivity and the verdict depend only on the class, so the
+    choice of mask changes neither.  Each NonCCA class is reported by its
+    least mask, its least image under every unit permutation at once, and
+    the list is sorted by it.  A class is connected iff the product
     closure of its units (masks._subgroup_masks) holds every unit.  A
     connected class is CCA whenever the stabiliser A_1 of the identity
     vertex is trivial, and the engine runs only on the classes where sign
@@ -459,30 +469,38 @@ def enumerate_connection_sets(
     # numpy loads with the kernels, so a refused spec never loads it
     from . import masks
 
-    tables = masks._mask_tables(k, ws)
-    reps = masks._representatives(k, tables)
-    sizes = masks._orbit_sizes(k, tables, reps)
+    reps, sizes = masks._classes(k, ws)
+    if len(reps) != classes:
+        raise RuntimeError(f"internal error: the canonical scan found "
+                           f"{len(reps)} classes, the orbit-counting lemma "
+                           f"{classes}")
+    if int(sizes.sum()) != 1 << k:
+        raise RuntimeError("internal error: the class sizes do not add up "
+                           "to 2^k")
     connected = masks._subgroup_masks(n, k, masks._unit_products(G, units),
                                       reps) == (1 << k) - 1
     survivors = connected.nonzero()[0]
     survivors = survivors[~masks._settled(G, units, reps[survivors])]
 
-    non_cca = []
+    found = []
     for x in survivors.tolist():
-        m = int(reps[x])
-        conn = _mask_conn(m, units)
         try:
-            res = AutcResult(ColouredCayleyGraph(G, conn))
+            res = AutcResult(ColouredCayleyGraph(
+                G, _mask_conn(int(reps[x]), units)))
         except NotConnected:
             raise RuntimeError("internal error: the product closure and the "
                                "BFS disagree on connectivity") from None
-        if res.verdict != "NonCCA":
-            continue
+        if res.verdict == "NonCCA":
+            found.append((x, res.autc_order))
+    least = masks._least_images(ws, [int(reps[x]) for x, _ in found])
+    non_cca = []
+    for m, (x, autc_order) in sorted(zip(least, found)):
+        conn = _mask_conn(m, units)
         non_cca.append({
             "representative": [G.label(s) for s in conn],
             "representative_indices": conn,
             "orbit_size": int(sizes[x]),
-            "autc_order": res.autc_order,
+            "autc_order": autc_order,
         })
     return EnumerationReport(
         base=base, scanned=1 << k,

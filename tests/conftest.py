@@ -6,12 +6,14 @@ import random
 from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
 from cca.errors import ClosureExceedsCap, NotConnected
 from cca.engine import autc_group, fast_cca_verdict, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
+from cca.masks import _or_tables
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
                         conjugacy_classes, extend_isomorphism,
                         is_normal, normal_subgroups,
@@ -331,6 +333,65 @@ def reference_subset_verdicts(G: FiniteGroup, ws):
         except NotConnected:
             verdicts.append(None)
     return least, verdicts
+
+
+def reference_mask_tables(k: int, ws):
+    """The full canonical scan the enumeration ran before its two-level
+    one, kept as an oracle.  One _or_tables pair per unit permutation w
+    other than the identity: w maps the mask m = h*2^kl + l, kl = k // 2,
+    to hightab[h] | lowtab[l]."""
+    ident = tuple(range(k))
+    return [_or_tables(k, [1 << x for x in w]) for w in ws if w != ident]
+
+
+def reference_canonical_blocks(k: int, tables):
+    """Yield (first, canon) over consecutive blocks of whole rows of the
+    (2^(k-kl), 2^kl) grid of masks, about 2^16 masks each: canon[i] is the
+    least image of the mask first + i under every unit permutation given by
+    its reference_mask_tables."""
+    kl = k // 2
+    nrows = 1 << (k - kl)
+    step = max(1, (1 << 16) >> kl)
+    for h0 in range(0, nrows, step):
+        h1 = min(h0 + step, nrows)
+        canon = np.arange(h0 << kl, h1 << kl,
+                          dtype=np.int32).reshape(h1 - h0, 1 << kl)
+        image = np.empty_like(canon)
+        for hightab, lowtab in tables:
+            np.bitwise_or(hightab[h0:h1, None], lowtab, out=image)
+            np.minimum(canon, image, out=canon)
+        yield h0 << kl, canon.ravel()
+
+
+def reference_representatives(k: int, tables):
+    """The masks equal to their least image, one per class, ascending."""
+    return np.concatenate([
+        first + np.flatnonzero(block == np.arange(first, first + len(block),
+                                                  dtype=block.dtype))
+        for first, block in reference_canonical_blocks(k, tables)])
+
+
+def reference_least_images(k: int, tables, masks):
+    """The least image of each mask under the permutations of tables and
+    the identity."""
+    kl = k // 2
+    high, low = masks >> kl, masks & ((1 << kl) - 1)
+    least = masks.copy()
+    for hightab, lowtab in tables:
+        np.minimum(least, hightab[high] | lowtab[low], out=least)
+    return least
+
+
+def reference_orbit_sizes(k: int, tables, masks):
+    """The size of each mask's class, by orbit-stabiliser: the unit
+    permutations form a group W (the identity plus those in tables), and the
+    class of m has |W| / #{w in W : w(m) = m} members."""
+    kl = k // 2
+    high, low = masks >> kl, masks & ((1 << kl) - 1)
+    fixes = np.ones(len(masks), dtype=np.int64)
+    for hightab, lowtab in tables:
+        fixes += (hightab[high] | lowtab[low]) == masks
+    return (len(tables) + 1) // fixes
 
 
 def reference_generating_sequence(G: FiniteGroup, candidates):

@@ -301,8 +301,8 @@ def test_search_order_matches_reference(monkeypatch):
 
 
 def test_membership_matches_full_group():
-    # p in res tests p against A_1 after the right translation taking p(1)
-    # back to 1; the closed group answers by lookup.  Every element of Aut_c
+    # p in res tests that p is a colour-preserving permutation of the
+    # vertices; the closed group answers by lookup.  Every element of Aut_c
     # is asked, and each composed with a random transposition, which is
     # mostly not one
     rng = random.Random(59)

@@ -14,21 +14,23 @@ from cca.errors import InvalidSpec, NotConnected, StabiliserTooLarge
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, bfs_tree
 from cca.perms import identity
-from cca.masks import (_canonical_blocks, _mask_tables, _or_tables,
-                       _orbit_sizes, _representatives, _settled,
-                       _subgroup_masks, _unit_products)
-from cca.structure import (_mask_conn, _unit_action, canonical_sets,
-                           enumerate_connection_sets)
+from cca.masks import (_classes, _or_tables, _settled, _subgroup_masks,
+                       _unit_products)
+from cca.structure import (_class_count, _mask_conn, _unit_action,
+                           canonical_sets, enumerate_connection_sets)
 
 from conftest import (brute_force_automorphisms, burnside_class_count,
-                      group_pool, reference_subset_verdicts,
-                      reference_unit_action, subset_class_count,
-                      unit_permutations)
+                      group_pool, reference_canonical_blocks,
+                      reference_least_images, reference_mask_tables,
+                      reference_orbit_sizes, reference_representatives,
+                      reference_subset_verdicts, reference_unit_action,
+                      subset_class_count, unit_permutations)
 
 
 def _canonical_masks(k, tables):
-    # the least image of every mask, from the blocks the enumeration scans
-    return np.concatenate([block for _, block in _canonical_blocks(k, tables)])
+    # the least image of every mask, from the blocks of the reference scan
+    return np.concatenate([block for _, block
+                           in reference_canonical_blocks(k, tables)])
 
 
 def test_colour_units_f21():
@@ -72,7 +74,7 @@ def test_canonical_masks_against_direct_minimum():
     units = colour_units(G, range(1, G.order))
     ws = _unit_action(G, units)
     k = len(units)
-    canon = _canonical_masks(k, _mask_tables(k, ws))
+    canon = _canonical_masks(k, reference_mask_tables(k, ws))
     assert len(canon) == 1 << k
     rng = random.Random(3)
     for _ in range(200):
@@ -93,19 +95,40 @@ def test_canonical_masks_against_direct_minimum():
 @pytest.mark.parametrize("base, amb", [("f21", "agl17"),
                                        ("f21xz2", "agl17xz2")])
 def test_orbit_sizes_match_bincount(base, amb):
-    # orbit-stabiliser on the representatives gives the class sizes that
-    # counting the canonical form of every mask gives
+    # in the reference scan, orbit-stabiliser on the representatives gives
+    # the class sizes that counting the canonical form of every mask gives
     G = getattr(builders, base)()
     units = colour_units(G, range(1, G.order))
     k = len(units)
-    tables = _mask_tables(k, _unit_action(G, units))
+    tables = reference_mask_tables(k, _unit_action(G, units))
     canon = _canonical_masks(k, tables)
     assert len(canon) == 1 << k
     reps = np.flatnonzero(canon == np.arange(1 << k, dtype=canon.dtype))
     assert len(reps) == subset_class_count(G, getattr(builders, amb)())
-    assert _representatives(k, tables).tolist() == reps.tolist()
-    sizes = _orbit_sizes(k, tables, reps)
+    assert reference_representatives(k, tables).tolist() == reps.tolist()
+    sizes = reference_orbit_sizes(k, tables, reps)
     assert sizes.tolist() == np.bincount(canon, minlength=1 << k)[reps].tolist()
+
+
+def test_two_level_classes_match_full_scan():
+    # on every group of group_pool(24) (each has k <= 18), f21xz2 and agl17:
+    # the least images of the two-level representatives are the reference
+    # full scan's representatives, one each, with the same class sizes, and
+    # there are as many classes as the orbit-counting lemma gives
+    for G in group_pool(24) + [builders.f21xz2(), builders.agl17()]:
+        units = colour_units(G, range(1, G.order))
+        k = len(units)
+        ws = _unit_action(G, units)
+        reps, sizes = _classes(k, ws)
+        tables = reference_mask_tables(k, ws)
+        ref = reference_representatives(k, tables)
+        least = reference_least_images(k, tables, reps)
+        order = np.argsort(least)
+        name = (G.order, k, len(ws))
+        assert least[order].tolist() == ref.tolist(), name
+        assert sizes[order].tolist() \
+            == reference_orbit_sizes(k, tables, ref).tolist(), name
+        assert len(reps) == _class_count(ws), name
 
 
 def test_or_tables_against_direct_union():
@@ -137,7 +160,8 @@ def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
     units = colour_units(G, range(1, n))
     k = len(units)
     unit_of = {s: i for i, u in enumerate(units) for s in u}
-    reps = _representatives(k, _mask_tables(k, _unit_action(G, units)))
+    reps = reference_representatives(
+        k, reference_mask_tables(k, _unit_action(G, units)))
     closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
     connected = closed == (1 << k) - 1
     settled = np.zeros(len(reps), dtype=bool)
@@ -287,7 +311,8 @@ def test_propagation_on_f21xz2_classes():
     n = G.order
     units = colour_units(G, range(1, n))
     k = len(units)
-    reps = _representatives(k, _mask_tables(k, _unit_action(G, units)))
+    reps = reference_representatives(
+        k, reference_mask_tables(k, _unit_action(G, units)))
     reps = reps[_subgroup_masks(n, k, _unit_products(G, units), reps)
                 == (1 << k) - 1]
     sample = random.Random(13).sample(reps.tolist(), 2000)
@@ -315,8 +340,8 @@ def test_class_count_against_brute_force_automorphisms(spec):
 def _check_against_every_subset(spec, ws):
     """The per-subset oracle under the unit permutations ws: on each
     subset, connectivity and the verdict are those of its class, and every
-    class, with its size, connectivity and verdict, is the enumeration's.
-    Returns the number of NonCCA classes."""
+    class, with its size, connectivity and verdict, is the enumeration's
+    and the reference scan's.  Returns the number of NonCCA classes."""
     G = builders.build_spec(spec)
     n = G.order
     least, verdicts = reference_subset_verdicts(G, ws)
@@ -331,11 +356,15 @@ def _check_against_every_subset(spec, ws):
     assert rep.connected_count == sum(v is not None for v in verdicts)
     units = colour_units(G, range(1, n))
     k = len(units)
-    tables = _mask_tables(k, _unit_action(G, units))
-    reps = _representatives(k, tables)
-    sizes = _orbit_sizes(k, tables, reps).tolist()
-    assert dict(zip(reps.tolist(), sizes)) == {c: least.count(c)
-                                               for c in classes}
+    counts = {c: least.count(c) for c in classes}
+    action = _unit_action(G, units)
+    tables = reference_mask_tables(k, action)
+    reps = reference_representatives(k, tables)
+    sizes = reference_orbit_sizes(k, tables, reps).tolist()
+    assert dict(zip(reps.tolist(), sizes)) == counts
+    masks, sizes = _classes(k, action)
+    assert {least[m]: size for m, size in zip(masks.tolist(),
+                                              sizes.tolist())} == counts
     closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
     assert {m: c == (1 << k) - 1 for m, c in zip(reps.tolist(),
                                                    closed.tolist())} \
@@ -345,7 +374,7 @@ def _check_against_every_subset(spec, ws):
     for cls in rep.non_cca_classes:
         m = sum({1 << unit_of[s] for s in cls["representative_indices"]})
         non_cca[least[m]] = cls["orbit_size"]
-    assert non_cca == {c: least.count(c) for c, vs in classes.items()
+    assert non_cca == {c: counts[c] for c, vs in classes.items()
                        if vs == {"NonCCA"}}
     return len(non_cca)
 
