@@ -64,17 +64,17 @@ def _least_in_orbit(perms, counts):
                           dtype=np.int32).reshape(h1 - h0, width)
         canon = block.copy()
         for j in range(0, p, chunk):
-            image = hightab[j:j + chunk, h0:h1, None] | lowtab[j:j + chunk,
-                                                                None]
+            rows = slice(j, j + chunk)
+            image = hightab[rows, h0:h1, None] | lowtab[rows, None]
             np.minimum(canon, image.min(axis=0), out=canon)
         found = block[canon == block]
         high, low = found >> kl, found & (width - 1)
         fix = np.zeros(len(found), dtype=np.int64)
         span = max(1, _SPAN // max(1, len(found)))
         for j in range(0, p, span):
-            fix += counts[j:j + span] @ ((hightab[j:j + span][:, high]
-                                          | lowtab[j:j + span][:, low])
-                                         == found)
+            rows = slice(j, j + span)
+            image = hightab[rows][:, high] | lowtab[rows][:, low]
+            fix += counts[rows] @ (image == found)
         least.append(found)
         fixes.append(fix)
     return np.concatenate(least).astype(np.int64), np.concatenate(fixes)
@@ -115,8 +115,9 @@ def _classes(k: int, ws):
     and level 1 is the whole scan.  Since B is not in general the highest
     bits, a representative need not be the least mask of its class."""
     w = np.array(ws, dtype=np.int64)
-    top = np.unique(w[:, k - 1])
-    rest = np.setdiff1d(np.arange(k), top)
+    orbit = {x[k - 1] for x in ws}
+    top = np.array(sorted(orbit), dtype=np.int64)
+    rest = np.array([u for u in range(k) if u not in orbit], dtype=np.int64)
     pos = np.empty(k, dtype=np.int64)
     pos[top] = np.arange(len(top))
     pos[rest] = np.arange(len(rest))

@@ -471,7 +471,7 @@ def enumerate_connection_sets(
 
     reps, sizes = masks._classes(k, ws)
     if len(reps) != classes:
-        raise RuntimeError(f"internal error: the canonical scan found "
+        raise RuntimeError("internal error: the canonical scan found "
                            f"{len(reps)} classes, the orbit-counting lemma "
                            f"{classes}")
     if int(sizes.sum()) != 1 << k:

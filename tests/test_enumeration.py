@@ -337,6 +337,22 @@ def test_class_count_against_brute_force_automorphisms(spec):
     assert rep.orbit_size_sum == rep.scanned
 
 
+def test_scan_against_counting_is_checked_by_a_raise(monkeypatch):
+    # the canonical scan's class count is checked against the orbit-counting
+    # lemma, and its class sizes against 2^k, by a raise that python -O
+    # keeps: a scan that loses a class, or miscounts the sizes, stops the
+    # enumeration
+    for broken, message in (
+            (lambda reps, sizes: (reps[1:], sizes[1:]),
+             "the canonical scan found 55 classes"),
+            (lambda reps, sizes: (reps, 2 * sizes),
+             "the class sizes do not add up")):
+        monkeypatch.setattr("cca.masks._classes",
+                            lambda k, ws: broken(*_classes(k, ws)))
+        with pytest.raises(RuntimeError, match=f"internal error: {message}"):
+            enumerate_connection_sets("f21")
+
+
 def _check_against_every_subset(spec, ws):
     """The per-subset oracle under the unit permutations ws: on each
     subset, connectivity and the verdict are those of its class, and every
