@@ -166,8 +166,11 @@ class AutcResult:
         self._levels = list(_search_stabiliser(graph))
         self.stabiliser_order = 1 << len(self._levels)
         self.autc_order = graph.n * self.stabiliser_order
+        # the generators the verdict tests, up to the first that breaks,
+        # with their results, which the witness pass reads
+        breaks = self._breaks = {}
         self.verdict = "CCA" if all(
-            multiplicative_break(graph, g) is None
+            breaks.setdefault(g, multiplicative_break(graph, g)) is None
             for *_, g in self._levels) else "NonCCA"
 
     @cached_property
@@ -193,12 +196,14 @@ class AutcResult:
         """Aut_pm1's elements and the witness: A_1 and None on a CCA graph,
         where A_1 = Aut_pm1, and otherwise one pass over A_1 after the
         identity, which stabiliser lists first and which is an
-        automorphism."""
+        automorphism.  The pass tests each element once: a strong generator
+        that the verdict tested keeps that result."""
         if self.verdict == "CCA":
             return self.stabiliser, None
-        pm1, witness = self.stabiliser[:1], None
+        pm1, witness, breaks = self.stabiliser[:1], None, self._breaks
         for b in self.stabiliser[1:]:
-            if multiplicative_break(self.graph, b) is None:
+            if (breaks[b] if b in breaks
+                    else multiplicative_break(self.graph, b)) is None:
                 pm1.append(b)
             elif witness is None:
                 witness = b

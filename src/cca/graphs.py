@@ -91,7 +91,12 @@ def heawood() -> PlainGraph:
 def graph_automorphisms(P: PlainGraph) -> list[Perm]:
     """All automorphisms, sorted, closed from a strong generating set.
 
-    The base is the vertex order by refined colour-class size.  With the
+    The base is a breadth-first order: each component starts at its least
+    vertex by (refined colour-class size, index), and every later base
+    vertex is a neighbour of its BFS parent, which comes before it, so its
+    image is drawn only from the neighbours of the parent's image (a
+    component root tries every vertex).  A short base of adjacent vertices
+    lets adjacency prune from the second level on (McKay 1981).  With the
     identity on the first k base vertices, every image w != v_k of the next
     one that the backtracking admits (same refined colour, unused, adjacency
     to the earlier vertices kept) is tried, and the search below it stops at
@@ -113,14 +118,32 @@ def graph_automorphisms(P: PlainGraph) -> list[Perm]:
             break
         colour = new
     adjset = [set(nb) for nb in P.adj]
-    order = sorted(range(P.n), key=lambda v: (colour.count(colour[v]), v))
+    roots = sorted(range(P.n), key=lambda v: (colour.count(colour[v]), v))
+    order: list[int] = []
+    parent: list[int | None] = []
+    head = 0
+    while len(order) < P.n:
+        if head == len(order):
+            order.append(next(v for v in roots if v not in order))
+            parent.append(None)
+        u = order[head]
+        head += 1
+        for v in P.adj[u]:
+            if v not in order:
+                order.append(v)
+                parent.append(u)
+    earlier = [order[:k] for k in range(P.n)]
     img = list(range(P.n))
     used = [True] * P.n
+
+    def candidates(k: int):
+        # the neighbours of the BFS parent's image; all at a component root
+        return range(P.n) if parent[k] is None else P.adj[img[parent[k]]]
 
     def admissible(k: int, w: int) -> bool:
         v = order[k]
         return not used[w] and colour[w] == colour[v] and all(
-            (u in adjset[v]) == (img[u] in adjset[w]) for u in order[:k])
+            (u in adjset[v]) == (img[u] in adjset[w]) for u in earlier[k])
 
     def first_leaf(k: int, w: int) -> Perm | None:
         """The first automorphism extending img with base vertex k sent to
@@ -130,7 +153,8 @@ def graph_automorphisms(P: PlainGraph) -> list[Perm]:
         if k + 1 == P.n:
             leaf = tuple(img)
         else:
-            leaf = next(filter(None, (first_leaf(k + 1, x) for x in range(P.n)
+            leaf = next(filter(None, (first_leaf(k + 1, x)
+                                      for x in candidates(k + 1)
                                       if admissible(k + 1, x))), None)
         used[w] = False
         img[order[k]] = -1
@@ -142,7 +166,7 @@ def graph_automorphisms(P: PlainGraph) -> list[Perm]:
         v = order[k]
         img[v] = -1
         used[v] = False
-        found = [g for w in range(P.n)
+        found = [g for w in candidates(k)
                  if w != v and admissible(k, w) and (g := first_leaf(k, w))]
         gens += found
         size *= 1 + len(found)

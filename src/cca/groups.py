@@ -227,14 +227,29 @@ def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The subgroup generated by elems, closed from those of them that lie
     outside the closure of the ones adjoined before, so that it keeps few
-    generators."""
-    gens = []
-    sub = trivial_group(degree)
+    generators.  One membership set grows in place: adjoining p multiplies
+    the elements held so far by p and each new element by every generator.
+    The group is closed once, from the generators kept, by close_generators,
+    which fixes the element order."""
+    gens: list[Perm] = []
+    elements = [identity(degree)]
+    seen = set(elements)
     for p in elems:
-        if p not in sub.index:
-            gens.append(p)
-            sub = close_generators(gens, degree, cap=cap)
-    return sub
+        if p in seen:
+            continue
+        if len(p) != degree or not is_perm(p):
+            raise ValueError("generators must be permutations of the given "
+                             "degree")
+        gens.append(tuple(p))
+        todo = [tuple(map(p.__getitem__, e)) for e in elements]
+        for f in todo:
+            if f not in seen:
+                if len(elements) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                seen.add(f)
+                elements.append(f)
+                todo += map(itemgetter(*f), gens)
+    return close_generators(gens, degree, cap=cap)
 
 
 def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -503,12 +518,32 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     return extend(0, H is G)
 
 
-def automorphisms(G: FiniteGroup) -> list[list[int]]:
-    """Aut(G), each automorphism as a list mapping element indices to
-    element indices, from every choice of same-order images of a generating
-    sequence that extends to an isomorphism."""
-    gens = generated(G.elements, G.degree, cap=G.order).generators
-    return list(isomorphisms(G, G, [G.index[g] for g in gens]))
+def automorphism_transversals(G: FiniteGroup) -> tuple[list[list[int]], int]:
+    """Generators of Aut(G), each as a list mapping element indices to
+    element indices, and the order of Aut(G), without listing the group.
+
+    Along the first-fit generating sequence gens of generated, level k fixes
+    the images of gens[:k] and, for every other same-order image c of
+    gens[k], keeps the first map isomorphisms yields that sends gens[k] to c.
+    An automorphism is fixed by its images of gens, so level k gives one map
+    for each point of gens[k]'s orbit under the automorphisms fixing gens[:k]
+    but gens[k] itself: one transversal per level, which together generate
+    Aut(G), whose order is the product over the levels of the orbit sizes
+    (Sims 1970)."""
+    gens = [G.index[g] for g in
+            generated(G.elements, G.degree, cap=G.order).generators]
+    orders = G.element_orders
+    same = [[h for h in range(G.order) if orders[h] == orders[g]]
+            for g in gens]
+    maps: list[list[int]] = []
+    size = 1
+    for k, g in enumerate(gens):
+        fixed = [[h] for h in gens[:k]]
+        found = [phi for c in same[k] if c != g and (phi := next(
+            isomorphisms(G, G, gens, fixed + [[c]] + same[k + 1:]), None))]
+        maps += found
+        size *= 1 + len(found)
+    return maps, size
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

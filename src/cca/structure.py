@@ -21,7 +21,7 @@ from .engine import AutcResult, autc_group
 from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
-from .groups import (FiniteGroup, are_isomorphic, automorphisms,
+from .groups import (FiniteGroup, are_isomorphic, automorphism_transversals,
                      centralizer, close_generators, generated, is_normal,
                      is_sylow_cyclic_order_not_div_4, normal_subgroups,
                      sylow_subgroup, trivial_group)
@@ -337,10 +337,15 @@ class EnumerationReport:
 
 
 def _unit_action(G: FiniteGroup, units):
-    """Distinct permutations of the unit list induced by Aut(G), sorted."""
+    """Distinct permutations of the unit list induced by Aut(G), sorted:
+    the group W closed from the unit permutations that the generators of
+    groups.automorphism_transversals induce.  Aut(G) is never listed, and
+    |Aut(G)| bounds the closure."""
     unit_of = {s: i for i, u in enumerate(units) for s in u}
-    return sorted({tuple(unit_of[phi[u[0]]] for u in units)
-                   for phi in automorphisms(G)})
+    maps, size = automorphism_transversals(G)
+    return sorted(close_generators(
+        [tuple(unit_of[phi[u[0]]] for u in units) for phi in maps],
+        len(units), cap=size).elements)
 
 
 def _class_count(ws) -> int:
@@ -379,12 +384,14 @@ def enumerate_connection_sets(
     base names by the CCA verdict, up to Aut(G): an automorphism phi maps
     Cay(G, S) onto Cay(G, phi(S)) preserving colours, so the verdict is
     constant on each class.  The classes are the orbits of Aut(G) on the
-    sets of colour units (_unit_action).
+    sets of colour units, those of W, the group of unit permutations that
+    _unit_action closes from one transversal per level of Aut(G), which is
+    never listed.
 
     The work is bounded before it starts, with BoundExceeded.  The k colour
     units of G hold its n - 1 other elements, at most two each, so
     k >= (n - 1) / 2: an order over 2 * _MAX_UNITS + 1 is refused before G
-    is built, and k over _MAX_UNITS before Aut(G) is computed.  A class
+    is built, and k over _MAX_UNITS before W is computed.  A class
     count over _MAX_CLASSES, read from the orbit-counting lemma, is refused
     before any mask is scanned: Z49 (k = 24) has 798960 classes, and
     enumerating them took 231 s and 1.1 GB peak RSS in one run on a 2-core

@@ -15,8 +15,8 @@ from cca.engine import autc_group, fast_cca_verdict, is_colour_preserving
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.masks import _or_tables
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
-                        conjugacy_classes, extend_isomorphism,
-                        is_normal, normal_subgroups,
+                        conjugacy_classes, extend_isomorphism, generated,
+                        is_normal, isomorphisms, normal_subgroups,
                         sylow_subgroup, trivial_group)
 from cca.perms import identity, pconj, pinv, pmul
 from cca.structure import (StructureDecomposition, decompose_structure,
@@ -66,6 +66,36 @@ def full_scan_bfs(n, conn, left):
     return order, pos
 
 
+def vf2_graph_automorphisms(P):
+    """All automorphisms of a plain graph, sorted, by networkx's VF2
+    matcher.  Shares no code with graph_automorphisms."""
+    X = nx.Graph()
+    X.add_nodes_from(range(P.n))
+    X.add_edges_from(P.edges)
+    return sorted(tuple(m[v] for v in range(P.n))
+                  for m in GraphMatcher(X, X).isomorphisms_iter())
+
+
+def automorphisms(G: FiniteGroup):
+    """Aut(G) listed, each automorphism as a list mapping element indices
+    to element indices, from every choice of same-order images of generated's
+    generating sequence that extends to an isomorphism."""
+    gens = generated(G.elements, G.degree, cap=G.order).generators
+    return list(isomorphisms(G, G, [G.index[g] for g in gens]))
+
+
+def reference_generated(elems, degree, cap):
+    """generated's group by re-closing the whole subgroup from the identity
+    after each element it adjoins."""
+    gens = []
+    sub = trivial_group(degree)
+    for p in elems:
+        if p not in sub.index:
+            gens.append(p)
+            sub = close_generators(gens, degree, cap=cap)
+    return sub
+
+
 def reference_closure(gens, degree, cap):
     """close_generators' element list by the same breadth-first closure with
     plain tuple products: identity first, each dequeued element times every
@@ -107,7 +137,8 @@ def reference_edge_colour(Gamma):
 
 def reference_graph_automorphisms(P):
     """All automorphisms of a plain graph, sorted, by backtracking over every
-    image of every vertex, in the refined order graph_automorphisms uses."""
+    image of every vertex, the vertices taken by refined colour-class size
+    and then index, every vertex a candidate image at every level."""
     colour = [len(P.adj[v]) for v in range(P.n)]
     while True:
         sig = [(colour[v], tuple(sorted(colour[u] for u in P.adj[v])))

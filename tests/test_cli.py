@@ -293,7 +293,8 @@ def test_enumerate_refusals_exit_2_at_once(capsys, monkeypatch):
 
     for spec, reason, module, late in (
             ("z9999", "order over 49", builders, "cyclic"),
-            ("z2^5", "31 colour units", structure, "automorphisms"),
+            ("z2^5", "31 colour units", structure,
+             "automorphism_transversals"),
             ("z49", "798960 classes", masks, "_classes")):
         with monkeypatch.context() as m:
             m.setattr(module, late, refuse)

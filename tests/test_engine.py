@@ -16,14 +16,15 @@ from cca.engine import (AutcResult, aut_pm1_group, autc_group,
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
-from cca.groups import (FiniteGroup, automorphisms, close_generators,
-                        is_normal, normal_subgroups)
+from cca.groups import (FiniteGroup, close_generators, is_normal,
+                        normal_subgroups)
 from cca.perms import identity, pconj, pmul
 from cca.recipes import _knn_q8_inputs
 from cca.structure import canonical_sets
 
-from conftest import (brute_force_stabiliser, group_pool, is_power_of_two,
-                      random_connected_cayley, reference_aut_pm1,
+from conftest import (automorphisms, brute_force_stabiliser, group_pool,
+                      is_power_of_two, random_connected_cayley,
+                      reference_aut_pm1,
                       reference_autc, reference_edge_colour,
                       reference_stabiliser,
                       stabiliser_shape_allowed, vf2_stabiliser)
@@ -224,6 +225,39 @@ def test_result_invariants_on_random_graphs():
         for a in res.aut_pm1.elements:
             assert a in res.full_group.index
         assert (res.witness is not None) == (res.verdict == "NonCCA")
+
+
+def test_witness_pass_tests_each_element_once(monkeypatch):
+    # on NonCCA graphs the verdict tests the strong generators up to the
+    # first that breaks, and the witness pass reuses those results: it tests
+    # the |A_1| - 1 - m elements that are neither the identity nor a
+    # generator, and the generators the verdict did not reach, so over both
+    # every element of A_1 but the identity is tested exactly once
+    rng = random.Random(71)
+    pool = group_pool(48)
+    graphs = [ColouredCayleyGraph(*canonical_sets()["S21"])]
+    while len(graphs) < 25:
+        Gamma = random_connected_cayley(rng, pool)
+        if fast_cca_verdict(Gamma) == "NonCCA":
+            graphs.append(Gamma)
+    tested = []
+
+    def counted(Gamma, b):
+        tested.append(b)
+        return multiplicative_break(Gamma, b)
+
+    monkeypatch.setattr("cca.engine.multiplicative_break", counted)
+    for Gamma in graphs:
+        tested.clear()
+        res = AutcResult(Gamma)
+        gens = {g for *_, g in res._levels}
+        m = len(gens)
+        assert res.verdict == "NonCCA" and 1 <= len(tested) <= m
+        res.witness
+        stab = res.stabiliser
+        assert len(stab) == 1 << m
+        assert sum(b not in gens for b in tested) == len(stab) - 1 - m
+        assert sorted(tested) == sorted(stab[1:])
 
 
 def test_search_finds_identity_first():

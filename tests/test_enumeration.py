@@ -19,8 +19,8 @@ from cca.masks import (_classes, _or_tables, _settled, _subgroup_masks,
 from cca.structure import (_class_count, _mask_conn, _unit_action,
                            canonical_sets, enumerate_connection_sets)
 
-from conftest import (brute_force_automorphisms, burnside_class_count,
-                      group_pool, reference_canonical_blocks,
+from conftest import (automorphisms, brute_force_automorphisms,
+                      burnside_class_count, group_pool, reference_canonical_blocks,
                       reference_least_images, reference_mask_tables,
                       reference_orbit_sizes, reference_representatives,
                       reference_subset_verdicts, reference_unit_action,
@@ -67,6 +67,22 @@ def test_unit_action_matches_ambient_conjugation(base, amb):
     ws = _unit_action(G, units)
     assert len(ws) == 42
     assert ws == reference_unit_action(G, getattr(builders, amb)())
+
+
+def test_unit_action_matches_every_automorphism():
+    # W closed from one transversal per level of Aut(G) is the set of unit
+    # permutations that every automorphism induces: Aut(G) found by brute
+    # force on every group of the pool, and listed by every choice of
+    # generator images on the two largest groups cca enumerate takes
+    for G in group_pool(24):
+        units = colour_units(G, range(1, G.order))
+        assert _unit_action(G, units) == \
+            unit_permutations(G, brute_force_automorphisms(G)), G.meta
+    for spec, order in (("q8xz2^2", 2304), ("z2^4", 20160)):
+        G = builders.build_spec(spec)
+        ws = _unit_action(G, colour_units(G, range(1, G.order)))
+        assert len(ws) == order
+        assert ws == unit_permutations(G, automorphisms(G))
 
 
 def test_canonical_masks_against_direct_minimum():

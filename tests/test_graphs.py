@@ -15,7 +15,8 @@ from cca.graphs import (_DOT_PALETTE, ColouredCayleyGraph, PlainGraph, cayley,
 from cca.groups import close_generators
 
 from conftest import (group_pool, random_connected_cayley,
-                      reference_edge_colour, reference_graph_automorphisms)
+                      reference_edge_colour, reference_graph_automorphisms,
+                      vf2_graph_automorphisms)
 
 
 def test_plain_graph_basics():
@@ -52,6 +53,38 @@ def test_graph_automorphisms_match_reference():
         auts = graph_automorphisms(P)
         assert len(auts) == order
         assert auts == reference_graph_automorphisms(P)
+
+
+def test_graph_automorphisms_match_vf2():
+    # the breadth-first base gives VF2's sorted listing: on the Heawood graph
+    # under seeded relabellings, on its 35-vertex subdivision, whose search
+    # along the vertex order did not finish, on a disconnected graph, whose
+    # component roots try every vertex, and on the four graphs above
+    def plain(X):
+        X = nx.convert_node_labels_to_integers(X, ordering="sorted")
+        return PlainGraph(X.number_of_nodes(), X.edges())
+
+    H = heawood()
+    rng = random.Random(25)
+    graphs = [(H, 336)]
+    for _ in range(20):
+        relabel = rng.sample(range(H.n), H.n)
+        graphs.append((PlainGraph(H.n, [(relabel[u], relabel[v])
+                                        for u, v in H.edges]), 336))
+    relabel = rng.sample(range(10), 10)
+    two_triangles_and_path = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                              (6, 7), (7, 8), (8, 9)]
+    graphs += [
+        (subdivision(H), 336),
+        (PlainGraph(10, [(relabel[u], relabel[v])
+                         for u, v in two_triangles_and_path]), 144),
+        (plain(nx.complete_bipartite_graph(3, 3)), 72),
+        (plain(nx.hypercube_graph(3)), 48),
+        (plain(nx.petersen_graph()), 120)]
+    for P, order in graphs:
+        auts = graph_automorphisms(P)
+        assert len(auts) == order
+        assert auts == vf2_graph_automorphisms(P), P.edges
 
 
 def test_line_graph_and_subdivision_counts():

@@ -8,8 +8,9 @@ from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
 from cca.engine import aut_pm1_group
 from cca.graphs import colour_units
-from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
-                        bfs_tree, centralizer, close_generators,
+from cca import groups
+from cca.groups import (are_conjugate_subsets, are_isomorphic,
+                        automorphism_transversals, bfs_tree, centralizer, close_generators,
                         conjugacy_classes, find_isomorphism, generated,
                         is_normal, is_subgroup,
                         is_sylow_cyclic_order_not_div_4, normal_subgroups,
@@ -17,7 +18,8 @@ from cca.groups import (are_conjugate_subsets, are_isomorphic, automorphisms,
                         trivial_group)
 from cca.perms import identity, pmul
 
-from conftest import (full_scan_bfs, group_pool, reference_closure,
+from conftest import (automorphisms, brute_force_automorphisms, full_scan_bfs, group_pool,
+                      reference_closure, reference_generated,
                       reference_generating_sequence,
                       reference_normal_subgroups, reference_products)
 
@@ -82,6 +84,49 @@ def test_generated_keeps_few_generators():
                 reference_generating_sequence(G, conn), conn
     T = generated([(0,), (0,)], 1)
     assert T.elements == [(0,)] and T.generators == []
+
+
+def test_generated_closes_once(monkeypatch):
+    # the membership set grows in place, and the group is closed once from
+    # the generators kept: the same elements, in the same order, and the
+    # same generators as re-closing after each adjoined element, from all
+    # elements and from seeded connection sets
+    rng = random.Random(22)
+    cases = []
+    for G in group_pool(32):
+        units = colour_units(G, range(1, G.order))
+        cases.append((G, G.elements))
+        for _ in range(3):
+            cases.append((G, [G.elements[s] for u in units
+                              if rng.random() < 0.5 for s in u]))
+    refs = [reference_generated(elems, G.degree, G.order) for G, elems in cases]
+    calls = []
+    close = groups.close_generators
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "close_generators", counted)
+    for (G, elems), ref in zip(cases, refs):
+        H = generated(elems, G.degree, cap=G.order)
+        assert H.elements == ref.elements
+        assert H.generators == ref.generators
+    assert len(calls) == len(cases)
+    G = builders.build_spec("s4")
+    with pytest.raises(ClosureExceedsCap):
+        generated(G.elements, G.degree, cap=G.order - 1)
+
+
+def test_automorphism_transversals_generate_aut():
+    # one transversal per level generates Aut(G), and the product of the
+    # orbit sizes is its order: against Aut(G) found by brute force
+    for G in group_pool(24):
+        maps, size = automorphism_transversals(G)
+        auts = {tuple(phi) for phi in brute_force_automorphisms(G)}
+        assert size == len(auts)
+        assert set(close_generators(maps, G.order, cap=size).elements) \
+            == auts
 
 
 def test_identity_first_and_index_arithmetic():
