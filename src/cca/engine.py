@@ -166,12 +166,15 @@ class AutcResult:
         self._levels = list(_search_stabiliser(graph))
         self.stabiliser_order = 1 << len(self._levels)
         self.autc_order = graph.n * self.stabiliser_order
-        # the generators the verdict tests, up to the first that breaks,
-        # with their results, which the witness pass reads
-        breaks = self._breaks = {}
-        self.verdict = "CCA" if all(
-            breaks.setdefault(g, multiplicative_break(graph, g)) is None
-            for *_, g in self._levels) else "NonCCA"
+        # the verdict's results on the generators, up to the first that
+        # breaks, which the witness pass reads
+        breaks = self._breaks = []
+        for *_, g in self._levels:
+            breaks.append(multiplicative_break(graph, g))
+            if breaks[-1] is not None:
+                break
+        self.verdict = ("NonCCA" if breaks and breaks[-1] is not None
+                        else "CCA")
 
     @cached_property
     def stabiliser(self) -> list[Perm]:
@@ -181,7 +184,10 @@ class AutcResult:
         img[v] = s*img[u], the candidate a descent tries first, and 1
         otherwise.  At a level where A^(k) = A^(k+1), the images of the
         earlier base vertices fix that of v_k, so two maps first differ at a
-        generator level, and the key orders them as the descent does."""
+        generator level, and the key orders them as the descent does.  The
+        2^m keys are distinct, so the element at place i has the bits of i
+        as its key; the generator of _levels[j], the first leaf below its
+        level's 1 bit, has only that bit, and sits at place 2^j."""
         stab = close_generators([g for *_, g in self._levels], self.graph.n,
                                 cap=self.stabiliser_order)
         if stab.order != self.stabiliser_order:
@@ -196,13 +202,14 @@ class AutcResult:
         """Aut_pm1's elements and the witness: A_1 and None on a CCA graph,
         where A_1 = Aut_pm1, and otherwise one pass over A_1 after the
         identity, which stabiliser lists first and which is an
-        automorphism.  The pass tests each element once: a strong generator
-        that the verdict tested keeps that result."""
+        automorphism.  A generator the verdict tested, at place 2^j, keeps
+        that result, so each element is tested once."""
         if self.verdict == "CCA":
             return self.stabiliser, None
-        pm1, witness, breaks = self.stabiliser[:1], None, self._breaks
-        for b in self.stabiliser[1:]:
-            if (breaks[b] if b in breaks
+        pm1, witness = self.stabiliser[:1], None
+        known = {1 << j: brk for j, brk in enumerate(self._breaks)}
+        for i, b in enumerate(self.stabiliser[1:], 1):
+            if (known[i] if i in known
                     else multiplicative_break(self.graph, b)) is None:
                 pm1.append(b)
             elif witness is None:

@@ -227,10 +227,13 @@ def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The subgroup generated by elems, closed from those of them that lie
     outside the closure of the ones adjoined before, so that it keeps few
-    generators.  One membership set grows in place: adjoining p multiplies
-    the elements held so far by p and each new element by every generator.
-    The group is closed once, from the generators kept, by close_generators,
-    which fixes the element order."""
+    generators.  One membership set grows in place, a coset at a time
+    (Dimino's method; Butler, Fundamental Algorithms for Permutation Groups,
+    1991): adjoining p to the subgroup H held so far adds the right coset
+    H*x of each x = p, and of each product of a new coset's representative
+    with a generator that lies outside the set, so the union is closed under
+    the generators.  The group is closed once, from the generators kept, by
+    close_generators, which fixes the element order."""
     gens: list[Perm] = []
     elements = [identity(degree)]
     seen = set(elements)
@@ -240,15 +243,19 @@ def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
         if len(p) != degree or not is_perm(p):
             raise ValueError("generators must be permutations of the given "
                              "degree")
-        gens.append(tuple(p))
-        todo = [tuple(map(p.__getitem__, e)) for e in elements]
-        for f in todo:
-            if f not in seen:
-                if len(elements) >= cap:
+        p = tuple(p)
+        gens.append(p)
+        # h*x for every h in H, as one itemgetter of h's points applied to x
+        left = [itemgetter(*h) for h in elements]
+        reps = [p]
+        for x in reps:
+            if x not in seen:
+                if len(elements) + len(left) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.add(f)
-                elements.append(f)
-                todo += map(itemgetter(*f), gens)
+                coset = [h(x) for h in left]
+                seen.update(coset)
+                elements += coset
+                reps += map(itemgetter(*x), gens)
     return close_generators(gens, degree, cap=cap)
 
 

@@ -229,10 +229,11 @@ def test_result_invariants_on_random_graphs():
 
 def test_witness_pass_tests_each_element_once(monkeypatch):
     # on NonCCA graphs the verdict tests the strong generators up to the
-    # first that breaks, and the witness pass reuses those results: it tests
-    # the |A_1| - 1 - m elements that are neither the identity nor a
-    # generator, and the generators the verdict did not reach, so over both
-    # every element of A_1 but the identity is tested exactly once
+    # first that breaks, and the witness pass reuses those results, reading
+    # the generator of level j at place 2^j of the listing: it tests the
+    # |A_1| - 1 - m elements that are neither the identity nor a generator,
+    # and the generators the verdict did not reach, so over both every
+    # element of A_1 but the identity is tested exactly once
     rng = random.Random(71)
     pool = group_pool(48)
     graphs = [ColouredCayleyGraph(*canonical_sets()["S21"])]
@@ -256,6 +257,7 @@ def test_witness_pass_tests_each_element_once(monkeypatch):
         res.witness
         stab = res.stabiliser
         assert len(stab) == 1 << m
+        assert [stab[1 << j] for j in range(m)] == [g for *_, g in res._levels]
         assert sum(b not in gens for b in tested) == len(stab) - 1 - m
         assert sorted(tested) == sorted(stab[1:])
 
