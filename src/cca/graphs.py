@@ -95,16 +95,17 @@ def graph_automorphisms(P: PlainGraph) -> list[Perm]:
     vertex by (refined colour-class size, index), and every later base
     vertex is a neighbour of its BFS parent, which comes before it, so its
     image is drawn only from the neighbours of the parent's image (a
-    component root tries every vertex).  A short base of adjacent vertices
-    lets adjacency prune from the second level on (McKay 1981).  With the
-    identity on the first k base vertices, every image w != v_k of the next
-    one that the backtracking admits (same refined colour, unused, adjacency
-    to the earlier vertices kept) is tried, and the search below it stops at
-    the first automorphism.  Starting from the identity leaf and walking back
-    from the last level to the first, this gives one map for each point of
-    v_k's orbit under the automorphisms fixing the earlier base vertices, so
-    the maps generate the group (Sims 1970) and its order is the product over
-    the levels of the orbit sizes."""
+    component root tries every vertex).  With each base vertex next to an
+    earlier one, adjacency prunes from the second level on, where a base of
+    pairwise non-adjacent vertices would leave it nothing to prune (McKay
+    1981).  With the identity on the first k base vertices, every image
+    w != v_k of the next one that the backtracking admits (same refined
+    colour, unused, adjacency to the earlier vertices kept) is tried, and the
+    search below it stops at the first automorphism.  Starting from the
+    identity leaf and walking back from the last level to the first, this
+    gives one map for each point of v_k's orbit under the automorphisms
+    fixing the earlier base vertices, so the maps generate the group (Sims
+    1970) and its order is the product over the levels of the orbit sizes."""
     if P.n > 50:
         raise ValueError(f"graph too large for backtracking ({P.n} > 50)")
     # iterated neighbourhood-colour refinement

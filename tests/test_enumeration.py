@@ -20,7 +20,8 @@ from cca.structure import (_class_count, _mask_conn, _unit_action,
                            canonical_sets, enumerate_connection_sets)
 
 from conftest import (automorphisms, brute_force_automorphisms,
-                      burnside_class_count, group_pool, reference_canonical_blocks,
+                      burnside_class_count, group_pool,
+                      reference_canonical_blocks,
                       reference_least_images, reference_mask_tables,
                       reference_orbit_sizes, reference_representatives,
                       reference_subset_verdicts, reference_unit_action,

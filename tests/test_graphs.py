@@ -40,16 +40,21 @@ def test_heawood_automorphism_group():
     assert len(auts) == 336
 
 
-def test_graph_automorphisms_match_reference():
-    # closed from strong generators, the list equals the full backtracking's
+def _four_graphs():
+    """(graph, |Aut|) for the Heawood graph, K3,3, the cube and Petersen."""
     def plain(X):
         X = nx.convert_node_labels_to_integers(X, ordering="sorted")
         return PlainGraph(X.number_of_nodes(), X.edges())
 
-    for P, order in ((heawood(), 336),
-                     (plain(nx.complete_bipartite_graph(3, 3)), 72),
-                     (plain(nx.hypercube_graph(3)), 48),
-                     (plain(nx.petersen_graph()), 120)):
+    return [(heawood(), 336),
+            (plain(nx.complete_bipartite_graph(3, 3)), 72),
+            (plain(nx.hypercube_graph(3)), 48),
+            (plain(nx.petersen_graph()), 120)]
+
+
+def test_graph_automorphisms_match_reference():
+    # closed from strong generators, the list equals the full backtracking's
+    for P, order in _four_graphs():
         auts = graph_automorphisms(P)
         assert len(auts) == order
         assert auts == reference_graph_automorphisms(P)
@@ -60,13 +65,9 @@ def test_graph_automorphisms_match_vf2():
     # under seeded relabellings, on its 35-vertex subdivision, whose search
     # along the vertex order did not finish, on a disconnected graph, whose
     # component roots try every vertex, and on the four graphs above
-    def plain(X):
-        X = nx.convert_node_labels_to_integers(X, ordering="sorted")
-        return PlainGraph(X.number_of_nodes(), X.edges())
-
     H = heawood()
     rng = random.Random(25)
-    graphs = [(H, 336)]
+    graphs = _four_graphs()
     for _ in range(20):
         relabel = rng.sample(range(H.n), H.n)
         graphs.append((PlainGraph(H.n, [(relabel[u], relabel[v])
@@ -74,13 +75,9 @@ def test_graph_automorphisms_match_vf2():
     relabel = rng.sample(range(10), 10)
     two_triangles_and_path = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                               (6, 7), (7, 8), (8, 9)]
-    graphs += [
-        (subdivision(H), 336),
-        (PlainGraph(10, [(relabel[u], relabel[v])
-                         for u, v in two_triangles_and_path]), 144),
-        (plain(nx.complete_bipartite_graph(3, 3)), 72),
-        (plain(nx.hypercube_graph(3)), 48),
-        (plain(nx.petersen_graph()), 120)]
+    graphs += [(subdivision(H), 336),
+               (PlainGraph(10, [(relabel[u], relabel[v])
+                                for u, v in two_triangles_and_path]), 144)]
     for P, order in graphs:
         auts = graph_automorphisms(P)
         assert len(auts) == order

@@ -3,14 +3,14 @@ import time
 
 import pytest
 
-from cca import builders
+from cca import builders, groups
 from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
 from cca.engine import aut_pm1_group
 from cca.graphs import colour_units
-from cca import groups
 from cca.groups import (are_conjugate_subsets, are_isomorphic,
-                        automorphism_transversals, bfs_tree, centralizer, close_generators,
+                        automorphism_transversals, bfs_tree, centralizer,
+                        close_generators,
                         conjugacy_classes, find_isomorphism, generated,
                         is_normal, is_subgroup,
                         is_sylow_cyclic_order_not_div_4, normal_subgroups,
@@ -18,8 +18,9 @@ from cca.groups import (are_conjugate_subsets, are_isomorphic,
                         trivial_group)
 from cca.perms import identity, pmul
 
-from conftest import (automorphisms, brute_force_automorphisms, full_scan_bfs, group_pool,
-                      reference_closure, reference_generated,
+from conftest import (automorphisms, brute_force_automorphisms,
+                      full_scan_bfs, group_pool, reference_closure,
+                      reference_generated,
                       reference_generating_sequence,
                       reference_normal_subgroups, reference_products)
 
@@ -99,7 +100,8 @@ def test_generated_closes_once(monkeypatch):
         for _ in range(3):
             cases.append((G, [G.elements[s] for u in units
                               if rng.random() < 0.5 for s in u]))
-    refs = [reference_generated(elems, G.degree, G.order) for G, elems in cases]
+    refs = [reference_generated(elems, G.degree, G.order)
+            for G, elems in cases]
     calls = []
     close = groups.close_generators
 
