@@ -70,13 +70,11 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
     (t*v has an image iff it is earlier in BFS order): img[t*v] must be
     t^{+-1}*img[v].  So every map found is a colour-preserving bijection.
     The identity passes every check, so the search starts from it and walks
-    back from the last BFS level to the first; at level k it fixes the
-    earlier vertices, tries only the other candidate s^-1*u and descends
-    below it to the first leaf.  Maps are yielded from the last level to
-    the first.  The descent is a loop with a stack of the levels whose second
-    image is still to try, so its depth in Python does not grow with n.
-    Raises NotConnected, from the BFS alone, when the connection set does
-    not generate the group."""
+    back from the last BFS level to the first, yielding maps in that order;
+    at level k it fixes the earlier vertices, tries only the other image
+    s^-1*u and descends below it to the first leaf, by a loop whose Python
+    depth does not grow with n.  Raises NotConnected, from the BFS alone,
+    when the connection set does not generate the group."""
     n, conn, left = Gamma.n, Gamma.conn, Gamma.left_rows
     inv = Gamma.group.inverse
     order, _ = bfs_tree(n, conn, left)
@@ -85,18 +83,14 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
     rows = [(left[t], left[inv[t]]) for t in conn]
     img = list(range(n))
     used = [True] * n
-
-    def unassign(lo: int, hi: int) -> None:
-        for x, _, _ in order[lo:hi]:
-            used[img[x]] = False
-            img[x] = -1
+    depth = len(order)
+    levels = [(v, u, left[s], left[inv[s]]) for v, u, s in order]
 
     def first_leaf(k: int, cand: int) -> Perm | None:
         """The first leaf below level k that sends v_k to cand, or None;
         levels k and on are unassigned on entry and again on return."""
-        start, cands, pending = k, (cand,), []
+        start, cands, v = k, (cand,), order[k][0]
         while True:
-            v = order[k][0]
             for c in cands:
                 if used[c]:
                     continue
@@ -106,30 +100,39 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
                         break
                 else:
                     break
-            else:  # no image fits: back to the last level with one to try
-                if not pending:
-                    if k > start:
-                        unassign(start, k)
+            else:
+                # no image fits: back to the last level that took the first
+                # of two images, the second still unused, to try that one
+                while k > start:
+                    k -= 1
+                    v, u, ls, lsi = levels[k]
+                    c = img[v]
+                    used[c] = False
+                    img[v] = -1
+                    w = img[u]
+                    if k > start and c == ls[w]:
+                        c2 = lsi[w]
+                        if c2 != c and not used[c2]:
+                            cands = (c2,)
+                            break
+                else:
                     return None
-                back, c = pending.pop()
-                unassign(back, k)
-                k, cands = back, (c,)
                 continue
-            if c != cands[-1] and not used[cands[-1]]:
-                pending.append((k, cands[-1]))
             img[v] = c
             used[c] = True
             k += 1
-            if k == len(order):
+            if k == depth:
                 leaf = tuple(img)
-                unassign(start, k)
+                for x, _, _ in order[start:]:
+                    used[img[x]] = False
+                    img[x] = -1
                 return leaf
-            _, u, s = order[k]
+            v, u, ls, lsi = levels[k]
             w = img[u]
-            c, c2 = left[s][w], left[inv[s]][w]
+            c, c2 = ls[w], lsi[w]
             cands = (c,) if c == c2 else (c, c2)
 
-    for k in range(len(order) - 1, -1, -1):
+    for k in range(depth - 1, -1, -1):
         v, u, s = order[k]
         img[v] = -1
         used[v] = False
@@ -257,18 +260,14 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
     """A_1 under autc_group's cap, closed from the strong generators and
-    listed in the order a full descent of the search would find it, the
-    identity first: sorted by one bit per level at which a generator was
-    found, 0 when img[v] = s*img[u], the candidate a descent tries first,
-    and 1 otherwise.  At a level where A^(k) = A^(k+1), the images of the
-    earlier base vertices fix that of v_k, so two maps first differ at a
-    generator level, and the key orders them as the descent does.  The 2^m
-    keys are distinct, so the element at place i has the bits of i as its
-    key; the generator of _levels[j], the first leaf below its level's 1
-    bit, has only that bit, and sits at place 2^j, after the elements that
-    the generators of _levels[:j] generate.  So AutcResult's witness, the
-    first generator that is not a group automorphism, is also the first
-    such element of this list."""
+    listed in the order a full descent of the search finds it: sorted by
+    one bit per generator level, 0 when img[v] = s*img[u], the image a
+    descent tries first.  Two maps first differ at a generator level, since
+    elsewhere the earlier images fix that of v_k, so the key orders them as
+    the descent does, and the element at place i has the bits of i as its
+    key.  The generator of _levels[j] sits at place 2^j, after the group the
+    generators of _levels[:j] generate, so AutcResult's witness is also the
+    first element of this list that is not a group automorphism."""
     res = autc_group(Gamma)
     stab = close_generators([g for *_, g in res._levels], Gamma.n,
                             cap=res.stabiliser_order)

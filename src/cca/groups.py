@@ -451,19 +451,19 @@ def extend_isomorphism(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     groups of equal order, as a list mapping G-indices to H-indices, or None
     if there is none.
 
-    Word replay along a BFS from the identity sets phi(e*g) = phi(e)*phi(g)
-    and checks it wherever e*g is reached again.  Every pair (e, g) is
-    replayed once, so a consistent replay that reaches all of G is a
-    homomorphism."""
+    Word replay along a BFS from the identity sets phi(g*e) = phi(g)*phi(e),
+    read from the cached left rows, and checks it wherever g*e is reached
+    again.  Every pair (g, e) is replayed once, so a consistent replay that
+    reaches all of G is a homomorphism."""
+    rows = [(G.left_row(g), H.left_row(im)) for g, im in zip(gens, imgs)]
     phi = [-1] * G.order
     phi[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for e in frontier:
-            for g, im in zip(gens, imgs):
-                f = G.imul(e, g)
-                cand = H.imul(phi[e], im)
+            for row_g, row_im in rows:
+                f, cand = row_g[e], row_im[phi[e]]
                 if phi[f] == -1:
                     phi[f] = cand
                     nxt.append(f)
