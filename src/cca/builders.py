@@ -144,20 +144,21 @@ def quaternion8() -> FiniteGroup:
 # -- products -------------------------------------------------------------
 
 def direct_product(*groups: FiniteGroup) -> FiniteGroup:
+    """G_1 x ... x G_k on the disjoint union of the factors' points, the
+    element of (i_1, ..., i_k) acting as the i_j-th element of G_j on the
+    j-th block; elements are listed in the lexicographic order of those
+    index tuples.  Each factor's elements are shifted to their block once,
+    and an element is the concatenation of its factors' shifted tuples."""
     if len(groups) == 1:
         return groups[0]
     _bound([G.order for G in groups], "direct product")
-    degs = [G.degree for G in groups]
-    offsets = [sum(degs[:i]) for i in range(len(groups))]
-    total = sum(degs)
-    elements = []
-    tuples = []
-    for combo in product(*[range(G.order) for G in groups]):
-        img = []
-        for G, off, i in zip(groups, offsets, combo):
-            img.extend(off + x for x in G.elements[i])
-        elements.append(tuple(img))
-        tuples.append(combo)
+    elements = [()]
+    offset = 0
+    for G in groups:
+        block = [tuple([offset + x for x in e]) for e in G.elements]
+        elements = [e + b for e in elements for b in block]
+        offset += G.degree
+    tuples = list(product(*[range(G.order) for G in groups]))
     tuple_index = {t: i for i, t in enumerate(tuples)}
     gens = []
     for k, G in enumerate(groups):

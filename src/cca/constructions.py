@@ -10,6 +10,7 @@ double as oracles for the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import builders
 from .engine import (colour_break, is_colour_preserving, multiplicative_break,
@@ -18,7 +19,7 @@ from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      is_connected, realize_line_graph_as_cayley, subdivision)
-from .groups import FiniteGroup, close_generators, generated, is_subgroup
+from .groups import FiniteGroup, coset_growth, generated, is_subgroup
 from .perms import Perm, identity, pconj
 
 
@@ -158,13 +159,26 @@ def _vertex_orbits(P: PlainGraph, H: FiniteGroup) -> list[frozenset]:
     return orbits
 
 
+def _reader(points):
+    """p -> (p[x] for x in points) as a tuple: itemgetter(*points), which
+    returns a bare value for one point."""
+    if len(points) == 1:
+        (x,) = points
+        return lambda p: (p[x],)
+    return itemgetter(*points)
+
+
 def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
     """The permutation group induced on the neighbourhood of v by the
-    vertex-stabiliser A_v."""
+    vertex-stabiliser A_v: the neighbours' images are read through one
+    itemgetter per element of A_v, and mapped to neighbour positions once
+    per distinct image."""
     nbrs = P.adj[v]
-    pos = {u: i for i, u in enumerate(nbrs)}
-    induced = {tuple(pos[g[u]] for u in nbrs) for g in A.elements if g[v] == v}
-    return generated(sorted(induced), len(nbrs), cap=len(induced) + 1)
+    pos = {u: i for i, u in enumerate(nbrs)}.__getitem__
+    read = _reader(nbrs)
+    images = {read(g) for g in A.elements if g[v] == v}
+    induced = sorted(tuple(map(pos, img)) for img in images)
+    return generated(induced, len(nbrs), cap=len(induced) + 1)
 
 
 def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):
@@ -197,8 +211,9 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     vertex the induced local groups coincide or form a complete colour pair,
     decided once for each distinct pair of local groups.
 
-    H's generators are checked to act on P and to generate H, closed on P's
-    own P.n points; so every element of H acts on P.  The embedding h ->
+    H's generators are checked to act on P and to generate H, on the
+    membership set coset_growth grows from them on P's own P.n points with
+    the cap |H|; so every element of H acts on P.  The embedding h ->
     (action of h on the edges) is checked faithful on every element of H,
     but colour-preserving on H's generators only.  This is exact: the
     embedding is an injective homomorphism, so the images of H's generators
@@ -212,10 +227,10 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise HypothesisViolated("graph is not bipartite")
     _check_acts(P, H, "H")
     try:
-        span = close_generators(H.generators, P.n, cap=H.order)
+        span = coset_growth(H.generators, P.n, H.order)[1]
     except ClosureExceedsCap:
         span = None
-    if span is None or not is_subgroup(H, span):
+    if span is None or not all(h in span for h in H.elements):
         raise HypothesisViolated("the generators of H do not generate H")
     if not is_subgroup(G, H):
         raise HypothesisViolated("G is not a subgroup of H")
@@ -243,10 +258,13 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     vertex_of_arc = {}
     for (u, v), i in Gamma.vertex_of_edge.items():
         vertex_of_arc[u, v] = vertex_of_arc[v, u] = i
+    arc_vertex = vertex_of_arc.__getitem__
+    tails, heads = (_reader([e[k] for e in Gamma.edge_of_vertex])
+                    for k in (0, 1))
 
     def induced(h):
-        return tuple([vertex_of_arc[h[u], h[v]]
-                      for u, v in Gamma.edge_of_vertex])
+        # the edge {u, v} goes to the edge {h(u), h(v)}
+        return tuple(map(arc_vertex, zip(tails(h), heads(h))))
 
     emb_elems = [induced(h) for h in H.elements]
     if len(set(emb_elems)) != H.order:

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                      UnknownLabel)
-from .perms import Perm, identity, is_perm, pconj, pmul, porder
+from .perms import Perm, identity, is_perm, pinv, pmul, porder
 
 DEFAULT_CAP = 10_000
 ISO_BOUND = 400
@@ -126,8 +126,19 @@ class FiniteGroup:
                 for e in self.elements]
 
     @cached_property
+    def order_of(self) -> "_OrderMemo":
+        """Element orders by index, each read at the base on first access,
+        for callers that need the orders of a few elements only."""
+        return _OrderMemo(self.elements, self.base)
+
+    @cached_property
     def element_orders(self) -> list[int]:
-        return [porder(p) for p in self.elements]
+        """The order of every element, read at the base: e^k is the
+        identity iff it fixes every base point, since e^k lies in the group
+        and the base tells its elements apart, so the order of e is the lcm
+        of the lengths of its cycles through the base points."""
+        order_of = self.order_of
+        return [order_of[i] for i in range(self.order)]
 
     def left_row(self, s: int) -> tuple[int, ...]:
         """Row of the multiplication table: x -> s*x (left multiplication)."""
@@ -183,6 +194,26 @@ class FiniteGroup:
         return e
 
 
+class _OrderMemo(dict):
+    """Element order by index, filled on first access; see
+    FiniteGroup.element_orders."""
+
+    def __init__(self, elements, base):
+        super().__init__()
+        self.elements, self.base = elements, base
+
+    def __missing__(self, i: int) -> int:
+        e, o = self.elements[i], 1
+        for b in self.base:
+            k, x = 1, e[b]
+            while x != b:
+                x = e[x]
+                k += 1
+            o = lcm(o, k)
+        self[i] = o
+        return o
+
+
 def _getter(points):
     """itemgetter(*points): a bare value for one point, a tuple for more,
     and () for none."""
@@ -225,16 +256,21 @@ def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     return FiniteGroup(elements, gens)
 
 
-def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """The subgroup generated by elems, closed from those of them that lie
-    outside the closure of the ones adjoined before, so that it keeps few
-    generators.  One membership set grows in place, a coset at a time
-    (Dimino's method; Butler, Fundamental Algorithms for Permutation Groups,
-    1991): adjoining p to the subgroup H held so far adds the right coset
-    H*x of each x = p, and of each product of a new coset's representative
-    with a generator that lies outside the set, so the union is closed under
-    the generators.  The group is closed once, from the generators kept, by
-    close_generators, which fixes the element order."""
+def coset_growth(elems, degree: int,
+                 cap: int) -> tuple[list[Perm], set[Perm]]:
+    """(gens, members): the elements of elems that lie outside the subgroup
+    the ones before them generate, in input order, and the element set of
+    the subgroup they generate; ClosureExceedsCap when that subgroup has
+    more than cap elements.
+
+    One membership set grows in place, a coset at a time (Dimino's method;
+    Butler, Fundamental Algorithms for Permutation Groups, 1991): adjoining
+    p to the subgroup H held so far adds the right coset H*x of each x = p,
+    and of each product of a new coset's representative with a generator
+    that lies outside the set, so the union is closed under the
+    generators.  Building the set takes one product per element and
+    len(gens) per coset representative, where a breadth-first closure
+    takes len(gens) per element."""
     gens: list[Perm] = []
     elements = [identity(degree)]
     seen = set(elements)
@@ -257,7 +293,17 @@ def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
                 seen.update(coset)
                 elements += coset
                 reps += map(itemgetter(*x), gens)
-    return close_generators(gens, degree, cap=cap)
+    return gens, seen
+
+
+def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """The subgroup generated by elems, closed from the generators
+    coset_growth keeps, so that it keeps few generators.  The group is
+    closed once more from them by close_generators, which fixes the element
+    order; callers that need only the generators or the element set call
+    coset_growth."""
+    return close_generators(coset_growth(elems, degree, cap)[0], degree,
+                            cap=cap)
 
 
 def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -291,16 +337,24 @@ def is_subgroup(H: FiniteGroup, G: FiniteGroup) -> bool:
     return H.degree == G.degree and all(p in G.index for p in H.elements)
 
 
+def _conjugator(g: Perm):
+    """The map h -> g^-1*h*g on permutations of g's degree, with g's
+    inverse taken once: g^-1*h*g sends g^-1(x) where h*g sends x, so it is
+    h*g read at the points of g^-1, one itemgetter built once per g."""
+    if len(g) < 2:
+        return tuple            # the identity is the only permutation
+    at = itemgetter(*pinv(g))
+    return lambda h: at(itemgetter(*h)(g))
+
+
 def is_normal(H: FiniteGroup, G: FiniteGroup) -> bool:
-    """True iff g^-1 h g stays in H for every h in H and generator g of G."""
+    """True iff g^-1 h g stays in H for every h in H and generator g of G,
+    each conjugate read through _conjugator(g)."""
     if not is_subgroup(H, G):
         raise NotASubgroup("H is not a subgroup of G")
     hset = H.index
-    for g in G.generators:
-        for h in H.elements:
-            if pconj(h, g) not in hset:
-                return False
-    return True
+    return all(c in hset for g in G.generators
+               for c in map(_conjugator(g), H.elements))
 
 
 def p_part(n: int, p: int) -> int:
@@ -328,7 +382,8 @@ def prime_factors(n: int) -> list[int]:
 def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, by greedy growth: keep adjoining p-power-order
     elements that normalise the current p-subgroup.  This always progresses:
-    a p-subgroup P below a Sylow subgroup Q is proper in its normaliser in Q."""
+    a p-subgroup P below a Sylow subgroup Q is proper in its normaliser in Q.
+    Conjugates are read through _conjugator."""
     target = p_part(G.order, p)
     P = trivial_group(G.degree)
     if target == 1:
@@ -341,7 +396,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> FiniteGroup:
         for e in p_elems:
             if e in pset:
                 continue
-            if all(pconj(x, e) in pset for x in P.elements):
+            if all(c in pset for c in map(_conjugator(e), P.elements)):
                 P = G.subgroup(P.generators + [e])
                 break
         else:
@@ -370,17 +425,21 @@ def centralizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def normalizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    hset = set(H.elements)
-    elems = [g for g in G.elements if all(pconj(h, g) in hset for h in H.generators)] \
+    """N_G(H): the elements g of G with g^-1 h g in H for every generator h
+    of H, each conjugate read through _conjugator(g)."""
+    hset = H.index
+    elems = [g for g in G.elements
+             if all(c in hset for c in map(_conjugator(g), H.generators))] \
         if H.generators else list(G.elements)
     return FiniteGroup(elems, [p for p in elems if p != identity(G.degree)])
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
     """Conjugacy classes as sorted lists of element indices, ordered by their
-    least member."""
+    least member; conjugates by each generator are read through one
+    _conjugator."""
     seen = [False] * G.order
-    gens = G.generators or []
+    conj = [_conjugator(g) for g in G.generators]
     classes = []
     for i in range(G.order):
         if seen[i]:
@@ -389,8 +448,8 @@ def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
         queue = [i]
         while queue:
             j = queue.pop()
-            for g in gens:
-                k = G.index[pconj(G.elements[j], g)]
+            for c in conj:
+                k = G.index[c(G.elements[j])]
                 if k not in orbit:
                     orbit.add(k)
                     queue.append(k)
@@ -488,9 +547,11 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     extend_isomorphism decides.  When H is G and every image so far is its
     generator or that generator's inverse, the images generate the same
     subgroup as the generators, so that closure is skipped; the chain of
-    subgroup orders is closed level by level, once per G and gens."""
-    g_orders = G.element_orders
-    h_orders = H.element_orders
+    subgroup orders is closed level by level, once per G and gens.  Element
+    orders are read from the groups' order_of memos, so only the elements
+    the search reaches have their orders read."""
+    g_orders = G.order_of
+    h_orders = H.order_of
     if candidates is None:
         candidates = [[h for h in range(H.order) if h_orders[h] == g_orders[g]]
                       for g in gens]
@@ -530,16 +591,15 @@ def automorphism_transversals(G: FiniteGroup) -> tuple[list[list[int]], int]:
     """Generators of Aut(G), each as a list mapping element indices to
     element indices, and the order of Aut(G), without listing the group.
 
-    Along the first-fit generating sequence gens of generated, level k fixes
-    the images of gens[:k] and, for every other same-order image c of
+    Along the first-fit generating sequence gens of coset_growth, level k
+    fixes the images of gens[:k] and, for every other same-order image c of
     gens[k], keeps the first map isomorphisms yields that sends gens[k] to c.
     An automorphism is fixed by its images of gens, so level k gives one map
     for each point of gens[k]'s orbit under the automorphisms fixing gens[:k]
     but gens[k] itself: one transversal per level, which together generate
     Aut(G), whose order is the product over the levels of the orbit sizes
     (Sims 1970)."""
-    gens = [G.index[g] for g in
-            generated(G.elements, G.degree, cap=G.order).generators]
+    gens = [G.index[g] for g in coset_growth(G.elements, G.degree, G.order)[0]]
     orders = G.element_orders
     same = [[h for h in range(G.order) if orders[h] == orders[g]]
             for g in gens]
@@ -560,7 +620,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
     Groups of different orders, order histograms or commutativity are
     rejected at once, and groups over ISO_BOUND, read at each call, with
     BoundExceeded; otherwise the first map isomorphisms yields over the
-    same-order images of a generating sequence of G."""
+    same-order images of coset_growth's generating sequence of G."""
     if G.order != H.order:
         return None
     if G.order > ISO_BOUND or H.order > ISO_BOUND:
@@ -568,7 +628,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
     if G.is_abelian() != H.is_abelian() or \
             _order_histogram(G) != _order_histogram(H):
         return None
-    gens = generated(G.elements, G.degree, cap=G.order).generators
+    gens = coset_growth(G.elements, G.degree, G.order)[0]
     return next(isomorphisms(G, H, [G.index[g] for g in gens]), None)
 
 
@@ -589,6 +649,6 @@ def are_conjugate_subsets(Amb: FiniteGroup, S1, S2) -> bool:
     if sorted(porder(s) for s in S1) != sorted(porder(s) for s in S2):
         return False
     for a in Amb.elements:
-        if {pconj(s, a) for s in S1} == S2:
+        if set(map(_conjugator(a), S1)) == S2:
             return True
     return False

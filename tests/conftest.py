@@ -96,6 +96,37 @@ def reference_generated(elems, degree, cap):
     return sub
 
 
+def reference_direct_product(*groups):
+    """builders.direct_product by building each element point by point:
+    for every index tuple in lexicographic order, each factor's element
+    shifted by the degrees of the factors before it, with the same
+    generators, labels and meta."""
+    if len(groups) == 1:
+        return groups[0]
+    offsets = [sum(G.degree for G in groups[:k]) for k in range(len(groups))]
+    elements, tuples = [], []
+    for combo in itertools.product(*[range(G.order) for G in groups]):
+        img = []
+        for G, off, i in zip(groups, offsets, combo):
+            img.extend(off + x for x in G.elements[i])
+        elements.append(tuple(img))
+        tuples.append(combo)
+    tuple_index = {t: i for i, t in enumerate(tuples)}
+    gens = []
+    for k, G in enumerate(groups):
+        for g in G.generators:
+            combo = [0] * len(groups)
+            combo[k] = G.index[g]
+            gens.append(elements[tuple_index[tuple(combo)]])
+    labels = None
+    if all(G.labels is not None for G in groups):
+        labels = ["(" + ",".join(G.labels[i] for G, i in zip(groups, c)) + ")"
+                  for c in tuples]
+    return FiniteGroup(elements, gens, labels=labels,
+                       meta={"factor_groups": list(groups), "tuples": tuples,
+                             "tuple_index": tuple_index})
+
+
 def reference_closure(gens, degree, cap):
     """close_generators' element list by the same breadth-first closure with
     plain tuple products: identity first, each dequeued element times every

@@ -8,6 +8,8 @@ from cca.errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from cca.groups import are_isomorphic, is_normal, is_subgroup
 from cca.perms import pmul, porder, ppow
 
+from conftest import group_pool, reference_direct_product
+
 
 def test_cyclic():
     G = builders.cyclic(6)
@@ -45,6 +47,26 @@ def test_direct_product():
     assert P.order == 6 and P.is_cyclic()
     i = P.meta["tuple_index"][(1, 2)]
     assert P.label(i) == "(1,2)"
+
+
+def test_direct_product_matches_reference():
+    # the shifted-block concatenation gives the per-element construction's
+    # elements, generators, labels and meta: on pairs of pool groups, with
+    # one-point cyclic(1) factors (where itemgetter of one point would
+    # return a bare value), and on a triple
+    pool = group_pool(12)
+    Z1 = builders.cyclic(1)
+    cases = [(A, B) for A in pool for B in pool[::3]]
+    cases += [(Z1, Z1), (Z1, pool[3]), (pool[3], Z1), (Z1, Z1, Z1),
+              (builders.cyclic(2), builders.symmetric(3), builders.cyclic(4))]
+    for factors in cases:
+        P = builders.direct_product(*factors)
+        ref = reference_direct_product(*factors)
+        assert P.elements == ref.elements
+        assert P.generators == ref.generators
+        assert P.labels == ref.labels
+        assert P.meta == ref.meta
+    assert builders.direct_product(Z1, Z1).elements == [(0, 1)]
 
 
 def test_generalized_dihedral():

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -175,6 +176,42 @@ def test_line_graph_construction_refuses_generators_of_a_subgroup():
     partial = FiniteGroup(G.elements + [extra], G.generators + [extra])
     with pytest.raises(HypothesisViolated, match="generators of H"):
         line_graph_construction(K, G, partial)
+
+
+def _reference_local_group(P, A, v):
+    """The induced group on v's neighbours from the definition: each
+    element of A fixing v, written on neighbour positions."""
+    nbrs = P.adj[v]
+    return {tuple(nbrs.index(g[u]) for u in nbrs)
+            for g in A.elements if g[v] == v}
+
+
+def test_local_groups_match_reference_at_every_degree():
+    # on the star K_{1,3} under S3 the leaves have degree 1, where
+    # itemgetter of one neighbour would return a bare point; then every
+    # vertex of the Heawood graph and of K_{8,8}
+    star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
+    S3 = close_generators([(0, 2, 3, 1), (0, 2, 1, 3)], 4)
+    Z3 = close_generators([(0, 2, 3, 1)], 4)
+    for v in range(4):
+        loc = constructions._local_group(star, S3, v)
+        assert set(loc.elements) == _reference_local_group(star, S3, v)
+        assert loc.degree == len(star.adj[v])
+    assert constructions._local_group(star, S3, 1).elements == [(0,)]
+    P, full, Hbip, G21, _ = _heawood_groups()
+    K, G, H = _knn_q8_inputs()
+    for Q, groups in ((P, (full, Hbip, G21)), (K, (G, H))):
+        for A in groups:
+            for v in range(Q.n):
+                assert set(constructions._local_group(Q, A, v).elements) \
+                    == _reference_local_group(Q, A, v)
+    # one edge, and three edges through a vertex of degree 3
+    Gamma, Hemb = line_graph_construction(PlainGraph(2, [(0, 1)]),
+                                          trivial_group(2), trivial_group(2))
+    assert (Gamma.n, Hemb.elements) == (1, [(0,)])
+    Gamma, Hemb = line_graph_construction(star, Z3, S3)
+    assert Gamma.n == 3 and Hemb.order == 6
+    assert sorted(Hemb.elements) == sorted(itertools.permutations(range(3)))
 
 
 def test_subdivision_construction_heawood():

@@ -6,17 +6,19 @@ import pytest
 from cca import builders, groups
 from cca.errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                         UnknownLabel)
-from cca.engine import aut_pm1_group
-from cca.graphs import colour_units
-from cca.groups import (are_conjugate_subsets, are_isomorphic,
+from cca.engine import AutcResult, aut_pm1_group
+from cca.graphs import ColouredCayleyGraph, colour_units
+from cca.groups import (FiniteGroup, are_conjugate_subsets, are_isomorphic,
                         automorphism_transversals, bfs_tree, centralizer,
                         close_generators,
-                        conjugacy_classes, find_isomorphism, generated,
+                        conjugacy_classes, coset_growth, find_isomorphism, generated,
                         is_normal, is_subgroup,
                         is_sylow_cyclic_order_not_div_4, normal_subgroups,
                         normalizer, p_part, prime_factors, sylow_subgroup,
                         trivial_group)
-from cca.perms import identity, pmul
+from cca.perms import identity, pconj, pmul, porder
+from cca.recipes import _heawood_groups
+from cca.structure import canonical_sets
 
 from conftest import (automorphisms, brute_force_automorphisms,
                       full_scan_bfs, group_pool, reference_closure,
@@ -65,6 +67,20 @@ def test_close_generators_matches_reference_closure():
         if len(ref) > 1:
             with pytest.raises(ClosureExceedsCap):
                 close_generators(gens, degree, cap=len(ref) - 1)
+
+
+def test_coset_growth_matches_closure():
+    # the membership set is the closure's element set and the generators
+    # are the ones re-closing after each adjoined element keeps; the cap
+    # refuses exactly the subgroups larger than it
+    for degree, gens in _seeded_generator_lists():
+        ref = reference_closure(gens, degree, cap=10_000)
+        kept, members = coset_growth(gens, degree, len(ref))
+        assert members == set(ref), (degree, gens)
+        assert kept == reference_generated(gens, degree, len(ref)).generators
+        if len(ref) > 1:
+            with pytest.raises(ClosureExceedsCap):
+                coset_growth(gens, degree, len(ref) - 1)
 
 
 def test_generated_keeps_few_generators():
@@ -206,6 +222,36 @@ def test_subgroup_rejects_outside_elements():
         G.subgroup([(0, 1, 3, 2)])
 
 
+def test_element_orders_match_porder():
+    # the orders read at the base equal perms.porder over every point: on
+    # the pool, whose groups act regularly on their element indices, and
+    # on groups whose base has more than one point, the colour-preserving
+    # groups of the named sets and the Heawood graph's automorphism group
+    named = canonical_sets()
+    pool = group_pool(48) + [
+        AutcResult(ColouredCayleyGraph(*named[k])).full_group
+        for k in ("S21", "S42_1", "S42_2")] + [_heawood_groups()[1]]
+    assert pool[-1].order == 336
+    assert sum(len(G.base) > 1 for G in pool) >= 4
+    for G in pool:
+        ref = [porder(p) for p in G.elements]
+        assert G.element_orders == ref
+        fresh = FiniteGroup(G.elements, G.generators)
+        assert [fresh.order_of[i] for i in reversed(range(G.order))] == \
+            ref[::-1]
+
+
+def test_isomorphisms_read_only_the_orders_they_reach():
+    # aut_pm1_group's candidates are s and s^-1, so the search reads the
+    # orders of a few elements and never lists the orders of all of them
+    G = builders.cyclic(2000)
+    A = aut_pm1_group(G, [1, 1999])
+    assert A.order == 2
+    assert "element_orders" not in G.__dict__
+    assert set(G.order_of) <= {0, 1, 1999}
+    assert all(G.order_of[i] == 2000 for i in (1, 1999))
+
+
 def test_abelian_cyclic_exponent():
     assert builders.cyclic(6).is_abelian()
     assert builders.cyclic(6).is_cyclic()
@@ -222,6 +268,37 @@ def test_normality():
     assert is_normal(A3, S3)
     assert not is_normal(T2, S3)
     assert is_subgroup(A3, S3)
+
+
+def _conjugation_pairs():
+    """(H, G) pairs: every cyclic subgroup of every pool group, and the
+    group and its trivial subgroup, then the degree-0 and degree-1 groups,
+    where itemgetter of one point would return a bare value."""
+    for G in group_pool(24):
+        yield trivial_group(G.degree), G
+        yield G, G
+        for g in G.elements[1:]:
+            yield G.subgroup([g]), G
+    for degree in (0, 1):
+        yield trivial_group(degree), trivial_group(degree)
+
+
+def test_is_normal_and_normalizer_match_pconj_reference():
+    # against the definitions with perms.pconj, which takes the inverse of
+    # the conjugating element for every pair
+    normal = {True: 0, False: 0}
+    for H, G in _conjugation_pairs():
+        ref = all(pconj(h, g) in H.index
+                  for g in G.generators for h in H.elements)
+        assert is_normal(H, G) == ref, (H.generators, G.generators)
+        normal[ref] += 1
+        N = normalizer(G, H)
+        elems = [g for g in G.elements
+                 if all(pconj(h, g) in H.index for h in H.generators)]
+        assert N.elements == elems
+        assert N.generators == [g for g in elems if g != identity(G.degree)]
+    assert normal[True] and normal[False]
+    assert normalizer(trivial_group(1), trivial_group(1)).elements == [(0,)]
 
 
 def test_sylow_subgroups():
