@@ -265,15 +265,15 @@ def coset_growth(elems, degree: int,
 
     One membership set grows in place, a coset at a time (Dimino's method;
     Butler, Fundamental Algorithms for Permutation Groups, 1991): adjoining
-    p to the subgroup H held so far adds the right coset H*x of each x = p,
-    and of each product of a new coset's representative with a generator
-    that lies outside the set, so the union is closed under the
-    generators.  Building the set takes one product per element and
-    len(gens) per coset representative, where a breadth-first closure
-    takes len(gens) per element."""
+    p to the subgroup H held so far adds the left coset x*H of each x = p,
+    and of each product of a generator with a new coset's representative
+    that lies outside the set, so the union is closed under left
+    multiplication by the generators.  A coset is one itemgetter of x's
+    points mapped over H, and a representative takes one product per
+    generator, where a breadth-first closure takes one per generator and
+    element."""
     gens: list[Perm] = []
-    elements = [identity(degree)]
-    seen = set(elements)
+    seen = {identity(degree)}
     for p in elems:
         if p in seen:
             continue
@@ -282,17 +282,16 @@ def coset_growth(elems, degree: int,
                              "degree")
         p = tuple(p)
         gens.append(p)
-        # h*x for every h in H, as one itemgetter of h's points applied to x
-        left = [itemgetter(*h) for h in elements]
+        # g*x for every generator g, as one itemgetter of g's points
+        left = [itemgetter(*g) for g in gens]
+        sub = list(seen)
         reps = [p]
         for x in reps:
             if x not in seen:
-                if len(elements) + len(left) > cap:
+                if len(seen) + len(sub) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                coset = [h(x) for h in left]
-                seen.update(coset)
-                elements += coset
-                reps += map(itemgetter(*x), gens)
+                seen.update(map(itemgetter(*x), sub))
+                reps += [g(x) for g in left]
     return gens, seen
 
 
