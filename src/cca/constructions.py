@@ -227,10 +227,11 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise HypothesisViolated("graph is not bipartite")
     _check_acts(P, H, "H")
     try:
-        span = coset_growth(H.generators, P.n, H.order)[1]
+        spans = coset_growth(H.generators, P.n, H.order)[1].issuperset(
+            H.elements)
     except ClosureExceedsCap:
-        span = None
-    if span is None or not all(h in span for h in H.elements):
+        spans = False
+    if not spans:
         raise HypothesisViolated("the generators of H do not generate H")
     if not is_subgroup(G, H):
         raise HypothesisViolated("G is not a subgroup of H")
