@@ -19,7 +19,7 @@ from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      is_connected, realize_line_graph_as_cayley, subdivision)
-from .groups import FiniteGroup, coset_growth, generated, is_subgroup
+from .groups import FiniteGroup, coset_growth, is_subgroup
 from .perms import Perm, identity, pconj
 
 
@@ -172,13 +172,24 @@ def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
     """The permutation group induced on the neighbourhood of v by the
     vertex-stabiliser A_v: the neighbours' images are read through one
     itemgetter per element of A_v, and mapped to neighbour positions once
-    per distinct image."""
+    per distinct image.
+
+    The induced maps are the image of A_v, so they form a group, which is
+    built on them, sorted, the identity first, and not closed again.  Its
+    generators are the first-fit ones that coset_growth takes from them,
+    and its member set must be exactly the induced maps."""
     nbrs = P.adj[v]
     pos = {u: i for i, u in enumerate(nbrs)}.__getitem__
     read = _reader(nbrs)
     images = {read(g) for g in A.elements if g[v] == v}
     induced = sorted(tuple(map(pos, img)) for img in images)
-    return generated(induced, len(nbrs), cap=len(induced) + 1)
+    try:
+        gens, members = coset_growth(induced, len(nbrs), len(induced))
+    except ClosureExceedsCap:
+        members = None
+    if members != set(induced):
+        raise RuntimeError("internal error: the induced maps are no group")
+    return FiniteGroup(induced, gens)
 
 
 def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):

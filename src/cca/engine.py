@@ -23,8 +23,8 @@ from functools import cached_property
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
-from .groups import (FiniteGroup, bfs_tree, close_generators,
-                     find_isomorphism, isomorphisms, normal_subgroups)
+from .groups import (FiniteGroup, bfs_tree, close_generators, coset_growth,
+                     find_isomorphism, isomorphisms)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -219,14 +219,16 @@ class AutcResult:
 
     @cached_property
     def full_group(self) -> FiniteGroup:
-        """All of Aut_c on first access, closed from the generators of G_R
-        and the strong generators of A_1, and checked against the order
-        n*2^m that the search gives.  Membership needs no closure
-        (`p in res`); this serves decompose_structure, which scans every
-        element, and the tests, which compare the two routes."""
+        """All of Aut_c on first access, closed from the generators of G_R,
+        the right rows of G's generators (G_R itself is not closed), and the
+        strong generators of A_1, and checked against the order n*2^m that
+        the search gives.  Membership needs no closure (`p in res`); this
+        serves decompose_structure, which scans every element, and the
+        tests, which compare the two routes."""
         G = self.graph.group
         full = close_generators(
-            G.right_regular.generators + [g for *_, g in self._levels],
+            [G.right_row(G.index[g]) for g in G.generators]
+            + [g for *_, g in self._levels],
             G.order, cap=max(10_000, self.autc_order + 1))
         if full.order != self.autc_order:
             raise RuntimeError("internal error: |Aut_c| != n*|A_1|")
@@ -295,59 +297,135 @@ class CompletePrediction:
         self.predicted_generators = predicted_generators
 
 
-def _find_dicyclic_structure(G: FiniteGroup):
-    """Locate (A, x, y) with A abelian of index 2, x^2 = y an involution and
-    a^x = a^-1 for all a in A; None if G is not generalised dicyclic."""
+def _first_fit_generators(G: FiniteGroup) -> list[int]:
+    """The element indices of the first-fit generators that coset_growth
+    takes from G's generators, each outside the subgroup the ones before it
+    generate, so at most log2 |G| of them; an internal error unless they
+    generate G."""
+    gens, members = coset_growth(G.generators, G.degree, G.order)
+    if len(members) != G.order:
+        raise RuntimeError("internal error: generators do not generate G")
+    return [G.index[g] for g in gens]
+
+
+def _index_two_kernels(G: FiniteGroup, gens: list[int]):
+    """Yield the subgroups of index 2 of G, each as the set of its element
+    indices, given element indices gens that generate G.
+
+    Each is the kernel of a homomorphism G -> Z2, which is fixed by its
+    values on gens: one pattern of bits, not all zero, so 2^len(gens) - 1
+    patterns at most.  Word replay over the left rows writes each element
+    as a word in gens along a BFS tree from the identity, kept as the parity
+    of each generator's exponent; every product g*e, g in gens, read again
+    from the rows gives a relation, and a pattern is a homomorphism iff its
+    parity on each relation is even.  The kernel is the set of elements
+    whose word has even parity under the pattern."""
+    n = G.order
+    left = {g: G.left_row(g) for g in gens}
+    bit = {g: 1 << k for k, g in enumerate(gens)}
+    word = [0] * n
+    for v, u, s in bfs_tree(n, gens, left)[0]:
+        word[v] = word[u] ^ bit[s]
+    relations = {word[row[e]] ^ word[e] ^ bit[g]
+                 for g, row in left.items() for e in range(n)}
+    for p in range(1, 1 << len(gens)):
+        if all((r & p).bit_count() % 2 == 0 for r in relations):
+            yield {v for v in range(n) if (word[v] & p).bit_count() % 2 == 0}
+
+
+def _find_dicyclic_structure(G: FiniteGroup, gens: list[int]):
+    """Locate (A, x, y), A the set of element indices of an abelian
+    subgroup of index 2 and exponent above 2, x outside A with x^2 = y an
+    involution and x^-1*a*x = a^-1 for all a in A; None if G is not
+    generalised dicyclic.  gens are element indices that generate G.
+
+    The subgroups of index 2 come from _index_two_kernels, and no subgroup
+    is listed.  An x that inverts every element of A makes A abelian, as
+    inversion is then an automorphism of A, so that is not tested apart.
+    Of the qualifying A, the one that comes first in normal_subgroups' order,
+    by the sorted list of its element permutations, is returned, with its
+    least x."""
     if G.order % 4 != 0 or G.is_abelian():
         return None
-    inv = G.inverse
-    for A in normal_subgroups(G):
-        if A.order != G.order // 2 or not A.is_abelian() or A.exponent() <= 2:
+    inv, order_of = G.inverse, G.order_of
+    for aset in sorted(_index_two_kernels(G, gens),
+                       key=lambda a: sorted(G.elements[i] for i in a)):
+        if all(order_of[a] <= 2 for a in aset):
             continue
-        aset = {G.index[p] for p in A.elements}
-        a_idx = sorted(aset)
         for x in range(G.order):
             if x in aset:
                 continue
             y = G.imul(x, x)
-            if y not in aset or G.element_orders[y] != 2:
+            if order_of[y] != 2:
                 continue
-            if all(G.imul(G.imul(inv[x], a), x) == inv[a] for a in a_idx):
-                return A, x, y
+            if all(G.imul(G.imul(inv[x], a), x) == inv[a] for a in aset):
+                return aset, x, y
     return None
+
+
+def _is_hamiltonian(G: FiniteGroup, gens: list[int]) -> bool:
+    """True iff G is nonabelian and every subgroup of G is normal, given
+    element indices gens that generate G: each generator conjugates each
+    element g into <g>, so every cyclic subgroup is normal, and with them
+    every subgroup, each being generated by cyclic ones.
+
+    By Dedekind's theorem (R. Dedekind, Math. Ann. 48, 1897; R. Baer,
+    1933) such a group is Q8 x E x O, E an elementary abelian 2-group and O
+    abelian of odd order; so one of order 8*2^m is Q8 x Z2^m."""
+    if G.is_abelian():
+        return False
+    inv = G.inverse
+    for g in range(1, G.order):
+        powers, p = {0}, g
+        while p:
+            powers.add(p)
+            p = G.imul(p, g)
+        if any(G.imul(G.imul(inv[s], g), s) not in powers for s in gens):
+            return False
+    return True
 
 
 def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
     """The classification of Aut_c(K_G): dihedral overgroup for abelian G of
     exponent above 2, G_R extended by iota for generalised dicyclic G, the
-    three sigma maps for Q8 x Z2^n, and CCA otherwise."""
+    three sigma maps for Q8 x Z2^n, and CCA otherwise.
+
+    The structure is read from G's generators, and no subgroup is listed.
+    G_R is given by its generators, the right rows of G's generators, and
+    is not closed.  Q8 x Z2^m is searched for only when Dedekind's test
+    (_is_hamiltonian) finds every subgroup normal, and then it must be
+    found; the generalised dicyclic structure is read from the kernels of
+    the homomorphisms G -> Z2 on the first-fit generators that
+    groups.coset_growth takes from G's, at most log2 |G| of them."""
     from . import builders
 
     n = G.order
-    reg_gens = G.right_regular.generators
+    gens = _first_fit_generators(G)
+    reg_gens = [G.right_row(G.index[g]) for g in G.generators]
     inv_perm = tuple(G.inverse)
     if G.is_abelian() and G.exponent() > 2:
         return CompletePrediction("1", 2 * n, reg_gens + [inv_perm])
     m = (n // 8).bit_length() - 1
-    if n >= 8 and n == 8 * 2 ** m:
+    if n >= 8 and n == 8 * 2 ** m and _is_hamiltonian(G, gens):
         Q = builders.q8_times_z2(m)
         phi = find_isomorphism(Q, G)
-        if phi is not None:
-            sigmas = []
-            phinv = [0] * n
-            for i, j in enumerate(phi):
-                phinv[j] = i
-            for name in ("sigma-i", "sigma-j", "sigma-k"):
-                sig = builders.named_map(Q, name).carrier
-                sigmas.append(tuple(phi[sig[phinv[i]]] for i in range(n)))
-            return CompletePrediction("3", 8 * n, reg_gens + sigmas)
-    dic = _find_dicyclic_structure(G)
+        if phi is None:
+            raise RuntimeError("internal error: a Hamiltonian group of order "
+                               "8*2^m is not Q8 x Z2^m")
+        sigmas = []
+        phinv = [0] * n
+        for i, j in enumerate(phi):
+            phinv[j] = i
+        for name in ("sigma-i", "sigma-j", "sigma-k"):
+            sig = builders.named_map(Q, name).carrier
+            sigmas.append(tuple(phi[sig[phinv[i]]] for i in range(n)))
+        return CompletePrediction("3", 8 * n, reg_gens + sigmas)
+    dic = _find_dicyclic_structure(G, gens)
     if dic is not None:
-        A, x, y = dic
-        aset = {G.index[p] for p in A.elements}
+        aset = dic[0]
         iota = tuple(i if i in aset else G.inverse[i] for i in range(n))
         return CompletePrediction("2", 2 * n, reg_gens + [iota])
     pm1 = aut_pm1_group(G, list(range(1, n)))
-    gens = reg_gens + [p for p in pm1.elements if p != identity(n)]
-    return CompletePrediction("CCA", n * pm1.order, gens)
-
+    return CompletePrediction(
+        "CCA", n * pm1.order,
+        reg_gens + [p for p in pm1.elements if p != identity(n)])

@@ -11,13 +11,14 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from cca import builders
 from cca.errors import ClosureExceedsCap, NotConnected
-from cca.engine import autc_group, fast_cca_verdict, is_colour_preserving
+from cca.engine import (CompletePrediction, aut_pm1_group, autc_group,
+                        fast_cca_verdict, is_colour_preserving)
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from cca.masks import _or_tables
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
-                        conjugacy_classes, extend_isomorphism, generated,
-                        is_normal, isomorphisms, normal_subgroups,
-                        sylow_subgroup, trivial_group)
+                        conjugacy_classes, extend_isomorphism,
+                        find_isomorphism, generated, is_normal, isomorphisms,
+                        normal_subgroups, sylow_subgroup, trivial_group)
 from cca.perms import identity, pconj, pinv, pmul
 from cca.structure import (StructureDecomposition, decompose_structure,
                            reduction_gamma_prime)
@@ -225,6 +226,61 @@ def reference_normal_subgroups(G):
                     changed = True
     return sorted(found.values(),
                   key=lambda N: (N.order, sorted(map(tuple, N.elements))))
+
+
+def reference_dicyclic_structure(G):
+    """(A, x, y) of the generalised dicyclic structure by a scan over every
+    normal subgroup: the first A, in normal_subgroups' order, that is
+    abelian of index 2 and exponent above 2, and the least x outside A with
+    x^2 = y an involution and x^-1*a*x = a^-1 for every a in A; A is the
+    subgroup, and None stands for no such structure."""
+    if G.order % 4 != 0 or G.is_abelian():
+        return None
+    inv = G.inverse
+    for A in normal_subgroups(G):
+        if A.order != G.order // 2 or not A.is_abelian() or A.exponent() <= 2:
+            continue
+        aset = {G.index[p] for p in A.elements}
+        for x in range(G.order):
+            if x in aset:
+                continue
+            y = G.imul(x, x)
+            if y not in aset or G.element_orders[y] != 2:
+                continue
+            if all(G.imul(G.imul(inv[x], a), x) == inv[a] for a in sorted(aset)):
+                return A, x, y
+    return None
+
+
+def reference_predicted_autc_complete(G):
+    """predicted_autc_complete by listings: G_R closed in full for its
+    generators, an isomorphism search from Q8 x Z2^m on every group of
+    order 8*2^m, and reference_dicyclic_structure."""
+    n = G.order
+    reg_gens = G.right_regular.generators
+    if G.is_abelian() and G.exponent() > 2:
+        return CompletePrediction("1", 2 * n, reg_gens + [tuple(G.inverse)])
+    m = (n // 8).bit_length() - 1
+    if n >= 8 and n == 8 * 2 ** m:
+        Q = builders.q8_times_z2(m)
+        phi = find_isomorphism(Q, G)
+        if phi is not None:
+            phinv = [0] * n
+            for i, j in enumerate(phi):
+                phinv[j] = i
+            sigmas = [tuple(phi[sig[phinv[i]]] for i in range(n))
+                      for sig in (builders.named_map(Q, f"sigma-{u}").carrier
+                                  for u in "ijk")]
+            return CompletePrediction("3", 8 * n, reg_gens + sigmas)
+    dic = reference_dicyclic_structure(G)
+    if dic is not None:
+        aset = {G.index[p] for p in dic[0].elements}
+        iota = tuple(i if i in aset else G.inverse[i] for i in range(n))
+        return CompletePrediction("2", 2 * n, reg_gens + [iota])
+    pm1 = aut_pm1_group(G, list(range(1, n)))
+    return CompletePrediction(
+        "CCA", n * pm1.order,
+        reg_gens + [p for p in pm1.elements if p != identity(n)])
 
 
 def reference_stabiliser(Gamma):

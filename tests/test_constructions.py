@@ -214,6 +214,35 @@ def test_local_groups_match_reference_at_every_degree():
     assert sorted(Hemb.elements) == sorted(itertools.permutations(range(3)))
 
 
+def test_complete_colour_pair_ignores_local_element_order(monkeypatch):
+    # _local_group lists its elements sorted, not in closure order: on
+    # every distinct local pair of the Heawood, subdivision and K_{8,8}
+    # constructions, reversing the non-identity elements of both groups
+    # leaves is_pair and the case as they are
+    pairs = []
+    check = constructions.is_complete_colour_pair
+
+    def recorded(loc_G, loc_H):
+        pairs.append((loc_G, loc_H))
+        return check(loc_G, loc_H)
+
+    monkeypatch.setattr(constructions, "is_complete_colour_pair", recorded)
+    P, full, Hbip, G21, G42 = _heawood_groups()
+    line_graph_construction(P, G21, Hbip)
+    subdivision_construction(P, G42, full)
+    line_graph_construction(*_knn_q8_inputs())
+    assert len(pairs) == 3
+
+    def reversed_copy(A):
+        return FiniteGroup(A.elements[:1] + A.elements[:0:-1], A.generators)
+
+    for loc_G, loc_H in pairs:
+        chk = check(loc_G, loc_H)
+        rev = check(reversed_copy(loc_G), reversed_copy(loc_H))
+        assert (rev.is_pair, rev.case) == (chk.is_pair, chk.case)
+        assert chk.is_pair
+
+
 def test_subdivision_construction_heawood():
     P, full, _, _, G42 = _heawood_groups()
     Gamma, Hemb = subdivision_construction(P, G42, full)

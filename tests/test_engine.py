@@ -8,17 +8,18 @@ from pathlib import Path
 import pytest
 
 import cca
-from cca import builders
+from cca import builders, engine, groups
 from cca.constructions import line_graph_construction
-from cca.engine import (AutcResult, aut_pm1_group, autc_group,
-                        autc_stabiliser, colour_break, fast_cca_verdict,
-                        is_colour_preserving, multiplicative_break,
-                        predicted_autc_complete)
+from cca.engine import (AutcResult, _find_dicyclic_structure,
+                        _first_fit_generators, _is_hamiltonian, aut_pm1_group,
+                        autc_group, autc_stabiliser, colour_break,
+                        fast_cca_verdict, is_colour_preserving,
+                        multiplicative_break, predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
-from cca.groups import (FiniteGroup, close_generators, is_normal,
-                        normal_subgroups)
+from cca.groups import (FiniteGroup, _order_histogram, close_generators,
+                        find_isomorphism, is_normal, normal_subgroups)
 from cca.perms import identity, pconj, pmul
 from cca.recipes import _knn_q8_inputs
 from cca.structure import canonical_sets
@@ -26,8 +27,9 @@ from cca.structure import canonical_sets
 from conftest import (automorphisms, brute_force_stabiliser, group_pool,
                       is_power_of_two, random_connected_cayley,
                       reference_aut_pm1,
-                      reference_autc, reference_edge_colour,
-                      reference_stabiliser,
+                      reference_autc, reference_dicyclic_structure,
+                      reference_edge_colour,
+                      reference_predicted_autc_complete, reference_stabiliser,
                       stabiliser_shape_allowed, vf2_stabiliser)
 
 
@@ -508,6 +510,82 @@ def test_prediction_plain_nonabelian_is_cca():
     res = autc_group(complete_cayley(builders.symmetric(3)))
     assert res.verdict == "CCA"
     assert res.full_group.order == pred.predicted_order
+
+
+def _with_every_generator(G):
+    """A copy of G whose generator list holds every non-identity element."""
+    return FiniteGroup(G.elements, G.elements[1:], labels=G.labels)
+
+
+def _prediction_pool():
+    """group_pool(48), which holds catalog(32), as (name, group) pairs."""
+    pool = group_pool(48)
+    names = [name for name, _ in builders.catalog(48)]
+    return list(zip(names + ["f21", "agl17", "s4"], pool, strict=True))
+
+
+def test_dicyclic_structure_matches_normal_subgroup_scan():
+    # the index-2 kernels give the (A, x, y) the scan over normal_subgroups
+    # gives, the same A first and the same least x, also when the generator
+    # list holds every element, where the first-fit generators stay at
+    # most log2 |G|, so at most |G| - 1 patterns are tried
+    found = []
+    for name, G in _prediction_pool():
+        ref = reference_dicyclic_structure(G)
+        if ref is not None:
+            ref = ({G.index[p] for p in ref[0].elements}, ref[1], ref[2])
+            found.append(name)
+        for H in (G, _with_every_generator(G)):
+            gens = _first_fit_generators(H)
+            assert len(gens) <= H.order.bit_length() - 1
+            assert _find_dicyclic_structure(H, gens) == ref, name
+    assert {"dic(z6xz2)", "dic(z10)", "dic(z12)"} <= set(found), found
+
+
+def test_dedekind_test_matches_q8_search():
+    # every subgroup normal and G nonabelian iff G is Q8 x Z2^m, on every
+    # group of order 8*2^m in the pool: dic(z4xz2) has Q8 x Z2's order
+    # histogram but is not it, and z2^k is abelian
+    q8 = {m: builders.q8_times_z2(m) for m in range(3)}
+    seen = set()
+    for _, G in _prediction_pool():
+        m = (G.order // 8).bit_length() - 1
+        if G.order < 8 or G.order != 8 * 2 ** m:
+            continue
+        iso = find_isomorphism(q8[m], G) is not None
+        for H in (G, _with_every_generator(G)):
+            assert _is_hamiltonian(H, _first_fit_generators(H)) == iso
+        seen.add(iso)
+    assert seen == {True, False}
+    D = dict(builders.catalog())["dic(z4xz2)"]
+    assert _order_histogram(D) == _order_histogram(q8[1])
+    assert not _is_hamiltonian(D, _first_fit_generators(D))
+    E = builders.build_spec("z2^3")
+    assert not _is_hamiltonian(E, _first_fit_generators(E))
+
+
+def test_predictions_list_no_subgroup(monkeypatch):
+    # on a fresh copy of every catalog group, with normal_subgroups made
+    # to raise, the prediction closes no G_R and equals the prediction by
+    # listings in case, order and generator list; full_group on K_G closes
+    # no G_R either
+    def listing(G):
+        raise AssertionError("normal_subgroups called")
+
+    monkeypatch.setattr(groups, "normal_subgroups", listing)
+    monkeypatch.setattr(engine, "normal_subgroups", listing, raising=False)
+    preds = []
+    for name, G in builders.catalog():
+        pred = predicted_autc_complete(G)
+        AutcResult(complete_cayley(G)).full_group
+        assert "right_regular" not in G.__dict__, name
+        preds.append((name, G, pred))
+    monkeypatch.undo()
+    for name, G, pred in preds:
+        ref = reference_predicted_autc_complete(G)
+        assert (pred.case, pred.predicted_order, pred.predicted_generators) \
+            == (ref.case, ref.predicted_order, ref.predicted_generators), name
+    assert {pred.case for *_, pred in preds} == {"1", "2", "3", "CCA"}
 
 
 def _coset_partition(G, N):
