@@ -177,18 +177,18 @@ def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
     The induced maps are the image of A_v, so they form a group, which is
     built on them, sorted, the identity first, and not closed again.  Its
     generators are the first-fit ones that coset_growth takes from them,
-    and its member set must be exactly the induced maps."""
+    with the cap |maps|: the members grown hold every map, so they are
+    exactly the maps unless the cap refuses, which is an internal error."""
     nbrs = P.adj[v]
     pos = {u: i for i, u in enumerate(nbrs)}.__getitem__
     read = _reader(nbrs)
     images = {read(g) for g in A.elements if g[v] == v}
     induced = sorted(tuple(map(pos, img)) for img in images)
     try:
-        gens, members = coset_growth(induced, len(nbrs), len(induced))
+        gens = coset_growth(induced, len(nbrs), len(induced))[0]
     except ClosureExceedsCap:
-        members = None
-    if members != set(induced):
-        raise RuntimeError("internal error: the induced maps are no group")
+        raise RuntimeError("internal error: the induced maps are no "
+                           "group") from None
     return FiniteGroup(induced, gens)
 
 
