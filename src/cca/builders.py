@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
+from operator import itemgetter
 
 from .errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from .groups import DEFAULT_CAP, FiniteGroup, close_generators
-from .perms import Perm, pinv, pmul, ppow
+from .perms import Perm, identity, pinv, pmul, ppow
 
 
 def _order(factor_orders) -> int:
@@ -41,23 +42,45 @@ def _bound(factor_orders, what: str) -> int:
 
 
 def _from_table(items, mult, ident, gen_items, label_fn, meta=None) -> FiniteGroup:
-    """Right-regular realisation of an abstract group given by a mult rule.
+    """Right-regular realisation of an abstract group given by a mult rule:
+    element i is x -> x*items[i] on item indices.
 
-    `items` fixes the element order (identity first is enforced here)."""
+    `items` fixes the element order (identity first is enforced here).
+    `mult` is called for the generator rows x -> x*s only, n per generator.
+    The elements are listed by a breadth-first search from the identity
+    along the rows: i*s sends x where row_s sends the image of x under i,
+    one itemgetter of i's points applied to row_s.  Each product that
+    reaches an element already listed must equal it, so the listed elements
+    are closed under the rows; with every row a permutation and all n items
+    reached, they are exactly the group the rows generate, of order n.
+    Otherwise RuntimeError."""
     items = list(items)
     if items[0] != ident:
         items.remove(ident)
         items.insert(0, ident)
     idx = {it: i for i, it in enumerate(items)}
     n = len(items)
-    elements = []
-    for g in items:
-        elements.append(tuple(idx[mult(x, g)] for x in items))
+    rows = [tuple([idx[mult(x, s)] for x in items]) for s in gen_items]
+    elements = [identity(n)] + [None] * (n - 1)
+    queue = [0]
+    closed = True
+    for i in queue:
+        # itemgetter of one point returns a bare point; the one permutation
+        # of one point is the identity, so e*row is row itself
+        act = itemgetter(*elements[i]) if n > 1 else tuple
+        for row in rows:
+            j, p = row[i], act(row)
+            if elements[j] is None:
+                elements[j] = p
+                queue.append(j)
+            else:
+                closed &= elements[j] == p
+    if (not closed or len(queue) != n
+            or any(len(set(row)) != n for row in rows)):
+        raise RuntimeError("internal error: generators do not generate")
     gens = [elements[idx[g]] for g in gen_items]
     G = FiniteGroup(elements, gens, labels=[label_fn(it) for it in items],
                     meta=meta)
-    if G.subgroup(gens).order != n:
-        raise RuntimeError("internal error: generators do not generate")
     G.meta["items"] = items
     return G
 

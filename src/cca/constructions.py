@@ -168,6 +168,20 @@ def _reader(points):
     return itemgetter(*points)
 
 
+def _edge_action(edges, point_of_edge):
+    """h -> (point_of_edge[{h(u), h(v)}] for each edge (u, v) in edges), the
+    action of a vertex permutation h on points that stand for edges, with
+    point_of_edge keyed by (min, max).  The edges' endpoints' images are
+    read through one itemgetter each, and each image arc is mapped to its
+    edge's point through one dict that holds both orientations."""
+    point_of_arc = {}
+    for (u, v), i in point_of_edge.items():
+        point_of_arc[u, v] = point_of_arc[v, u] = i
+    arc_point = point_of_arc.__getitem__
+    tails, heads = (_reader([e[k] for e in edges]) for k in (0, 1))
+    return lambda h: tuple(map(arc_point, zip(tails(h), heads(h))))
+
+
 def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
     """The permutation group induced on the neighbourhood of v by the
     vertex-stabiliser A_v: the neighbours' images are read through one
@@ -225,12 +239,16 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     H's generators are checked to act on P and to generate H, on the
     membership set coset_growth grows from them on P's own P.n points with
     the cap |H|; so every element of H acts on P.  The embedding h ->
-    (action of h on the edges) is checked faithful on every element of H,
-    but colour-preserving on H's generators only.  This is exact: the
-    embedding is an injective homomorphism, so the images of H's generators
-    generate the embedded copy H_emb, and the colour-preserving maps form a
-    group, so they contain all of H_emb once they contain those images.  For
-    the same reason H_emb lies in Aut_c iff its generators do."""
+    (action of h on the edges) is computed on H's generators only, and
+    H_emb is the group coset_growth grows from their images on the edges,
+    with the cap |H|, listed sorted, the identity first, with those images
+    as its generators in H's order.  This is exact: the embedding is a
+    homomorphism and H's generators generate H, so their images generate
+    the image of H, of order |H|/|kernel|, and the embedding is faithful
+    iff that image has |H| elements.  The colour-preserving maps form a
+    group, so they contain all of H_emb once they contain its generators,
+    which alone are checked; for the same reason H_emb lies in Aut_c iff
+    its generators do."""
     if not P.is_connected():
         raise HypothesisViolated("graph is not connected")
     bip = P.bipartition or P.two_colouring()
@@ -267,22 +285,12 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     Gamma = realize_line_graph_as_cayley(P, G)
     _special_clique_checks(P, Gamma)
 
-    vertex_of_arc = {}
-    for (u, v), i in Gamma.vertex_of_edge.items():
-        vertex_of_arc[u, v] = vertex_of_arc[v, u] = i
-    arc_vertex = vertex_of_arc.__getitem__
-    tails, heads = (_reader([e[k] for e in Gamma.edge_of_vertex])
-                    for k in (0, 1))
-
-    def induced(h):
-        # the edge {u, v} goes to the edge {h(u), h(v)}
-        return tuple(map(arc_vertex, zip(tails(h), heads(h))))
-
-    emb_elems = [induced(h) for h in H.elements]
-    if len(set(emb_elems)) != H.order:
+    induced = _edge_action(Gamma.edge_of_vertex, Gamma.vertex_of_edge)
+    emb_gens = [induced(h) for h in H.generators]
+    members = coset_growth(emb_gens, Gamma.n, H.order)[1]
+    if len(members) != H.order:
         raise HypothesisViolated("H does not act faithfully on the edges")
-    H_emb = FiniteGroup(emb_elems, [induced(h) for h in H.generators],
-                        labels=H.labels)
+    H_emb = FiniteGroup(sorted(members), emb_gens)
     for g, p in zip(H.generators, H_emb.generators):
         if not is_colour_preserving(Gamma, p):
             raise HypothesisViolated(
@@ -293,7 +301,8 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
 def subdivision_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     """Realize L(S(P)) as a coloured Cayley graph on an arc-regular G with H
     embedded as colour-preserving automorphisms, by lifting both groups to
-    the subdivision graph and delegating to the line-graph construction."""
+    the subdivision graph and delegating to the line-graph construction.
+    The subdivision point of P's k-th edge is P.n + k."""
     if not P.is_connected():
         raise HypothesisViolated("graph is not connected")
     _check_acts(P, H, "H")
@@ -307,14 +316,14 @@ def subdivision_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise NotArcRegular("G is not regular on the arcs")
 
     SP = subdivision(P)
-    edge_pos = {e: k for k, e in enumerate(P.edges)}
+    on_edges = _edge_action(P.edges,
+                            {e: P.n + k for k, e in enumerate(P.edges)})
 
     def lift(g):
-        img = [g[v] for v in range(P.n)]
-        for u, v in P.edges:
-            gu, gv = g[u], g[v]
-            img.append(P.n + edge_pos[(min(gu, gv), max(gu, gv))])
-        return tuple(img)
+        """g on P's vertices, and the point of each edge {u, v} to the point
+        of {g(u), g(v)}: the endpoints' images are read through two
+        itemgetters over P.edges and each image arc mapped to its point."""
+        return g + on_edges(g)
 
     G2 = FiniteGroup([lift(g) for g in G.elements],
                      [lift(g) for g in G.generators], labels=G.labels)

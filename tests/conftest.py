@@ -128,6 +128,25 @@ def reference_direct_product(*groups):
                              "tuple_index": tuple_index})
 
 
+def reference_from_table(items, mult, ident, gen_items, label_fn, meta=None):
+    """builders._from_table by the whole table: element g is the row
+    x -> x*g, with mult called for every pair of items, and the generators
+    checked to generate by closing them in the ambient group."""
+    items = list(items)
+    if items[0] != ident:
+        items.remove(ident)
+        items.insert(0, ident)
+    idx = {it: i for i, it in enumerate(items)}
+    elements = [tuple(idx[mult(x, g)] for x in items) for g in items]
+    gens = [elements[idx[g]] for g in gen_items]
+    G = FiniteGroup(elements, gens, labels=[label_fn(it) for it in items],
+                    meta=meta)
+    if G.subgroup(gens).order != len(items):
+        raise RuntimeError("internal error: generators do not generate")
+    G.meta["items"] = items
+    return G
+
+
 def reference_closure(gens, degree, cap):
     """close_generators' element list by the same breadth-first closure with
     plain tuple products: identity first, each dequeued element times every

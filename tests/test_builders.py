@@ -5,10 +5,10 @@ import pytest
 
 from cca import builders
 from cca.errors import BoundExceeded, IncompatibleGroup, InvalidSpec
-from cca.groups import are_isomorphic, is_normal, is_subgroup
+from cca.groups import are_isomorphic, is_normal, is_subgroup, trivial_group
 from cca.perms import pmul, porder, ppow
 
-from conftest import group_pool, reference_direct_product
+from conftest import group_pool, reference_direct_product, reference_from_table
 
 
 def test_cyclic():
@@ -87,8 +87,9 @@ def test_generalized_dicyclic():
 
 
 def test_table_builds_multiply_no_permutations(monkeypatch):
-    # a semidirect or dicyclic build takes n^2 products in A; each one is
-    # read from A's base images, so no product permutation is built
+    # a semidirect or dicyclic build takes n products in A per generator;
+    # each one is read from A's base images, so no product permutation is
+    # built
     calls = []
 
     def counted(a, b):
@@ -102,6 +103,67 @@ def test_table_builds_multiply_no_permutations(monkeypatch):
     Q = builders.build_spec("dic(z12)")
     assert (D.order, Q.order) == (200, 24)
     assert calls == []
+
+
+def _assert_same_build(G, R):
+    assert G.elements == R.elements
+    assert G.generators == R.generators
+    assert G.labels == R.labels
+    assert G.meta.keys() == R.meta.keys()
+    for key, value in G.meta.items():
+        if key == "factor_groups":
+            assert len(value) == len(R.meta[key])
+            for F, RF in zip(value, R.meta[key]):
+                _assert_same_build(F, RF)
+        else:
+            assert value == R.meta[key], key
+
+
+def test_table_builds_match_whole_table_reference(monkeypatch):
+    # _from_table multiplies the generator rows only and lists the elements
+    # by a search along them; the whole table with its closure check gives
+    # the same elements in the same order, generators, labels and meta: on
+    # catalog(32), the table-built check-mix specs, the wreath products of
+    # the wreath-demo recipe, d500, and one- and two-point groups (where
+    # itemgetter of one point would return a bare value)
+    specs = ["d5", "d8", "d21", "q8", "dic(z6)", "dih(prod(z3;z3))",
+             "prod(z3;s3)", "wreath(z3;z2@2)", "d500", "d1", "d2",
+             "wreath(z1;z1@1)"]
+
+    def build_all():
+        Z2 = builders.cyclic(2)
+        return ([G for _, G in builders.catalog(32)]
+                + [builders.build_spec(spec) for spec in specs]
+                + [builders.wreath_product(builders.cyclic(3), Z2),
+                   builders.wreath_product(builders.dihedral(3), Z2),
+                   builders.wreath_product(builders.quaternion8(),
+                                           trivial_group(1))])
+
+    built = build_all()
+    monkeypatch.setattr(builders, "_from_table", reference_from_table)
+    reference = build_all()
+    assert len(built) == len(reference)
+    for G, R in zip(built, reference):
+        _assert_same_build(G, R)
+    assert [G.order for G in built[-6:]] == [2, 4, 1, 18, 72, 8]
+
+
+def test_table_builds_refuse_rules_that_are_no_group():
+    # the rotation alone spans half of d5; Z2 acting on Z4 by swapping the
+    # elements 1 and 2, no automorphism; and max on {0, 1}, a monoid whose
+    # row x -> max(x, 1) is no permutation
+    def dihedral_mult(u, v):
+        (a, e), (b, f) = u, v
+        return ((a + (b if e == 0 else -b)) % 5, e ^ f)
+
+    items = [(a, e) for e in (0, 1) for a in range(5)]
+    with pytest.raises(RuntimeError, match="do not generate"):
+        builders._from_table(items, dihedral_mult, (0, 0), [(1, 0)], str)
+    with pytest.raises(RuntimeError, match="do not generate"):
+        builders.semidirect_product(builders.cyclic(4), builders.cyclic(2),
+                                    [list(range(4)), [0, 2, 1, 3]])
+    with pytest.raises(RuntimeError, match="do not generate"):
+        builders._from_table([0, 1], max, 0, [1], str)
 
 
 def test_wreath_product():

@@ -243,6 +243,61 @@ def test_complete_colour_pair_ignores_local_element_order(monkeypatch):
         assert chk.is_pair
 
 
+def _reference_edge_image(Gamma, h):
+    """h's action on the line graph's vertices, from the definition: the
+    vertex of the edge {u, v} goes to the vertex of {h(u), h(v)}."""
+    return tuple(Gamma.vertex_of_edge[tuple(sorted((h[u], h[v])))]
+                 for u, v in Gamma.edge_of_vertex)
+
+
+def test_embedding_is_grown_from_generator_images(monkeypatch):
+    # H_emb's elements are the images of all of H, listed sorted, and its
+    # generators the images of H's generators in order; the edge map is
+    # computed once per generator of H.  On the inner line-graph call of
+    # the Heawood subdivision, the Heawood line graph, K_{8,8} and the
+    # star K_{1,3}
+    inputs = []
+    construct = constructions.line_graph_construction
+
+    def recorded(P, G, H):
+        inputs.append((P, G, H))
+        return construct(P, G, H)
+
+    monkeypatch.setattr(constructions, "line_graph_construction", recorded)
+    P, full, Hbip, G21, G42 = _heawood_groups()
+    subdivision_construction(P, G42, full)
+    monkeypatch.undo()
+    star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
+    S3 = close_generators([(0, 2, 3, 1), (0, 2, 1, 3)], 4)
+    Z3 = close_generators([(0, 2, 3, 1)], 4)
+    inputs += [(P, G21, Hbip), _knn_q8_inputs(), (star, Z3, S3)]
+
+    edge_action = constructions._edge_action
+    calls = []
+
+    def counted(edges, point_of_edge):
+        act = edge_action(edges, point_of_edge)
+
+        def on_edges(h):
+            calls.append(h)
+            return act(h)
+        return on_edges
+
+    monkeypatch.setattr(constructions, "_edge_action", counted)
+    orders = []
+    for P, G, H in inputs:
+        calls.clear()
+        Gamma, Hemb = line_graph_construction(P, G, H)
+        assert len(calls) == len(H.generators)
+        assert Hemb.generators == [_reference_edge_image(Gamma, h)
+                                   for h in H.generators]
+        assert set(Hemb.elements) == {_reference_edge_image(Gamma, h)
+                                      for h in H.elements}
+        assert Hemb.elements == sorted(Hemb.elements)
+        orders.append(Hemb.order)
+    assert orders == [336, 168, 4096, 6]
+
+
 def test_subdivision_construction_heawood():
     P, full, _, _, G42 = _heawood_groups()
     Gamma, Hemb = subdivision_construction(P, G42, full)
