@@ -182,28 +182,60 @@ def _edge_action(edges, point_of_edge):
     return lambda h: tuple(map(arc_point, zip(tails(h), heads(h))))
 
 
-def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
-    """The permutation group induced on the neighbourhood of v by the
-    vertex-stabiliser A_v: the neighbours' images are read through one
-    itemgetter per element of A_v, and mapped to neighbour positions once
-    per distinct image.
+def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
+    """The permutation groups induced on the neighbourhood of each vertex v
+    of P by its stabiliser A_v, for A a group of automorphisms of P, listed
+    by vertex.
 
-    The induced maps are the image of A_v, so they form a group, which is
-    built on them, sorted, the identity first, and not closed again.  Its
-    generators are the first-fit ones that coset_growth takes from them,
-    with the cap |maps|: the members grown hold every map, so they are
-    exactly the maps unless the cap refuses, which is an internal error."""
-    nbrs = P.adj[v]
-    pos = {u: i for i, u in enumerate(nbrs)}.__getitem__
-    read = _reader(nbrs)
-    images = {read(g) for g in A.elements if g[v] == v}
-    induced = sorted(tuple(map(pos, img)) for img in images)
-    try:
-        gens = coset_growth(induced, len(nbrs), len(induced))[0]
-    except ClosureExceedsCap:
-        raise RuntimeError("internal error: the induced maps are no "
-                           "group") from None
-    return FiniteGroup(induced, gens)
+    A is scanned once per orbit.  At the orbit's first vertex v, A_v is
+    selected and its maps of the neighbours are read through one itemgetter
+    per element, then written on neighbour positions once per distinct map.
+    Any t in A with t(v) = x gives A_x = t^-1 A_v t, so the maps at x are
+    those at v conjugated by q, the bijection of neighbour positions that t
+    induces: q(j) is the position at x of t's image of v's j-th neighbour.
+    One t is taken for each x of the orbit, which has |A|/|A_v| points, and
+    the scan for them stops once each has one.
+
+    The induced maps at a vertex are the image of its stabiliser, so they
+    form a group, which is built on them, sorted, the identity first, and
+    not closed again.  Its generators are the first-fit ones that
+    coset_growth takes from them, with the cap |maps|: the members grown
+    hold every map, so they are exactly the maps unless the cap refuses,
+    which is an internal error.  Vertices with the same maps share one
+    group."""
+    maps = [None] * P.n
+    for v in range(P.n):
+        if maps[v] is not None:
+            continue
+        read = _reader(P.adj[v])
+        stab = [g for g in A.elements if g[v] == v]
+        pos = {u: i for i, u in enumerate(P.adj[v])}.__getitem__
+        maps[v] = tuple(sorted(tuple(map(pos, img))
+                               for img in set(map(read, stab))))
+        orbit = {v: None}
+        for t in A.elements:
+            if len(orbit) == A.order // len(stab):
+                break
+            orbit.setdefault(t[v], t)
+        for x, t in orbit.items():
+            if x == v:
+                continue
+            pos = {u: i for i, u in enumerate(P.adj[x])}.__getitem__
+            q = tuple(map(pos, read(t)))
+            conj = _reader(sorted(range(len(q)), key=q.__getitem__))
+            maps[x] = tuple(sorted(tuple(map(q.__getitem__, conj(m)))
+                                   for m in maps[v]))
+    groups = {}
+    for induced in maps:
+        if induced not in groups:
+            try:
+                gens = coset_growth(induced, len(induced[0]),
+                                    len(induced))[0]
+            except ClosureExceedsCap:
+                raise RuntimeError("internal error: the induced maps are no "
+                                   "group") from None
+            groups[induced] = FiniteGroup(induced, gens)
+    return [groups[induced] for induced in maps]
 
 
 def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):
@@ -270,9 +302,8 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
         raise HypothesisViolated("H-orbits on vertices are not the biparts")
 
     is_pair = {}
-    for v in range(P.n):
-        loc_G = _local_group(P, G, v)
-        loc_H = _local_group(P, H, v)
+    for v, (loc_G, loc_H) in enumerate(zip(_local_groups(P, G),
+                                           _local_groups(P, H))):
         key = (frozenset(loc_G.elements), frozenset(loc_H.elements))
         if key[0] == key[1]:
             continue

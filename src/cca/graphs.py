@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)
@@ -306,33 +307,36 @@ def realize_line_graph_as_cayley(P: PlainGraph, G: FiniteGroup) -> ColouredCayle
     """View L(P) as a Cayley graph on an edge-regular G <= Aut(P).
 
     Vertex g of the Cayley graph is the edge e0^g, where e0 is the
-    lexicographically least edge."""
-    edge_index = {e: i for i, e in enumerate(P.edges)}
-
-    def edge_image(e, g):
-        u, v = g[e[0]], g[e[1]]
-        return (min(u, v), max(u, v))
-
+    lexicographically least edge.  Each element's images of the edges'
+    endpoints are read through one itemgetter over all of them (a tuple,
+    since an edge has two), and each image pair is looked up in one dict
+    that holds both orientations of every edge; every element must map
+    every edge to an edge."""
+    edge_of_arc = {}
+    for e in P.edges:
+        edge_of_arc[e] = edge_of_arc[e[::-1]] = e
+    points = [x for e in P.edges for x in e]
+    ends = itemgetter(*points) if points else lambda g: ()
     for g in G.elements:
-        for e in P.edges:
-            if edge_image(e, g) not in edge_index:
-                raise NotEdgeRegular("G does not act on the graph by automorphisms")
+        image = iter(ends(g))
+        if not all(map(edge_of_arc.__contains__, zip(image, image))):
+            raise NotEdgeRegular("G does not act on the graph by automorphisms")
     if G.order != len(P.edges):
         raise NotEdgeRegular(f"|G| = {G.order} but the graph has {len(P.edges)} edges")
     e0 = P.edges[0]
-    orbit = {edge_image(e0, g) for g in G.elements}
-    if len(orbit) != len(P.edges):
+    eov = list(map(edge_of_arc.__getitem__,
+                   zip(map(itemgetter(e0[0]), G.elements),
+                       map(itemgetter(e0[1]), G.elements))))
+    if len(set(eov)) != len(P.edges):
         raise NotEdgeRegular("G is not transitive on edges")
 
     def adjacent_edges(e, f):
         return e != f and len(set(e) & set(f)) == 1
 
-    S = [i for i, g in enumerate(G.elements)
-         if adjacent_edges(edge_image(e0, g), e0)]
+    S = [i for i, e in enumerate(eov) if adjacent_edges(e, e0)]
     Gamma = ColouredCayleyGraph(G, S)
-    Gamma.edge_of_vertex = [edge_image(e0, g) for g in G.elements]
-    Gamma.vertex_of_edge = {e: i for i, e in enumerate(Gamma.edge_of_vertex)}
-    eov = Gamma.edge_of_vertex
+    Gamma.edge_of_vertex = eov
+    Gamma.vertex_of_edge = {e: i for i, e in enumerate(eov)}
     if not all(adjacent_edges(eov[u], eov[v]) for u, v in Gamma.edges):
         raise RuntimeError("internal error: Cayley and line-graph adjacency differ")
     return Gamma

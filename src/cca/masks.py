@@ -1,9 +1,10 @@
 """The numpy kernels of the connection-set enumeration: one mask per class
 under the Aut(G) unit action and the class sizes, found by a two-level
-scan, then product closure and sign propagation on those masks.
-structure.enumerate_connection_sets imports this module when it starts the
-work, after its bound checks, so no other command loads numpy.  A mask is a
-set of colour units, bit i for unit i.
+scan; connectivity, read from the masks of the maximal subgroups that a
+walk of the subgroup lattice by product closure finds; and sign
+propagation on those masks.  structure.enumerate_connection_sets imports
+this module when it starts the work, after its bound checks, so no other
+command loads numpy.  A mask is a set of colour units, bit i for unit i.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from .groups import FiniteGroup
 
 _BLOCK = 1 << 16              # masks per block of a canonical-form scan
 _SPAN = 1 << 18               # mask images held at once by that scan
-_SIGN_BLOCK = 1 << 15         # (s, q, s2, t) entries per block of _sign_tables
+_SIGN_BLOCK = 1 << 14         # (s, q, s2, t) entries per block of _sign_tables
 
 
-def _or_tables(k: int, images):
-    """The (hightab, lowtab) pair of the map on k-bit masks that sends bit i
-    to images[i] and a union of bits to the union of their images.  With
-    kl = k // 2 it maps the mask m = h*2^kl + l to hightab[h] | lowtab[l].
-    Each table doubles from the empty mask: tab[2^i + x] = tab[x] | the
-    image of bit i.  An image may be an array of masks, and then so is each
-    table entry."""
-    kl = k // 2
+def _or_tables(images, w: int):
+    """The tables of the map on len(images)-bit masks that sends bit i to
+    images[i] and a union of bits to the union of their images, one table
+    per piece of w bits from bit 0, the last piece holding what is left.
+    The table of the piece of bits pw .. pw + w - 1 maps (m >> pw) & (2^w - 1)
+    to the union of the images of those bits of m, so m maps to the OR of
+    its pieces' lookups (_union).  Each table doubles from the empty mask:
+    tab[2^i + x] = tab[x] | the image of the piece's bit i.  An image may be
+    an array of masks, and then so is each table entry."""
     shape = np.shape(images[0])
 
     def table(imgs):
@@ -34,7 +36,18 @@ def _or_tables(k: int, images):
             np.bitwise_or(tab[:1 << i], b, out=tab[1 << i:2 << i])
         return tab
 
-    return table(images[kl:]), table(images[:kl])
+    return [table(images[p:p + w]) for p in range(0, len(images), w)]
+
+
+def _union(tables, masks):
+    """The image of each of masks under the map that tables, from
+    _or_tables, hold: the OR of one lookup per piece."""
+    w = len(tables[0]).bit_length() - 1
+    low = (1 << w) - 1
+    out = tables[0][masks & low]
+    for p, tab in enumerate(tables[1:], 1):
+        out |= tab[masks >> p * w & low]
+    return out
 
 
 def _least_in_orbit(perms, counts):
@@ -50,9 +63,9 @@ def _least_in_orbit(perms, counts):
         return (np.arange(1 << kk, dtype=np.int64),
                 np.full(1 << kk, counts[0], dtype=np.int64))
     bits = (1 << perms).astype(np.int32)
-    hightab, lowtab = (np.ascontiguousarray(tab.T)
-                       for tab in _or_tables(kk, list(bits.T)))
-    kl = kk // 2
+    kl = (kk + 1) // 2            # kk >= 2 here, so two pieces
+    lowtab, hightab = (np.ascontiguousarray(tab.T)
+                       for tab in _or_tables(list(bits.T), kl))
     width = 1 << kl
     nrows = 1 << (kk - kl)
     step = min(nrows, max(1, _BLOCK >> kl))
@@ -84,10 +97,8 @@ def _spread(units, masks):
     """Each mask on len(units) bits with bit i moved to bit units[i]."""
     if not len(units):
         return np.zeros_like(masks)
-    kl = len(units) // 2
-    hightab, lowtab = _or_tables(len(units), [1 << int(u) for u in units])
-    return (hightab[masks >> kl] | lowtab[masks & ((1 << kl) - 1)]).astype(
-        np.int64)
+    tables = _or_tables([1 << int(u) for u in units], (len(units) + 1) // 2)
+    return _union(tables, masks).astype(np.int64)
 
 
 def _classes(k: int, ws):
@@ -150,15 +161,15 @@ def _least_images(ws, masks):
 
 
 def _unit_products(G: FiniteGroup, units):
-    """One _or_tables pair per unit i, for the map sending unit j to the
-    units of the products a*b, a in unit i and b in unit j, other than the
-    identity."""
+    """One list of _or_tables per unit i, in two pieces, for the map sending
+    unit j to the units of the products a*b, a in unit i and b in unit j,
+    other than the identity."""
     k = len(units)
     table = G.table
     unit_of = {s: x for x, u in enumerate(units) for s in u}
-    return [_or_tables(k, [sum({1 << unit_of[table[a][b]]
-                                for a in ui for b in uj if table[a][b]})
-                           for uj in units])
+    return [_or_tables([sum({1 << unit_of[table[a][b]]
+                             for a in ui for b in uj if table[a][b]})
+                        for uj in units], (k + 1) // 2)
             for ui in units]
 
 
@@ -169,22 +180,66 @@ def _subgroup_masks(n: int, k: int, products, masks):
     mask that a round does not grow is closed.  Every element of a subgroup
     of G is such a product of fewer than n factors, so every mask closes
     within ceil(log2 n) + 1 rounds."""
-    kl = k // 2
     full = (1 << k) - 1
     closed = masks.copy()
     active = np.flatnonzero(closed != full)
     for _ in range((n - 1).bit_length() + 1):
         cur = closed[active]
-        high, low = cur >> kl, cur & ((1 << kl) - 1)
         grown = cur.copy()
-        for i, (hightab, lowtab) in enumerate(products):
+        for i, tables in enumerate(products):
             has = (cur >> i & 1).astype(bool)
-            grown[has] |= hightab[high[has]] | lowtab[low[has]]
+            grown[has] |= _union(tables, cur[has])
         closed[active] = grown
         active = active[(grown != cur) & (grown != full)]
         if not len(active):
             return closed
     raise RuntimeError("internal error: the product closure did not close")
+
+
+def _maximal_masks(n: int, k: int, products):
+    """The masks of the maximal subgroups of G, ascending.  Every subgroup
+    is a union of colour units, and the subgroups are reached from the
+    trivial one, the empty mask, one unit at a time: each layer closes M | i
+    (_subgroup_masks) for every subgroup mask M of the layer before and
+    every unit i outside M, and keeps the closures not seen before.  Every
+    subgroup H is reached, since for a subgroup K < H reached and a unit i
+    of H outside K, <K, i> lies in H and is larger than K.  A proper M is
+    maximal iff each such closure is G, so the walk needs no comparison of
+    masks.  It must reach the full mask; if it does not, the products are
+    wrong, an internal error."""
+    if not k:                     # the trivial group: no proper subgroup
+        return np.zeros(0, dtype=np.int64)
+    full = (1 << k) - 1
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    layer = np.zeros(1, dtype=np.int64)
+    seen = {0}
+    maximal, reached = [], False
+    while len(layer):
+        grown = _subgroup_masks(n, k, products,
+                                (layer[:, None] | bits).ravel())
+        whole = (grown == full).reshape(len(layer), k)
+        reached = reached or bool(whole.any())
+        maximal.append(layer[(whole | (layer[:, None] & bits != 0))
+                             .all(axis=1)])
+        # a Python set, not np.setdiff1d: numpy's first 1-d unique takes
+        # 2.3 MB of peak RSS once per process
+        new = set(grown[grown != full].tolist()) - seen
+        seen |= new
+        layer = np.array(sorted(new), dtype=np.int64)
+    if not reached:
+        raise RuntimeError("internal error: the subgroup walk did not reach "
+                           "G")
+    return np.sort(np.concatenate(maximal))
+
+
+def _connected(maximal, masks):
+    """True where the mask's units generate G, that is, where the mask lies
+    in no maximal subgroup: for each maximal mask, the mask has a unit
+    outside it."""
+    connected = np.ones(len(masks), dtype=bool)
+    for m in maximal.tolist():
+        connected &= (masks & ~m) != 0
+    return connected
 
 
 def _sign_tables(G: FiniteGroup, units):
@@ -208,7 +263,10 @@ def _sign_tables(G: FiniteGroup, units):
     in the connection set, phi(g) is in {t*psi(s), t^-1*psi(s)} and in
     {t2*psi(s2), t2^-1*psi(s2)}, so the signs are ruled out where those sets
     are disjoint.  The table is built over every (s, s2, t), a block of s at
-    a time, so that no array of n^3 entries is held."""
+    a time, so that no array of n^3 entries is held.  Its temporaries are
+    the enumeration's peak on f21xz2: blocks of 2^15 entries held 2.3 MB at
+    once and added 1.3 MB to its peak RSS, and blocks of 2^14 hold half
+    that and run no slower."""
     n, k = G.order, len(units)
     table = np.array(G.table)
     inv = np.array(G.inverse)
@@ -243,6 +301,31 @@ def _sign_tables(G: FiniteGroup, units):
     return sq
 
 
+def _gather(sq, masks):
+    """eff[x, i, q], for each unit i of masks[x]: the units l of the mask
+    for which sq[i, q, c, l] meets the mask for some colour c of it.  The
+    OR over c is read from _or_tables of sq[i] on pieces of w bits, with w
+    sized to the number of masks: bit_length(len(masks)) - 4, at least 4
+    and at most (k + 1) // 2, the two halves.  Each unit builds tables of
+    about 2^w entries and takes ceil(k / w) lookups per mask, so wide
+    pieces waste table builds on few masks and narrow ones add lookups on
+    many.  In-process on a 2-core Xeon: 6.3 ms with halves and 4.2 ms with
+    w = 7 for the 1844 masks of f21xz2; 245 ms with halves, 175 ms with
+    w = 12 and 276 ms with w = 6 for the 49457 masks of D19 (k = 28); and
+    0.8 ms with w = 1 against 0.4 ms with w = 4 for the 10 masks of F21."""
+    k = len(sq)
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    w = min((k + 1) // 2, max(4, len(masks).bit_length() - 4))
+    eff = np.zeros((len(masks), k, 2), dtype=masks.dtype)
+    for i in range(k):
+        r = np.flatnonzero(masks >> i & 1)
+        m = masks[r, None]
+        fire = _union(_or_tables(sq[i].swapaxes(0, 1), w), masks[r])
+        fire &= m[:, None]
+        eff[r, i] = (fire != 0) @ bits & m
+    return eff
+
+
 def _settled(G: FiniteGroup, units, masks):
     """True where the sign vectors on the units of the mask that keep every
     clause of _sign_tables are only the zero vector: unit propagation from
@@ -267,7 +350,7 @@ def _settled(G: FiniteGroup, units, masks):
     agl17 (one in-process run each, 2-core Xeon).  The firing clauses of the
     masks left are gathered first: for each unit i of a mask, eff[mask, i, q]
     holds the units l of the mask for which sq[i, q, c, l] meets the mask
-    for some colour c of it, the OR over c taken by _or_tables.  One row
+    for some colour c of it (_gather, on tables sized to them).  One row
     runs per (mask, j); a row drops out at its first conflict, and a mask's
     rows all drop once one of them reaches a fixpoint without a conflict."""
     sq = _sign_tables(G, units)
@@ -288,17 +371,7 @@ def _settled(G: FiniteGroup, units, masks):
 
     cand = np.flatnonzero(left)
     mc = masks[cand]
-    kl = k // 2
-    high, low = mc >> kl, mc & ((1 << kl) - 1)
-    eff = np.zeros((len(cand), k, 2), dtype=mc.dtype)
-    for i in range(k):
-        r = np.flatnonzero(mc >> i & 1)
-        hightab, lowtab = _or_tables(k, sq[i].swapaxes(0, 1))
-        m = mc[r, None]
-        fire = hightab[high[r]]
-        fire |= lowtab[low[r]]
-        fire &= m[:, None]
-        eff[r, i] = (fire != 0) @ bits & m
+    eff = _gather(sq, mc)
     rows, start = np.nonzero((mc[:, None] & bits[signed]) != 0)
     one = bits[signed][start]
     zero = np.zeros_like(one)

@@ -410,11 +410,15 @@ def enumerate_connection_sets(
     passed.  Connectivity and the verdict depend only on the class, so the
     choice of mask changes neither.  Each NonCCA class is reported by its
     least mask, its least image under every unit permutation at once, and
-    the list is sorted by it.  A class is connected iff the product
-    closure of its units (masks._subgroup_masks) holds every unit.  A
-    connected class is CCA whenever the stabiliser A_1 of the identity
-    vertex is trivial, and the engine runs only on the classes where sign
-    propagation (masks._settled) cannot prove that.
+    the list is sorted by it.  A class is connected iff its units generate
+    G, that is, iff it lies in no maximal subgroup: it has a unit outside
+    each maximal subgroup's mask (masks._connected).  Every subgroup is a
+    union of units, and masks._maximal_masks finds the maximal ones by a
+    walk from the trivial subgroup that adds one unit at a time and closes
+    under products, so its cost grows with the subgroups of G, not with the
+    classes.  A connected class is CCA whenever the stabiliser A_1 of the
+    identity vertex is trivial, and the engine runs only on the classes
+    where sign propagation (masks._settled) cannot prove that.
 
     Each phi in A_1 maps the closed neighbourhood N[e] onto itself and keeps
     the colour of every edge {e, t}, so it sends each t in S to t or t^-1,
@@ -484,8 +488,8 @@ def enumerate_connection_sets(
     if int(sizes.sum()) != 1 << k:
         raise RuntimeError("internal error: the class sizes do not add up "
                            "to 2^k")
-    connected = masks._subgroup_masks(n, k, masks._unit_products(G, units),
-                                      reps) == (1 << k) - 1
+    connected = masks._connected(
+        masks._maximal_masks(n, k, masks._unit_products(G, units)), reps)
     survivors = connected.nonzero()[0]
     survivors = survivors[~masks._settled(G, units, reps[survivors])]
 
@@ -495,8 +499,8 @@ def enumerate_connection_sets(
             res = AutcResult(ColouredCayleyGraph(
                 G, _mask_conn(int(reps[x]), units)))
         except NotConnected:
-            raise RuntimeError("internal error: the product closure and the "
-                               "BFS disagree on connectivity") from None
+            raise RuntimeError("internal error: the maximal subgroups and "
+                               "the BFS disagree on connectivity") from None
         if res.verdict == "NonCCA":
             found.append((x, res.autc_order))
     least = masks._least_images(ws, [int(reps[x]) for x, _ in found])

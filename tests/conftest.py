@@ -14,7 +14,6 @@ from cca.errors import ClosureExceedsCap, NotConnected
 from cca.engine import (CompletePrediction, aut_pm1_group, autc_group,
                         fast_cca_verdict, is_colour_preserving)
 from cca.graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
-from cca.masks import _or_tables
 from cca.groups import (FiniteGroup, are_isomorphic, close_generators,
                         conjugacy_classes, extend_isomorphism,
                         find_isomorphism, generated, is_normal, isomorphisms,
@@ -472,13 +471,94 @@ def reference_subset_verdicts(G: FiniteGroup, ws):
     return least, verdicts
 
 
+def reference_or_tables(k: int, images):
+    """The (hightab, lowtab) pair of the map on k-bit masks that sends bit i
+    to images[i] and a union of bits to the union of their images: with
+    kl = k // 2 the mask m = h*2^kl + l maps to hightab[h] | lowtab[l].
+    This is the two-table split the enumeration used before it cut masks
+    into pieces of any width; each table doubles from the empty mask."""
+    kl = k // 2
+    shape = np.shape(images[0])
+
+    def table(imgs):
+        tab = np.zeros((1 << len(imgs),) + shape, dtype=np.int32)
+        for i, b in enumerate(imgs):
+            np.bitwise_or(tab[:1 << i], b, out=tab[1 << i:2 << i])
+        return tab
+
+    return table(images[kl:]), table(images[:kl])
+
+
+def reference_gather(sq, masks):
+    """masks._gather on the two tables of reference_or_tables: eff[x, i, q]
+    holds the units l of masks[x] for which sq[i, q, c, l] meets the mask
+    for some colour c of it, for each unit i of the mask."""
+    k = len(sq)
+    bits = np.int64(1) << np.arange(k, dtype=np.int64)
+    kl = k // 2
+    high, low = masks >> kl, masks & ((1 << kl) - 1)
+    eff = np.zeros((len(masks), k, 2), dtype=masks.dtype)
+    for i in range(k):
+        r = np.flatnonzero(masks >> i & 1)
+        hightab, lowtab = reference_or_tables(k, sq[i].swapaxes(0, 1))
+        m = masks[r, None]
+        fire = hightab[high[r]] | lowtab[low[r]]
+        fire &= m[:, None]
+        eff[r, i] = (fire != 0) @ bits & m
+    return eff
+
+
+def reference_subgroups(G: FiniteGroup):
+    """Every subgroup of G as a frozenset of element indices, by brute
+    force over the products of reference_products: every subgroup is the
+    join of the cyclic subgroups it contains, so the cyclic subgroups are
+    joined with each subgroup found until no join is new."""
+    table, _ = reference_products(G)
+
+    def close(gens):
+        elems = [0]
+        seen = {0}
+        for e in elems:
+            for g in gens:
+                f = table[e][g]
+                if f not in seen:
+                    seen.add(f)
+                    elems.append(f)
+        return frozenset(seen)
+
+    cyclic = {close([g]): [g] for g in range(G.order)}
+    found = dict(cyclic)
+    layer = dict(cyclic)
+    while layer:
+        joins = {}
+        for H, gens in layer.items():
+            for C, (g,) in cyclic.items():
+                if not C <= H:
+                    J = close(gens + [g])
+                    if J not in found:
+                        joins[J] = gens + [g]
+        found.update(joins)
+        layer = joins
+    return set(found)
+
+
+def reference_maximal_subgroup_masks(G: FiniteGroup, units):
+    """The unit masks of the maximal subgroups of G, ascending: the proper
+    subgroups of reference_subgroups that lie in no other proper one."""
+    unit_of = {s: i for i, u in enumerate(units) for s in u}
+    proper = [H for H in reference_subgroups(G) if len(H) < G.order]
+    return sorted(sum({1 << unit_of[s] for s in H if s})
+                  for H in proper if not any(H < K for K in proper))
+
+
 def reference_mask_tables(k: int, ws):
     """The full canonical scan the enumeration ran before its two-level
-    one, kept as an oracle.  One _or_tables pair per unit permutation w
-    other than the identity: w maps the mask m = h*2^kl + l, kl = k // 2,
-    to hightab[h] | lowtab[l]."""
+    one, kept as an oracle.  One reference_or_tables pair per unit
+    permutation w other than the identity: w maps the mask
+    m = h*2^kl + l, kl = k // 2, to hightab[h] | lowtab[l]."""
     ident = tuple(range(k))
-    return [_or_tables(k, [1 << x for x in w]) for w in ws if w != ident]
+    return [reference_or_tables(k, [1 << x for x in w])
+            for w in ws if w != ident]
 
 
 def reference_canonical_blocks(k: int, tables):

@@ -10,7 +10,8 @@ from cca.constructions import (is_complete_colour_pair,
 from cca.engine import autc_group, is_colour_preserving
 from cca.errors import HypothesisViolated, NotArcRegular, NotRegular
 from cca.graphs import PlainGraph, graph_automorphisms, heawood
-from cca.groups import FiniteGroup, close_generators, trivial_group
+from cca.groups import (FiniteGroup, close_generators, coset_growth,
+                        trivial_group)
 from cca.recipes import _dihedral_coset_tau, _heawood_groups, _knn_q8_inputs
 
 
@@ -148,8 +149,8 @@ def test_line_graph_decides_each_local_pair_once(monkeypatch):
     K, G, H = _knn_q8_inputs()
     pairs = set()
     for v in range(K.n):
-        key = (frozenset(constructions._local_group(K, G, v).elements),
-               frozenset(constructions._local_group(K, H, v).elements))
+        key = (frozenset(_reference_local_group(K, G, v)),
+               frozenset(_reference_local_group(K, H, v)))
         if key[0] != key[1]:
             pairs.add(key)
     calls = []
@@ -186,25 +187,57 @@ def _reference_local_group(P, A, v):
             for g in A.elements if g[v] == v}
 
 
+def _check_local_groups(P, A):
+    """_local_groups at every vertex: the elements are the reference's,
+    sorted, and the generators the first-fit ones coset_growth takes from
+    them, as when each vertex's stabiliser was scanned on its own."""
+    local = constructions._local_groups(P, A)
+    assert len(local) == P.n
+    for v, loc in enumerate(local):
+        induced = sorted(_reference_local_group(P, A, v))
+        assert loc.elements == induced, v
+        assert loc.generators \
+            == coset_growth(induced, len(P.adj[v]), len(induced))[0], v
+        assert loc.degree == len(P.adj[v])
+
+
 def test_local_groups_match_reference_at_every_degree():
     # on the star K_{1,3} under S3 the leaves have degree 1, where
     # itemgetter of one neighbour would return a bare point; then every
-    # vertex of the Heawood graph and of K_{8,8}
+    # vertex of K_4, the Heawood graph and K_{8,8}, under groups with one
+    # orbit on the vertices (full), two (Hbip, H) and the arc-regular
+    # G21 and G; and the subdivision lifts, whose orbits have different
+    # degrees
     star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
     S3 = close_generators([(0, 2, 3, 1), (0, 2, 1, 3)], 4)
     Z3 = close_generators([(0, 2, 3, 1)], 4)
-    for v in range(4):
-        loc = constructions._local_group(star, S3, v)
-        assert set(loc.elements) == _reference_local_group(star, S3, v)
-        assert loc.degree == len(star.adj[v])
-    assert constructions._local_group(star, S3, 1).elements == [(0,)]
-    P, full, Hbip, G21, _ = _heawood_groups()
+    _check_local_groups(star, S3)
+    _check_local_groups(star, Z3)
+    # K_4 under the dihedral group of the square: the stabiliser of v
+    # swaps two of its neighbours, a subgroup that is not normal in S3, so
+    # the conjugation to the other vertices must go the right way
+    K4 = PlainGraph(4, list(itertools.combinations(range(4), 2)))
+    _check_local_groups(K4, close_generators([(1, 2, 3, 0), (2, 1, 0, 3)],
+                                             4))
+    assert constructions._local_groups(star, S3)[1].elements == [(0,)]
+    P, full, Hbip, G21, G42 = _heawood_groups()
     K, G, H = _knn_q8_inputs()
-    for Q, groups in ((P, (full, Hbip, G21)), (K, (G, H))):
+    for Q, groups in ((P, (full, Hbip, G21, G42)), (K, (G, H))):
         for A in groups:
-            for v in range(Q.n):
-                assert set(constructions._local_group(Q, A, v).elements) \
-                    == _reference_local_group(Q, A, v)
+            _check_local_groups(Q, A)
+    inputs = []
+    construct = constructions.line_graph_construction
+
+    def recorded(P, G, H):
+        inputs.append((P, G, H))
+        return construct(P, G, H)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "line_graph_construction", recorded)
+        subdivision_construction(P, G42, full)
+    (SP, G2, H2), = inputs
+    _check_local_groups(SP, G2)
+    _check_local_groups(SP, H2)
     # one edge, and three edges through a vertex of degree 3
     Gamma, Hemb = line_graph_construction(PlainGraph(2, [(0, 1)]),
                                           trivial_group(2), trivial_group(2))
@@ -215,7 +248,7 @@ def test_local_groups_match_reference_at_every_degree():
 
 
 def test_complete_colour_pair_ignores_local_element_order(monkeypatch):
-    # _local_group lists its elements sorted, not in closure order: on
+    # _local_groups lists its elements sorted, not in closure order: on
     # every distinct local pair of the Heawood, subdivision and K_{8,8}
     # constructions, reversing the non-identity elements of both groups
     # leaves is_pair and the case as they are

@@ -9,19 +9,23 @@ import numpy as np
 import pytest
 
 from cca import builders, engine
+from cca import masks as mask_kernels
 from cca.engine import autc_group, autc_stabiliser, fast_cca_verdict
 from cca.errors import InvalidSpec, NotConnected, StabiliserTooLarge
 from cca.graphs import ColouredCayleyGraph, colour_units, is_connected
 from cca.groups import are_conjugate_subsets, bfs_tree
 from cca.perms import identity
-from cca.masks import (_classes, _or_tables, _settled, _subgroup_masks,
-                       _unit_products)
-from cca.structure import (_class_count, _mask_conn, _unit_action,
-                           canonical_sets, enumerate_connection_sets)
+from cca.masks import (_classes, _connected, _gather, _maximal_masks,
+                       _or_tables, _settled, _sign_tables, _subgroup_masks,
+                       _union, _unit_products)
+from cca.structure import (_MAX_UNITS, _class_count, _mask_conn,
+                           _unit_action, canonical_sets,
+                           enumerate_connection_sets)
 
 from conftest import (automorphisms, brute_force_automorphisms,
                       burnside_class_count, group_pool,
-                      reference_canonical_blocks,
+                      reference_canonical_blocks, reference_gather,
+                      reference_maximal_subgroup_masks,
                       reference_least_images, reference_mask_tables,
                       reference_orbit_sizes, reference_representatives,
                       reference_subset_verdicts, reference_unit_action,
@@ -149,20 +153,96 @@ def test_two_level_classes_match_full_scan():
 
 
 def test_or_tables_against_direct_union():
-    # the split tables map a mask to the union of its bits' images
+    # the piece tables map a mask to the union of its bits' images, for
+    # every piece width, also those that do not divide k
     rng = random.Random(7)
-    for k in (1, 2, 9, 21):
+    for k in (1, 2, 9, 21, 24):
         images = [rng.randrange(1 << k) for _ in range(k)]
-        hightab, lowtab = _or_tables(k, images)
-        kl = k // 2
-        for _ in range(100):
-            m = rng.randrange(1 << k)
-            direct = 0
+        masks = np.array([rng.randrange(1 << k) for _ in range(100)]
+                         + [0, (1 << k) - 1], dtype=np.int64)
+        direct = [0] * len(masks)
+        for x, m in enumerate(masks.tolist()):
             for i in range(k):
                 if m >> i & 1:
-                    direct |= images[i]
-            assert int(hightab[m >> kl] | lowtab[m & ((1 << kl) - 1)]) \
-                == direct
+                    direct[x] |= images[i]
+        for w in range(1, k + 1):
+            tables = _or_tables(images, w)
+            assert [len(t) for t in tables] \
+                == [1 << min(w, k - p) for p in range(0, k, w)], (k, w)
+            assert _union(tables, masks).tolist() == direct, (k, w)
+
+
+def _check_connectivity(G, units, reps, closed):
+    """The connectivity the enumeration reads from the maximal subgroup
+    masks equals the per-class product closure's (closed) on every class;
+    returns it."""
+    k = len(units)
+    products = _unit_products(G, units)
+    connected = _connected(_maximal_masks(G.order, k, products), reps)
+    assert connected.tolist() == (closed == (1 << k) - 1).tolist()
+    return connected
+
+
+def test_maximal_masks_match_maximal_subgroups():
+    # on every pool group within the enumeration's unit bound: the
+    # subgroup walk's maximal masks are the unit masks of the maximal
+    # subgroups that brute-force joins of cyclic subgroups find
+    seen = 0
+    for G in group_pool(48):
+        units = colour_units(G, range(1, G.order))
+        k = len(units)
+        if k > _MAX_UNITS:
+            continue
+        seen += 1
+        maximal = _maximal_masks(G.order, k, _unit_products(G, units))
+        assert maximal.tolist() \
+            == reference_maximal_subgroup_masks(G, units), G.meta
+    assert seen >= 100
+
+
+def test_subgroup_walk_must_reach_the_group(monkeypatch):
+    # a closure that drops the highest unit leaves the walk below G
+    G = builders.f21()
+    units = colour_units(G, range(1, G.order))
+    k = len(units)
+    products = _unit_products(G, units)
+    monkeypatch.setattr(mask_kernels, "_subgroup_masks",
+                        lambda n, k, products, masks:
+                        masks & ((1 << (k - 1)) - 1))
+    with pytest.raises(RuntimeError, match="did not reach"):
+        _maximal_masks(G.order, k, products)
+
+
+@pytest.mark.parametrize("base", ["f21xz2", "agl17"])
+def test_gather_matches_two_table_reference(base, monkeypatch):
+    # eff is bit-identical to the two-table gather on the masks _settled
+    # gathers (pieces sized to them) and, on f21xz2, on every connected
+    # class (the widest pieces); _settled is unchanged with the reference
+    # gather in its place
+    G = builders.build_spec(base)
+    n = G.order
+    units = colour_units(G, range(1, n))
+    k = len(units)
+    reps, _ = _classes(k, _unit_action(G, units))
+    reps = reps[_connected(_maximal_masks(n, k, _unit_products(G, units)),
+                           reps)]
+    gathered = []
+
+    def checked(sq, masks):
+        eff = _gather(sq, masks)
+        assert np.array_equal(eff, reference_gather(sq, masks))
+        assert eff.dtype == masks.dtype
+        gathered.append(len(masks))
+        return eff
+
+    monkeypatch.setattr(mask_kernels, "_gather", checked)
+    settled = _settled(G, units, reps)
+    assert gathered and 0 < gathered[0] < len(reps)
+    monkeypatch.setattr(mask_kernels, "_gather", reference_gather)
+    assert np.array_equal(_settled(G, units, reps), settled)
+    if base == "f21xz2":
+        sq = _sign_tables(G, units)
+        assert np.array_equal(_gather(sq, reps), reference_gather(sq, reps))
 
 
 @pytest.mark.parametrize("base, connected_count, engine_runs",
@@ -170,8 +250,9 @@ def test_or_tables_against_direct_union():
                          ids=["f21", "f21xz2"])
 def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
     # on every class: the product closure is the subgroup the BFS reaches,
-    # and a connected class the sign propagation settles is CCA by the
-    # engine; the engine runs on exactly the classes it leaves
+    # connectivity from the maximal subgroup masks is the closure's and the
+    # BFS's, and a connected class the sign propagation settles is CCA by
+    # the engine; the engine runs on exactly the classes it leaves
     G = getattr(builders, base)()
     n = G.order
     units = colour_units(G, range(1, n))
@@ -180,10 +261,11 @@ def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
     reps = reference_representatives(
         k, reference_mask_tables(k, _unit_action(G, units)))
     closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
-    connected = closed == (1 << k) - 1
+    connected = _check_connectivity(G, units, reps, closed)
     settled = np.zeros(len(reps), dtype=bool)
     settled[connected] = _settled(G, units, reps[connected])
-    for m, c, f in zip(reps.tolist(), closed.tolist(), settled.tolist()):
+    for m, c, a, f in zip(reps.tolist(), closed.tolist(), connected.tolist(),
+                          settled.tolist()):
         Gamma = ColouredCayleyGraph(G, _mask_conn(m, units))
         order, _ = bfs_tree(n, Gamma.conn, Gamma.left_rows)
         assert c == sum({1 << unit_of[v] for v, _, _ in order}), m
@@ -191,7 +273,7 @@ def test_bulk_decision_matches_engine(base, connected_count, engine_runs):
             verdict = fast_cca_verdict(Gamma)
         except NotConnected:
             verdict = None
-        assert (verdict is not None) == (c == (1 << k) - 1), m
+        assert (verdict is not None) == a, m
         if f:
             assert verdict == "CCA", m
     assert int(connected.sum()) == connected_count
@@ -399,8 +481,8 @@ def _check_against_every_subset(spec, ws):
     assert {least[m]: size for m, size in zip(masks.tolist(),
                                               sizes.tolist())} == counts
     closed = _subgroup_masks(n, k, _unit_products(G, units), reps)
-    assert {m: c == (1 << k) - 1 for m, c in zip(reps.tolist(),
-                                                   closed.tolist())} \
+    connected = _check_connectivity(G, units, reps, closed)
+    assert dict(zip(reps.tolist(), connected.tolist())) \
         == {c: None not in vs for c, vs in classes.items()}
     unit_of = {s: i for i, u in enumerate(units) for s in u}
     non_cca = {}

@@ -3,7 +3,8 @@ import random
 import networkx as nx
 import pytest
 
-from cca import builders
+from cca import builders, constructions
+from cca.constructions import subdivision_construction
 from cca.engine import autc_group
 from cca.errors import ContainsIdentity, NotEdgeRegular, NotInverseClosed, NotNormal
 from cca.graphs import (_DOT_PALETTE, ColouredCayleyGraph, PlainGraph, cayley,
@@ -12,7 +13,8 @@ from cca.graphs import (_DOT_PALETTE, ColouredCayleyGraph, PlainGraph, cayley,
                         is_connected, quotient_graph,
                         realize_line_graph_as_cayley, subdivision, to_dot,
                         to_json_dict)
-from cca.groups import close_generators
+from cca.groups import FiniteGroup, close_generators, trivial_group
+from cca.recipes import _heawood_groups, _knn_q8_inputs
 
 from conftest import (group_pool, random_connected_cayley,
                       reference_edge_colour, reference_graph_automorphisms,
@@ -154,6 +156,52 @@ def test_realize_line_graph_requires_edge_regular():
     big = close_generators(graph_automorphisms(H), 14, cap=400)
     with pytest.raises(NotEdgeRegular):
         realize_line_graph_as_cayley(H, big)
+
+
+def _reference_realization(P, G):
+    """(S, edge_of_vertex, vertex_of_edge) of L(P) on G from the
+    definition: vertex g is the edge {g(u0), g(v0)} of the least edge
+    (u0, v0), and S holds the g whose edge meets that edge in one point."""
+    u0, v0 = P.edges[0]
+    eov = [(min(g[u0], g[v0]), max(g[u0], g[v0])) for g in G.elements]
+    S = [i for i, e in enumerate(eov)
+         if e != eov[0] and len(set(e) & set(eov[0])) == 1]
+    return S, eov, {e: i for i, e in enumerate(eov)}
+
+
+def test_realized_line_graph_matches_definition(monkeypatch):
+    # S, edge_of_vertex and vertex_of_edge on the knn-q8 and Heawood
+    # edge-regular groups, the Heawood subdivision lift, the star K_{1,3}
+    # under Z3 and a single edge; then every element, not only the
+    # generators, must act by automorphisms
+    P, full, Hbip, G21, G42 = _heawood_groups()
+    star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
+    cases = [_knn_q8_inputs()[:2], (P, G21),
+             (star, close_generators([(0, 2, 3, 1)], 4)),
+             (PlainGraph(2, [(0, 1)]), trivial_group(2))]
+    realize = constructions.realize_line_graph_as_cayley
+
+    def recorded(Q, G):
+        cases.append((Q, G))
+        return realize(Q, G)
+
+    monkeypatch.setattr(constructions, "realize_line_graph_as_cayley",
+                        recorded)
+    subdivision_construction(P, G42, full)
+    assert len(cases) == 5
+    for Q, G in cases:
+        Gamma = realize_line_graph_as_cayley(Q, G)
+        assert (Gamma.conn, Gamma.edge_of_vertex, Gamma.vertex_of_edge) \
+            == _reference_realization(Q, G)
+    square = PlainGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    rot = (1, 2, 3, 0)
+    Z4 = close_generators([rot], 4)
+    assert realize_line_graph_as_cayley(square, Z4).conn == [1, 3]
+    # (0 1) is no automorphism of the square; it is listed last, and the
+    # generators alone act
+    bad = FiniteGroup(Z4.elements[:3] + [(1, 0, 2, 3)], [rot])
+    with pytest.raises(NotEdgeRegular, match="automorphisms"):
+        realize_line_graph_as_cayley(square, bad)
 
 
 def test_dot_and_json_export():
