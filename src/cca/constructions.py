@@ -19,7 +19,7 @@ from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
                      NotRegular)
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      is_connected, realize_line_graph_as_cayley, subdivision)
-from .groups import FiniteGroup, coset_growth, is_subgroup
+from .groups import FiniteGroup, coset_growth, generated, is_subgroup
 from .perms import Perm, identity, pconj
 
 
@@ -197,12 +197,10 @@ def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
     the scan for them stops once each has one.
 
     The induced maps at a vertex are the image of its stabiliser, so they
-    form a group, which is built on them, sorted, the identity first, and
-    not closed again.  Its generators are the first-fit ones that
-    coset_growth takes from them, with the cap |maps|: the members grown
-    hold every map, so they are exactly the maps unless the cap refuses,
-    which is an internal error.  Vertices with the same maps share one
-    group."""
+    form a group: generated grows it from them with the cap |maps|, and
+    since the members grown hold every map, they are exactly the maps,
+    sorted, unless the cap refuses, which is an internal error.  Vertices
+    with the same maps share one group."""
     maps = [None] * P.n
     for v in range(P.n):
         if maps[v] is not None:
@@ -229,12 +227,11 @@ def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
     for induced in maps:
         if induced not in groups:
             try:
-                gens = coset_growth(induced, len(induced[0]),
-                                    len(induced))[0]
+                groups[induced] = generated(induced, len(induced[0]),
+                                            len(induced))
             except ClosureExceedsCap:
                 raise RuntimeError("internal error: the induced maps are no "
                                    "group") from None
-            groups[induced] = FiniteGroup(induced, gens)
     return [groups[induced] for induced in maps]
 
 

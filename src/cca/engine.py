@@ -12,9 +12,9 @@ level that does, starting from the identity leaf and walking back up its
 path: m strong generators, |A_1| = 2^m.  AutcResult runs the search once
 and holds them: |Aut_c| = n*2^m, and G_R is normal iff every element of A_1
 is a group automorphism, which holds iff it holds on the generators; the
-first that is not one is the witness.  Aut_pm1 has its own search, Aut_c is
-closed only on first access, and only autc_stabiliser lists A_1; the tests
-check this route against the closure-and-normality route.
+first that is not one is the witness.  Aut_pm1 is the list its own search
+finds, closed by nothing, Aut_c is closed only on first access, and only
+autc_stabiliser lists A_1; the tests check these against closure routes.
 """
 
 from __future__ import annotations
@@ -162,11 +162,12 @@ def multiplicative_break(Gamma: ColouredCayleyGraph,
 
 
 def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
-    """Aut_{+-1}(G, S) as a permutation group on G's element indices, from
-    every isomorphism G -> G sending each generator s to s or s^-1 that does
-    so on all of S.  The generators are the first-fit ones from S, each s
-    that a BFS over the left rows of those before has not reached.  Raises
-    NotConnected unless S generates G."""
+    """Aut_{+-1}(G, S) on G's element indices: the isomorphisms G -> G
+    sending each generator s to s or s^-1 that do so on all of S, all found,
+    so the group is their list, not closed again, the identity (each
+    generator's first image) first.  The generators are the first-fit ones
+    from S, each s that a BFS over the left rows of those before has not
+    reached.  Raises NotConnected unless S generates G."""
     inv, n = G.inverse, G.order
     left = {s: G.left_row(s) for s in S}
     gens: list[int] = []
@@ -180,7 +181,7 @@ def aut_pm1_group(G: FiniteGroup, S: list[int]) -> FiniteGroup:
     choices = [dict.fromkeys((s, inv[s])) for s in gens]
     found = [tuple(phi) for phi in isomorphisms(G, G, gens, choices)
              if all(phi[s] in (s, inv[s]) for s in S)]
-    return close_generators(found, G.order, cap=max(len(found) + 1, 2))
+    return FiniteGroup(found, found)
 
 
 class AutcResult:

@@ -163,17 +163,16 @@ class FiniteGroup:
 
     @cached_property
     def right_regular(self) -> "FiniteGroup":
-        """The right-regular representation G_R acting on element indices,
-        closed from the images of the generators."""
-        gens = [self.right_row(self.index[g]) for g in self.generators]
-        G = close_generators(gens, self.order, cap=max(DEFAULT_CAP, self.order))
-        if G.order != self.order:
-            raise RuntimeError("internal error: generators do not generate G")
-        return G
+        """The right-regular representation G_R on element indices, read
+        from the rows, not closed: element i is right_row(i), the identity
+        first, and the generators are the right rows of G's generators."""
+        return FiniteGroup(map(self.right_row, range(self.order)),
+                           [self.right_row(self.index[g])
+                            for g in self.generators])
 
     def subgroup(self, gens: list[Perm]) -> "FiniteGroup":
-        H = close_generators(gens, self.degree,
-                             cap=max(DEFAULT_CAP, self.order))
+        """generated(gens), which must lie in this group, or NotASubgroup."""
+        H = generated(gens, self.degree, cap=max(DEFAULT_CAP, self.order))
         for p in H.elements:
             if p not in self.index:
                 raise NotASubgroup("generated subgroup leaves the ambient group")
@@ -296,13 +295,13 @@ def coset_growth(elems, degree: int,
 
 
 def generated(elems, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """The subgroup generated by elems, closed from the generators
-    coset_growth keeps, so that it keeps few generators.  The group is
-    closed once more from them by close_generators, which fixes the element
-    order; callers that need only the generators or the element set call
+    """The subgroup generated by elems, grown once by coset_growth and not
+    closed again: its generators are the first-fit ones coset_growth keeps,
+    and its elements are sorted, which puts the identity, the least tuple,
+    first.  Callers that need only the order or the element set read
     coset_growth."""
-    return close_generators(coset_growth(elems, degree, cap)[0], degree,
-                            cap=cap)
+    gens, members = coset_growth(elems, degree, cap)
+    return FiniteGroup(sorted(members), gens)
 
 
 def bfs_tree(n: int, conn, left) -> tuple[list[tuple[int, int, int]], list[int]]:
@@ -542,13 +541,13 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     A partial choice of images is pruned unless each image has its
     generator's order, each product with an earlier image has the order of
     the matching product in G, and, below the last generator, the images
-    generate a subgroup of the order the generators do; at the last level
-    extend_isomorphism decides.  When H is G and every image so far is its
-    generator or that generator's inverse, the images generate the same
-    subgroup as the generators, so that closure is skipped; the chain of
-    subgroup orders is closed level by level, once per G and gens.  Element
-    orders are read from the groups' order_of memos, so only the elements
-    the search reaches have their orders read."""
+    generate a subgroup of the order the generators do, read from
+    coset_growth; at the last level extend_isomorphism decides.  When H is
+    G and every image so far is its generator or that generator's inverse,
+    the images generate the same subgroup as the generators, so that growth
+    is skipped; the generators' chain of orders is grown level by level,
+    once per G and gens.  Element orders are read from the groups' order_of
+    memos, so only the elements the search reaches have their orders read."""
     g_orders = G.order_of
     h_orders = H.order_of
     if candidates is None:
@@ -557,10 +556,13 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
     chain = G._chains.setdefault(tuple(gens), [])
     imgs: list[int] = []
 
+    def span(K: FiniteGroup, idx) -> int:
+        return len(coset_growth([K.elements[i] for i in idx], K.degree,
+                                K.order)[1])
+
     def chain_order(k: int) -> int:
         while len(chain) <= k:
-            chain.append(G.subgroup(
-                [G.elements[i] for i in gens[:len(chain) + 1]]).order)
+            chain.append(span(G, gens[:len(chain) + 1]))
         return chain[k]
 
     def extend(k: int, same: bool):
@@ -578,8 +580,7 @@ def isomorphisms(G: FiniteGroup, H: FiniteGroup, gens: list[int],
             imgs.append(cand)
             same_k = same and cand in (g, G.inverse[g])
             if k == len(gens) - 1 or same_k or \
-                    H.subgroup([H.elements[i] for i in imgs]).order \
-                    == chain_order(k):
+                    span(H, imgs) == chain_order(k):
                 yield from extend(k + 1, same_k)
             imgs.pop()
 

@@ -125,6 +125,8 @@ def _classes(k: int, ws):
     every top, is built.  Where W is transitive on the units, R is empty
     and level 1 is the whole scan.  Since B is not in general the highest
     bits, a representative need not be the least mask of its class."""
+    if not k:                     # the trivial group: the one empty mask
+        return np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     w = np.array(ws, dtype=np.int64)
     orbit = {x[k - 1] for x in ws}
     top = np.array(sorted(orbit), dtype=np.int64)

@@ -12,8 +12,8 @@ from .constructions import (line_graph_construction, subdivision_construction,
 from .engine import autc_group, predicted_autc_complete
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      graph_automorphisms, heawood)
-from .groups import (FiniteGroup, close_generators, generated, normalizer,
-                     trivial_group)
+from .groups import (FiniteGroup, close_generators, coset_growth, generated,
+                     normalizer, trivial_group)
 from .structure import (canonical_sets, converse_build, decompose_structure,
                         enumerate_connection_sets, reduction_gamma_prime)
 
@@ -142,11 +142,10 @@ def thm45_sweep() -> dict:
         pred = predicted_autc_complete(G)
         res = autc_group(complete_cayley(G))
         cap = max(pred.predicted_order, res.autc_order) + 1
-        predicted = close_generators(pred.predicted_generators, G.order,
-                                     cap=cap)
+        predicted = coset_growth(pred.predicted_generators, G.order, cap)[1]
         # the predicted group lies in Aut_c iff its generators do, and it
         # is all of Aut_c iff it also has Aut_c's order
-        match = (predicted.order == pred.predicted_order == res.autc_order
+        match = (len(predicted) == pred.predicted_order == res.autc_order
                  and all(p in res for p in pred.predicted_generators))
         rows.append({"spec": name,
                      "order": G.order, "case": pred.case,

@@ -22,9 +22,9 @@ from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from .groups import (FiniteGroup, are_isomorphic, automorphism_transversals,
-                     centralizer, close_generators, generated, is_normal,
-                     is_sylow_cyclic_order_not_div_4, normal_subgroups,
-                     sylow_subgroup, trivial_group)
+                     centralizer, close_generators, coset_growth, generated,
+                     is_normal, is_sylow_cyclic_order_not_div_4,
+                     normal_subgroups, sylow_subgroup, trivial_group)
 from .perms import identity, pconj, pinv
 
 
@@ -50,9 +50,9 @@ class StructureDecomposition:
         f = {p[0] for p in self.F.elements}
         h = {p[0] for p in self.H.elements}
         r = {p[0] for p in self.R.elements}
-        hr_group = close_generators(self.H.generators + self.R.generators,
-                                    self.F.degree, cap=self.G_R.order + 1)
-        return f, h, r, {p[0] for p in hr_group.elements}
+        hr = coset_growth(self.H.generators + self.R.generators,
+                          self.F.degree, self.G_R.order + 1)[1]
+        return f, h, r, {p[0] for p in hr}
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,12 +119,12 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
             continue
         H = generated((p for p in G_R.elements if p in J.index), n,
                       cap=n + 1)
-        span = close_generators(T.generators + J.generators + R.generators,
-                                n, cap=A.order + 1)
-        if span.order != A.order:
+        span = coset_growth(T.generators + J.generators + R.generators,
+                            n, A.order + 1)[1]
+        if len(span) != A.order:
             continue
-        gspan = close_generators(F.generators + H.generators + R.generators,
-                                 n, cap=n + 1)
+        gspan = coset_growth(F.generators + H.generators + R.generators,
+                             n, n + 1)[1]
         cj_h = centralizer(J, H).elements
         Q = sylow_subgroup(J, 2)
         props = {
@@ -138,7 +138,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
             "(vi) H normal in A": is_normal(H, A),
         }
         if all(props.values()) \
-                and gspan.order == n \
+                and len(gspan) == n \
                 and F.order * H.order * R.order == n:
             return StructureDecomposition(A, G_R, T, J, F, H, R, r, props)
     raise DecompositionNotFound(

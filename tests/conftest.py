@@ -96,6 +96,12 @@ def reference_generated(elems, degree, cap):
     return sub
 
 
+def reference_right_regular(G: FiniteGroup):
+    """G_R closed breadth-first from the right rows of G's generators."""
+    gens = [G.right_row(G.index[g]) for g in G.generators]
+    return close_generators(gens, G.order, cap=G.order + 1)
+
+
 def reference_direct_product(*groups):
     """builders.direct_product by building each element point by point:
     for every index tuple in lexicographic order, each factor's element

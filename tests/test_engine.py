@@ -260,6 +260,28 @@ def test_witness_is_the_first_breaking_generator():
             sorted(b for b, brk in zip(stab, breaks) if not brk)
 
 
+def test_aut_pm1_is_the_list_its_search_finds(monkeypatch):
+    # on seeded NonCCA graphs aut_pm1_group closes no group: its elements
+    # are those of the reference's closure, with the identity first
+    rng = random.Random(37)
+    pool = group_pool(48)
+    graphs = []
+    while len(graphs) < 20:
+        Gamma = random_connected_cayley(rng, pool)
+        if fast_cca_verdict(Gamma) == "NonCCA":
+            graphs.append(Gamma)
+    refs = [reference_aut_pm1(Gamma.group, Gamma.conn) for Gamma in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aut_pm1_group closed a group")
+
+    monkeypatch.setattr(engine, "close_generators", refuse)
+    for Gamma, ref in zip(graphs, refs):
+        pm1 = aut_pm1_group(Gamma.group, Gamma.conn)
+        assert set(pm1.elements) == set(ref.elements)
+        assert pm1.elements[0] == identity(Gamma.n)
+
+
 def test_noncca_check_with_a_huge_stabiliser():
     # on Q8 x Z2^3, the units (+-j, a, b, c) and (+-i, 1, 1, 1) give a NonCCA
     # graph with |A_1| = 2^31, which can never be listed: the check's
@@ -442,8 +464,9 @@ def test_aut_pm1_matches_reference():
 
 def test_aut_pm1_closes_no_subgroup(monkeypatch):
     # aut_pm1_group's images are s or s^-1, which generate the subgroup the
-    # generators do, so the search closes no subgroup to prune by order;
-    # automorphisms, with images of every same order, still does
+    # generators do, so the search grows no subgroup to prune by order;
+    # automorphisms, with images of every same order, still does, beyond
+    # the one growth generated makes for its generators
     rng = random.Random(43)
     cases = []
     for G in group_pool(32):
@@ -457,18 +480,18 @@ def test_aut_pm1_closes_no_subgroup(monkeypatch):
                 cases.append((G, conn))
     F = builders.f21()
     calls = []
-    subgroup = FiniteGroup.subgroup
+    growth = groups.coset_growth
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.order)
-        return subgroup(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return growth(*args, **kwargs)
 
-    monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    monkeypatch.setattr(groups, "coset_growth", counted)
     for G, S in cases:
         aut_pm1_group(G, S)
     assert calls == []
     automorphisms(F)
-    assert calls
+    assert len(calls) > 1
 
 
 def test_fast_verdict_matches_engine():

@@ -436,6 +436,17 @@ def test_class_count_against_brute_force_automorphisms(spec):
     assert rep.orbit_size_sum == rep.scanned
 
 
+@pytest.mark.parametrize("spec", ["z1", "z2^0"])
+def test_enumerate_the_trivial_group(spec):
+    # no unit: the one empty mask is a class of size 1, connected, since it
+    # generates the trivial group, and CCA
+    reps, sizes = _classes(0, [()])
+    assert (reps.tolist(), sizes.tolist()) == ([0], [1])
+    rep = enumerate_connection_sets(spec)
+    assert (rep.scanned, rep.connected_count, rep.class_count) == (1, 1, 1)
+    assert rep.non_cca_classes == []
+
+
 def test_scan_against_counting_is_checked_by_a_raise(monkeypatch):
     # the canonical scan's class count is checked against the orbit-counting
     # lemma, and its class sizes against 2^k, by a raise that python -O

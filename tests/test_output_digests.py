@@ -6,7 +6,7 @@ written: the sha256 of every check-mix pool query's `cca check` output (or
 its refusal), and the whole text of eight recipes and two enumerations.
 tests/data/cli_digests.json holds what they lack, each invocation run
 through cli.main with its exit code, the sha256 of its stdout and its
-stderr: the other two recipes, four enumerations in both formats,
+stderr: the other two recipes, six enumerations in both formats,
 `decompose` on the four named sets, and the refusals.
 
 A change that alters an output re-records the digests it alters in the same
@@ -47,8 +47,10 @@ Q8XZ2_3_M31 = ",".join(
 INVOCATIONS = [
     ["reproduce", "prop56-agl17"],
     ["reproduce", "prop56-f21xz2"],
+    # z1 and z2^0 are the trivial group: no unit, one empty class
     *[["enumerate", spec, "--format", fmt]
-      for spec in ("agl17", "q8xz2^1", "q8xz2^2", "prod(z4;z2^3)")
+      for spec in ("agl17", "q8xz2^1", "q8xz2^2", "prod(z4;z2^3)", "z1",
+                   "z2^0")
       for fmt in ("json", "csv")],
     ["decompose", "f21", "--set", "y^2,y^4,x*y^2,x^5*y^4"],
     ["decompose", "agl17", "--set", "y^2,y^4,x^5*y^3"],

@@ -319,3 +319,47 @@ def test_readme_module_table():
                 or _pipes_outside_code(hits[0]) != 3:
             bad.append(name)
     assert not bad, bad
+
+
+# the functions that call groups.close_generators: each closes a group that
+# nothing else lists, or names elements by the breadth-first order
+CLOSURE_SITES = {
+    "builders.symmetric",             # named groups, elements in BFS order
+    "builders._projective_family",
+    "engine.AutcResult.full_group",   # Aut_c, on first access
+    "engine.autc_stabiliser",         # A_1, before its descent-order sort
+    "graphs.graph_automorphisms",     # Aut(P) from its strong generators
+    "graphs.quotient_graph",          # G/N from the generators' actions
+    "recipes._heawood_groups",        # C7
+    "recipes._knn_q8_inputs",         # B
+    "structure.decompose_structure",  # R
+    "structure._reduce",              # F x| R, the vertices of Gamma'
+    "structure._unit_action",         # W from Aut(G)'s transversals
+}
+
+
+def test_close_generators_call_sites():
+    # a derived subgroup is grown once by groups.generated, and an order or
+    # a member set is read from groups.coset_growth: no other function of
+    # the package calls close_generators, so none closes a group twice
+    src = Path(cca.__file__).resolve().parent
+    sites = set()
+
+    def visit(node, name):
+        # a call is named by its module, class and top-level function or
+        # method; a function nested in one belongs to it
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and \
+                    isinstance(node, (ast.Module, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "close_generators" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                sites.add(name)
+            visit(child, name)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=path.name), path.stem)
+    assert sites == CLOSURE_SITES
