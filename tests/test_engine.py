@@ -442,8 +442,8 @@ def test_aut_pm1_elementary_abelian():
 
 def test_aut_pm1_matches_reference():
     # the pruned generator-image search keeps the maps that trying every
-    # choice s -> s^{+-1} keeps, in the same order, so the closure gives the
-    # same elements and generators
+    # choice s -> s^{+-1} keeps, in the same order, so its list has the
+    # elements, in order, and the generators of the reference's closure
     rng = random.Random(41)
     pool = group_pool(32)
     for G in pool:
