@@ -4,17 +4,20 @@ One stabiliser search decides everything.  It visits vertices in the order
 of groups.bfs_tree from the identity vertex, the BFS that graphs.is_connected
 runs, so a disconnected graph raises NotConnected before any search.  A
 vertex reached along an s-edge has its image forced into {s*w, s^-1*w}, and
-every other edge is checked when its later endpoint is assigned, so each
-map found is colour-preserving by construction (the tests compare with
-networkx's VF2).  With the BFS order as base, each level at most doubles the
+each edge to an earlier vertex is checked as the vertex is assigned, so
+each map found is colour-preserving by construction (the tests compare with
+networkx's VF2).  A level that runs out of images jumps straight back to the
+latest level its failure depends on, which skips only subtrees without a
+leaf.  With the BFS order as base, each level at most doubles the
 stabiliser A_1 of the identity vertex, so the search finds one map per
-level that does, starting from the identity leaf and walking back up its
-path: m strong generators, |A_1| = 2^m.  AutcResult runs the search once
-and holds them: |Aut_c| = n*2^m, and G_R is normal iff every element of A_1
-is a group automorphism, which holds iff it holds on the generators; the
-first that is not one is the witness.  Aut_pm1 is the list its own search
-finds, closed by nothing, Aut_c is closed only on first access, and only
-autc_stabiliser lists A_1; the tests check these against closure routes.
+level that does, starting from the identity leaf and working back from its
+last level to its first: m strong generators, |A_1| = 2^m.  AutcResult runs
+the search once and holds them: |Aut_c| = n*2^m, and G_R is normal iff
+every element of A_1 is a group automorphism, which holds iff it holds on
+the generators; the first that is not one is the witness.  Aut_pm1 is the
+list its own search finds, closed by nothing, Aut_c is closed only on first
+access, and only autc_stabiliser lists A_1; the tests check these against
+closure routes.
 """
 
 from __future__ import annotations
@@ -55,25 +58,48 @@ def is_colour_preserving(Gamma: ColouredCayleyGraph, p: Perm) -> bool:
 
 
 def _search_stabiliser(Gamma: ColouredCayleyGraph):
-    """Yield (v, u, s, g_k) for each BFS level k at which some colour-
-    preserving automorphism fixing vertex 0 and the earlier BFS vertices
-    moves v = s*u; g_k is the first such map the search meets.
+    """The strong generators of A_1 as [(v, u, s, g_k), ...], one for each
+    BFS level k at which some colour-preserving automorphism fixing vertex
+    0 and the earlier BFS vertices moves v = s*u, g_k the first such map
+    the search meets, and the number of dead ends: the times a level ran
+    out of images.
 
     The base is the BFS order v_0, v_1, ...  Let A^(k) be the part of A_1
     fixing v_0, ..., v_{k-1}.  Every map in A^(k) sends v_k = s*u into
     {s*u, s^-1*u}, so [A^(k) : A^(k+1)] <= 2, and the g_k found, one for
     each level of index 2, generate A_1 (a strong generating set, Sims 1970;
-    Seress 2003): |A_1| = 2^m for m maps yielded.
+    Seress 2003): |A_1| = 2^m for m maps found.
 
-    Vertex v = s*u gets an unused image in {s*img[u], s^-1*img[u]}; every
-    other edge {v, t*v} is checked when its later endpoint v is assigned
-    (t*v has an image iff it is earlier in BFS order): img[t*v] must be
-    t^{+-1}*img[v].  So every map found is a colour-preserving bijection.
-    The identity passes every check, so the search starts from it and walks
-    back from the last BFS level to the first, yielding maps in that order;
-    at level k it fixes the earlier vertices, tries only the other image
-    s^-1*u and descends below it to the first leaf, by a loop whose Python
-    depth does not grow with n.  Raises NotConnected, from the BFS alone,
+    Vertex v = s*u gets an unused image in {s*img[u], s^-1*img[u]}, tried
+    in that order; every edge {v, t*v} to an earlier vertex in BFS
+    order is checked when v is assigned: img[t*v] must be t^{+-1}*img[v].
+    So every map found is a colour-preserving bijection.  The identity
+    passes every check, so the search starts from it and works back from
+    the last BFS level to the first, returning maps in that order; at level
+    k it fixes the earlier vertices, tries only the other image s^-1*u and
+    descends below it to the first leaf, by a loop whose Python depth does
+    not grow with n.
+
+    A level k that runs out of images jumps back to the latest level its
+    conflict set names (conflict-directed backjumping; Prosser 1993), not
+    to the level before it.  The set holds one bit per level: the level of
+    u, which fixed the two images; of each image already used, the level
+    of the vertex holding it; of each image that breaks an edge, the level
+    of t*v on the first such edge; and, for an image that fitted, the set
+    its failure below passed up.  Vertices the call does not assign count
+    as below every level it does.  Soundness: whether an image of v fits,
+    and what lies below one that did, depends on the levels in the set
+    alone, so as long as they keep their images, level k has no image with
+    a leaf below it, whatever the levels outside the set hold.  With h the
+    highest level in the set, every subtree between h's image and level k
+    therefore holds no leaf.  The jump unassigns the levels above h, adds
+    the rest of the set to h's, since h's image has now failed for those
+    reasons, and tries h's second image; a level on its last image jumps
+    on in the same way, and a set naming no level the call assigned ends
+    it.  The search skips only subtrees without a leaf and meets the rest
+    in the same order, so each level finds the first leaf the chronological
+    descent finds, and the generators are the same.  The sets are updated
+    only when an image fails.  Raises NotConnected, from the BFS alone,
     when the connection set does not generate the group."""
     n, conn, left = Gamma.n, Gamma.conn, Gamma.left_rows
     inv = Gamma.group.inverse
@@ -82,49 +108,68 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
         raise NotConnected("graph is not connected")
     rows = [(left[t], left[inv[t]]) for t in conn]
     img = list(range(n))
-    used = [True] * n
+    # used[c] is 0 while image c is free, else the bit of the level that
+    # holds it, 2 << k for level k, or 1 for a vertex first_leaf leaves fixed
+    used = [1] * n
     depth = len(order)
     levels = [(v, u, left[s], left[inv[s]]) for v, u, s in order]
+    dead_ends = 0
 
     def first_leaf(k: int, cand: int) -> Perm | None:
         """The first leaf below level k that sends v_k to cand, or None;
         levels k and on are unassigned on entry and again on return."""
-        start, cands, v = k, (cand,), order[k][0]
+        nonlocal dead_ends
+        start, cands, conf = k, (cand,), [0] * depth
+        v, u, ls, lsi = levels[k]
         while True:
             for c in cands:
                 if used[c]:
+                    conf[k] |= used[c]
                     continue
                 for lt, lti in rows:
                     ix = img[lt[v]]
                     if ix != -1 and ix != lt[c] and ix != lti[c]:
+                        conf[k] |= used[ix]
                         break
                 else:
                     break
             else:
-                # no image fits: back to the last level that took the first
-                # of two images, the second still unused, to try that one
-                while k > start:
-                    k -= 1
-                    v, u, ls, lsi = levels[k]
-                    c = img[v]
-                    used[c] = False
-                    img[v] = -1
+                # no image fits: unassign every level above the highest
+                # level h in the conflict set, add the rest of the set to
+                # h's, and try h's second image if it is on its first
+                dead_ends += 1
+                f = conf[k] | used[img[u]]
+                conf[k] = 0
+                while (h := f.bit_length() - 2) >= start:
+                    f = f ^ (2 << h) | conf[h]
+                    while k > h:
+                        k -= 1
+                        v, u, ls, lsi = levels[k]
+                        c = img[v]
+                        used[c] = 0
+                        img[v] = -1
+                        conf[k] = 0
                     w = img[u]
-                    if k > start and c == ls[w]:
-                        c2 = lsi[w]
-                        if c2 != c and not used[c2]:
-                            cands = (c2,)
-                            break
+                    # level start took cand = s^-1*w, never a first image
+                    if c == ls[w] and (c2 := lsi[w]) != c:
+                        conf[h] = f
+                        cands = (c2,)
+                        break
+                    dead_ends += 1
+                    f |= used[w]
                 else:
+                    for x, _, _ in order[start:k]:
+                        used[img[x]] = 0
+                        img[x] = -1
                     return None
                 continue
             img[v] = c
-            used[c] = True
+            used[c] = 2 << k
             k += 1
             if k == depth:
                 leaf = tuple(img)
                 for x, _, _ in order[start:]:
-                    used[img[x]] = False
+                    used[img[x]] = 0
                     img[x] = -1
                 return leaf
             v, u, ls, lsi = levels[k]
@@ -132,14 +177,16 @@ def _search_stabiliser(Gamma: ColouredCayleyGraph):
             c, c2 = ls[w], lsi[w]
             cands = (c,) if c == c2 else (c, c2)
 
+    found = []
     for k in range(depth - 1, -1, -1):
         v, u, s = order[k]
         img[v] = -1
-        used[v] = False
+        used[v] = 0
         other = left[inv[s]][u]
         if other != v and not used[other] and \
                 (g := first_leaf(k, other)) is not None:
-            yield v, u, s, g
+            found.append((v, u, s, g))
+    return found, dead_ends
 
 
 def multiplicative_break(Gamma: ColouredCayleyGraph,
@@ -188,11 +235,13 @@ class AutcResult:
     """Aut_c of a connected coloured Cayley graph, held as the strong
     generators of A_1 from one stabiliser search, which give its orders,
     the verdict and the witness; `p in res` decides membership without
-    listing any group.  Raises NotConnected when S does not generate G."""
+    listing any group.  dead_ends counts the times the search found a level
+    with no image left to try, and no output shows it.  Raises NotConnected
+    when S does not generate G."""
 
     def __init__(self, graph: ColouredCayleyGraph):
         self.graph = graph
-        self._levels = list(_search_stabiliser(graph))
+        self._levels, self.dead_ends = _search_stabiliser(graph)
         self.stabiliser_order = 1 << len(self._levels)
         self.autc_order = graph.n * self.stabiliser_order
         # the first generator that is not a group automorphism, which is

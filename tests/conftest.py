@@ -339,6 +339,76 @@ def reference_stabiliser(Gamma):
     return out
 
 
+def reference_strong_generators(Gamma):
+    """The strong generators of A_1 as the engine's search returns them,
+    [(v, u, s, g_k), ...], by the chronological descent it ran before it
+    jumped: a level that runs out of images steps back one level at a time
+    to the last level that took the first of two images and tries the
+    second.  Only the BFS comes from elsewhere (full_scan_bfs)."""
+    n, conn, left = Gamma.n, Gamma.conn, Gamma.left_rows
+    inv = Gamma.group.inverse
+    order, _ = full_scan_bfs(n, conn, left)
+    assert len(order) == n - 1
+    rows = [(left[t], left[inv[t]]) for t in conn]
+    img = list(range(n))
+    used = [True] * n
+    depth = len(order)
+    levels = [(v, u, left[s], left[inv[s]]) for v, u, s in order]
+
+    def first_leaf(k, cand):
+        start, cands, v = k, (cand,), order[k][0]
+        while True:
+            for c in cands:
+                if used[c]:
+                    continue
+                for lt, lti in rows:
+                    ix = img[lt[v]]
+                    if ix != -1 and ix != lt[c] and ix != lti[c]:
+                        break
+                else:
+                    break
+            else:
+                while k > start:
+                    k -= 1
+                    v, u, ls, lsi = levels[k]
+                    c = img[v]
+                    used[c] = False
+                    img[v] = -1
+                    w = img[u]
+                    if k > start and c == ls[w]:
+                        c2 = lsi[w]
+                        if c2 != c and not used[c2]:
+                            cands = (c2,)
+                            break
+                else:
+                    return None
+                continue
+            img[v] = c
+            used[c] = True
+            k += 1
+            if k == depth:
+                leaf = tuple(img)
+                for x, _, _ in order[start:]:
+                    used[img[x]] = False
+                    img[x] = -1
+                return leaf
+            v, u, ls, lsi = levels[k]
+            w = img[u]
+            c, c2 = ls[w], lsi[w]
+            cands = (c,) if c == c2 else (c, c2)
+
+    out = []
+    for k in range(depth - 1, -1, -1):
+        v, u, s = order[k]
+        img[v] = -1
+        used[v] = False
+        other = left[inv[s]][u]
+        if other != v and not used[other] and \
+                (g := first_leaf(k, other)) is not None:
+            out.append((v, u, s, g))
+    return out
+
+
 def is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 

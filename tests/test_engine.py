@@ -22,7 +22,7 @@ from cca.groups import (FiniteGroup, _order_histogram, close_generators,
                         find_isomorphism, is_normal, normal_subgroups)
 from cca.perms import identity, pconj, pmul
 from cca.recipes import _knn_q8_inputs
-from cca.structure import canonical_sets
+from cca.structure import canonical_sets, enumerate_connection_sets
 
 from conftest import (automorphisms, brute_force_stabiliser, group_pool,
                       is_power_of_two, random_connected_cayley,
@@ -30,7 +30,8 @@ from conftest import (automorphisms, brute_force_stabiliser, group_pool,
                       reference_autc, reference_dicyclic_structure,
                       reference_edge_colour,
                       reference_predicted_autc_complete, reference_stabiliser,
-                      stabiliser_shape_allowed, vf2_stabiliser)
+                      reference_strong_generators, stabiliser_shape_allowed,
+                      vf2_stabiliser)
 
 
 def test_colour_preserving_basics():
@@ -391,6 +392,52 @@ def test_search_order_matches_reference(monkeypatch):
     assert capped >= 10
     assert autc_group(graphs[-1]).verdict == "NonCCA"
 
+
+def test_strong_generators_match_chronological_reference(monkeypatch):
+    # backjumping skips only subtrees that hold no leaf, so each level
+    # finds the leaf the chronological descent finds first: the strong
+    # generators are the reference's, tuple for tuple, on every graph the
+    # three enumerations leave to the engine, on the paper's named sets
+    # and on seeded sets of the group pool
+    runs = []
+
+    def recorded(graph):
+        runs.append(graph)
+        return AutcResult(graph)
+
+    monkeypatch.setattr("cca.structure.AutcResult", recorded)
+    engine_runs = [enumerate_connection_sets(spec).engine_runs
+                   for spec in ("f21", "agl17", "f21xz2")]
+    monkeypatch.undo()
+    assert engine_runs == [4, 129, 159] and len(runs) == sum(engine_runs)
+    named = canonical_sets()
+    runs += [ColouredCayleyGraph(*named[k])
+             for k in ("S21", "S42_1", "S42_2")]
+    rng = random.Random(67)
+    pool = group_pool(48)
+    runs += [random_connected_cayley(rng, pool) for _ in range(200)]
+    for Gamma in runs:
+        assert AutcResult(Gamma)._levels == \
+            reference_strong_generators(Gamma), Gamma.conn
+
+
+def test_sparse_psl27_sets_answer_without_thrashing():
+    # on these sets a wrong image at an early level shows only far below
+    # it; the chronological descent took 11.9 s and 1.4 s on them, and
+    # stepped back one level at a time through millions of assignments.
+    # Jumping to the levels a failure names meets at most 10*n dead ends
+    G = builders.build_spec("psl27")
+    sets = [["e14", "e46", "e51", "e138"], ["e60", "e78", "e107"]]
+    graphs = [ColouredCayleyGraph(G, sorted(G.label_index(x) for x in S))
+              for S in sets]
+    for Gamma in graphs:
+        t0 = time.perf_counter()
+        res = AutcResult(Gamma)
+        elapsed = time.perf_counter() - t0
+        assert (res.verdict, res.stabiliser_order) == ("CCA", 2)
+        assert elapsed < 0.5, elapsed
+        assert 0 < res.dead_ends <= 10 * G.order, res.dead_ends
+    assert sorted(autc_stabiliser(graphs[0])) == vf2_stabiliser(graphs[0])
 
 def test_membership_matches_full_group():
     # p in res tests that p is a colour-preserving permutation of the
