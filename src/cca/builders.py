@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import itemgetter
 
 from .errors import BoundExceeded, IncompatibleGroup, InvalidSpec
 from .groups import DEFAULT_CAP, FiniteGroup, close_generators
-from .perms import Perm, identity, pinv, pmul, ppow
+from .perms import Perm, identity, pinv, pmul, ppow, reader
 
 
 def _order(factor_orders) -> int:
@@ -49,7 +48,7 @@ def _from_table(items, mult, ident, gen_items, label_fn, meta=None) -> FiniteGro
     `mult` is called for the generator rows x -> x*s only, n per generator.
     The elements are listed by a breadth-first search from the identity
     along the rows: i*s sends x where row_s sends the image of x under i,
-    one itemgetter of i's points applied to row_s.  Each product that
+    one reader of i's points applied to row_s.  Each product that
     reaches an element already listed must equal it, so the listed elements
     are closed under the rows; with every row a permutation and all n items
     reached, they are exactly the group the rows generate, of order n.
@@ -65,9 +64,7 @@ def _from_table(items, mult, ident, gen_items, label_fn, meta=None) -> FiniteGro
     queue = [0]
     closed = True
     for i in queue:
-        # itemgetter of one point returns a bare point; the one permutation
-        # of one point is the identity, so e*row is row itself
-        act = itemgetter(*elements[i]) if n > 1 else tuple
+        act = reader(elements[i])
         for row in rows:
             j, p = row[i], act(row)
             if elements[j] is None:
@@ -92,7 +89,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise InvalidSpec("cyclic order must be >= 1")
     _bound([n], f"z{n}")
     if n == 1:
-        return FiniteGroup([(0,)], [], labels=["0"])
+        return FiniteGroup([(0,)], [], labels=["0"], meta={"spec": "z1"})
     # the k-th power of the shift x -> x + 1, by slicing
     r = tuple(range(n))
     elements = [r[k:] + r[:k] for k in range(n)]
@@ -104,11 +101,9 @@ def cyclic(n: int) -> FiniteGroup:
 def symmetric(n: int) -> FiniteGroup:
     if n < 1 or n > 8:
         raise InvalidSpec("symmetric group supported for 1 <= n <= 8")
-    if n == 1:
-        return FiniteGroup([(0,)], [])
-    cyc = tuple((i + 1) % n for i in range(n))
-    swap = tuple([1, 0] + list(range(2, n)))
-    G = close_generators([cyc, swap], n, cap=50_000)
+    # the n-cycle and a transposition; S1 has no generator
+    gens = [tuple((i + 1) % n for i in range(n)), (1, 0, *range(2, n))]
+    G = close_generators(gens if n > 1 else [], n, cap=50_000)
     G.meta["spec"] = f"s{n}"
     return G
 
@@ -171,9 +166,12 @@ def direct_product(*groups: FiniteGroup) -> FiniteGroup:
     element of (i_1, ..., i_k) acting as the i_j-th element of G_j on the
     j-th block; elements are listed in the lexicographic order of those
     index tuples.  Each factor's elements are shifted to their block once,
-    and an element is the concatenation of its factors' shifted tuples."""
+    and an element is the concatenation of its factors' shifted tuples.
+    One factor gives a copy of it, so that naming the product leaves the
+    factor, which may be a cached named group, as it was."""
     if len(groups) == 1:
-        return groups[0]
+        (G,) = groups
+        return FiniteGroup(G.elements, G.generators, G.labels, G.meta)
     _bound([G.order for G in groups], "direct product")
     elements = [()]
     offset = 0
@@ -420,23 +418,16 @@ def agl17xz2() -> FiniteGroup:
 
 # -- named maps -----------------------------------------------------------
 
-class NamedMap:
-    def __init__(self, name: str, carrier: Perm):
-        self.name = name
-        self.carrier = carrier
-        if carrier[0] != 0:
-            raise ValueError("named maps must fix the identity element")
-
-
-def named_map(G: FiniteGroup, which: str) -> NamedMap:
+def named_map(G: FiniteGroup, which: str) -> Perm:
+    """The named map `which` of G on its element indices, as a tuple; each
+    one fixes the identity, index 0."""
     if which == "inversion":
-        return NamedMap("inversion", tuple(G.inverse))
+        return tuple(G.inverse)
     if which == "iota-dicyclic":
         coset = G.meta.get("dic_coset")
         if coset is None:
             raise IncompatibleGroup("iota requires a generalised dicyclic build")
-        img = [G.inverse[i] if coset[i] else i for i in range(G.order)]
-        return NamedMap("iota-dicyclic", tuple(img))
+        return tuple(G.inverse[i] if coset[i] else i for i in range(G.order))
     if which in ("sigma-i", "sigma-j", "sigma-k"):
         if G.meta.get("q8z2n") is None:
             raise IncompatibleGroup("sigma maps require a Q8 x Z2^n build")
@@ -451,7 +442,7 @@ def named_map(G: FiniteGroup, which: str) -> NamedMap:
         img = list(range(G.order))
         for i in support:
             img[i] = G.inverse[i]
-        return NamedMap(which, tuple(img))
+        return tuple(img)
     raise IncompatibleGroup(f"unknown named map {which!r}")
 
 

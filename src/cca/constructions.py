@@ -10,7 +10,6 @@ double as oracles for the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import builders
 from .engine import (colour_break, is_colour_preserving, multiplicative_break,
@@ -20,7 +19,7 @@ from .errors import (ClosureExceedsCap, HypothesisViolated, NotArcRegular,
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      is_connected, realize_line_graph_as_cayley, subdivision)
 from .groups import FiniteGroup, coset_growth, generated, is_subgroup
-from .perms import Perm, identity, pconj
+from .perms import Perm, identity, pconj, reader
 
 
 # -- wreath products --------------------------------------------------------
@@ -57,7 +56,7 @@ def wreath_witness(G: FiniteGroup, S, tau, H: FiniteGroup) -> WreathWitness:
     and either H is nontrivial or tau is not a group automorphism."""
     n = G.order
     S = [s if isinstance(s, int) else G.index[tuple(s)] for s in S]
-    tau = tuple(getattr(tau, "carrier", tau))
+    tau = tuple(tau)
     if 0 in S:
         raise HypothesisViolated("first hypothesis: S contains the identity")
     if any(G.inverse[s] not in S for s in S):
@@ -159,26 +158,17 @@ def _vertex_orbits(P: PlainGraph, H: FiniteGroup) -> list[frozenset]:
     return orbits
 
 
-def _reader(points):
-    """p -> (p[x] for x in points) as a tuple: itemgetter(*points), which
-    returns a bare value for one point."""
-    if len(points) == 1:
-        (x,) = points
-        return lambda p: (p[x],)
-    return itemgetter(*points)
-
-
 def _edge_action(edges, point_of_edge):
     """h -> (point_of_edge[{h(u), h(v)}] for each edge (u, v) in edges), the
     action of a vertex permutation h on points that stand for edges, with
     point_of_edge keyed by (min, max).  The edges' endpoints' images are
-    read through one itemgetter each, and each image arc is mapped to its
+    read through one reader each, and each image arc is mapped to its
     edge's point through one dict that holds both orientations."""
     point_of_arc = {}
     for (u, v), i in point_of_edge.items():
         point_of_arc[u, v] = point_of_arc[v, u] = i
     arc_point = point_of_arc.__getitem__
-    tails, heads = (_reader([e[k] for e in edges]) for k in (0, 1))
+    tails, heads = (reader([e[k] for e in edges]) for k in (0, 1))
     return lambda h: tuple(map(arc_point, zip(tails(h), heads(h))))
 
 
@@ -188,7 +178,7 @@ def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
     by vertex.
 
     A is scanned once per orbit.  At the orbit's first vertex v, A_v is
-    selected and its maps of the neighbours are read through one itemgetter
+    selected and its maps of the neighbours are read through one reader
     per element, then written on neighbour positions once per distinct map.
     Any t in A with t(v) = x gives A_x = t^-1 A_v t, so the maps at x are
     those at v conjugated by q, the bijection of neighbour positions that t
@@ -205,7 +195,7 @@ def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
     for v in range(P.n):
         if maps[v] is not None:
             continue
-        read = _reader(P.adj[v])
+        read = reader(P.adj[v])
         stab = [g for g in A.elements if g[v] == v]
         pos = {u: i for i, u in enumerate(P.adj[v])}.__getitem__
         maps[v] = tuple(sorted(tuple(map(pos, img))
@@ -220,7 +210,7 @@ def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
                 continue
             pos = {u: i for i, u in enumerate(P.adj[x])}.__getitem__
             q = tuple(map(pos, read(t)))
-            conj = _reader(sorted(range(len(q)), key=q.__getitem__))
+            conj = reader(sorted(range(len(q)), key=q.__getitem__))
             maps[x] = tuple(sorted(tuple(map(q.__getitem__, conj(m)))
                                    for m in maps[v]))
     groups = {}
@@ -280,7 +270,7 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     its generators do."""
     if not P.is_connected():
         raise HypothesisViolated("graph is not connected")
-    bip = P.bipartition or P.two_colouring()
+    bip = P.two_colouring()
     if bip is None:
         raise HypothesisViolated("graph is not bipartite")
     _check_acts(P, H, "H")
@@ -350,7 +340,7 @@ def subdivision_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     def lift(g):
         """g on P's vertices, and the point of each edge {u, v} to the point
         of {g(u), g(v)}: the endpoints' images are read through two
-        itemgetters over P.edges and each image arc mapped to its point."""
+        readers over P.edges and each image arc mapped to its point."""
         return g + on_edges(g)
 
     G2 = FiniteGroup([lift(g) for g in G.elements],

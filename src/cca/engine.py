@@ -15,7 +15,7 @@ last level to its first: m strong generators, |A_1| = 2^m.  AutcResult runs
 the search once and holds them: |Aut_c| = n*2^m, and G_R is normal iff
 every element of A_1 is a group automorphism, which holds iff it holds on
 the generators; the first that is not one is the witness.  Aut_pm1 is the
-list its own search finds, closed by nothing, Aut_c is closed only on first
+list its own search finds, closed by nothing, Aut_c is grown only on first
 access, and only autc_stabiliser lists A_1; the tests check these against
 closure routes.
 """
@@ -26,8 +26,8 @@ from functools import cached_property
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
-from .groups import (FiniteGroup, bfs_tree, close_generators, coset_growth,
-                     find_isomorphism, isomorphisms)
+from .groups import (FiniteGroup, bfs_tree, coset_growth, find_isomorphism,
+                     generated, isomorphisms)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -269,14 +269,14 @@ class AutcResult:
 
     @cached_property
     def full_group(self) -> FiniteGroup:
-        """All of Aut_c on first access, closed from the generators of G_R,
-        the right rows of G's generators (G_R itself is not closed), and the
-        strong generators of A_1, and checked against the order n*2^m that
-        the search gives.  Membership needs no closure (`p in res`); this
-        serves decompose_structure, which scans every element, and the
-        tests, which compare the two routes."""
+        """All of Aut_c on first access, grown once by generated from the
+        generators of G_R, the right rows of G's generators (G_R itself is
+        not listed), and the strong generators of A_1, and checked against
+        the order n*2^m that the search gives.  Membership needs no growth
+        (`p in res`); this serves decompose_structure, which scans every
+        element, and the tests, which compare the two routes."""
         G = self.graph.group
-        full = close_generators(
+        full = generated(
             [G.right_row(G.index[g]) for g in G.generators]
             + [g for *_, g in self._levels],
             G.order, cap=max(10_000, self.autc_order + 1))
@@ -311,23 +311,23 @@ def autc_group(Gamma: ColouredCayleyGraph) -> AutcResult:
 
 
 def autc_stabiliser(Gamma: ColouredCayleyGraph) -> list[Perm]:
-    """A_1 under autc_group's cap, closed from the strong generators and
-    listed in the order a full descent of the search finds it: sorted by
-    one bit per generator level, 0 when img[v] = s*img[u], the image a
-    descent tries first.  Two maps first differ at a generator level, since
+    """A_1 under autc_group's cap, grown by coset_growth from the strong
+    generators and listed in the order a full descent of the search finds
+    it: sorted by one bit per generator level, 0 when img[v] = s*img[u],
+    the image a descent tries first.  Two maps first differ at a generator level, since
     elsewhere the earlier images fix that of v_k, so the key orders them as
     the descent does, and the element at place i has the bits of i as its
     key.  The generator of _levels[j] sits at place 2^j, after the group the
     generators of _levels[:j] generate, so AutcResult's witness is also the
     first element of this list that is not a group automorphism."""
     res = autc_group(Gamma)
-    stab = close_generators([g for *_, g in res._levels], Gamma.n,
-                            cap=res.stabiliser_order)
-    if stab.order != res.stabiliser_order:
+    stab = coset_growth([g for *_, g in res._levels], Gamma.n,
+                        res.stabiliser_order)[1]
+    if len(stab) != res.stabiliser_order:
         raise RuntimeError("internal error: |A_1| != 2^m")
     left = Gamma.left_rows
     key = [(v, u, left[s]) for v, u, s, _ in reversed(res._levels)]
-    return sorted(stab.elements,
+    return sorted(stab,
                   key=lambda b: [b[v] != row[b[u]] for v, u, row in key])
 
 
@@ -467,7 +467,7 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
         for i, j in enumerate(phi):
             phinv[j] = i
         for name in ("sigma-i", "sigma-j", "sigma-k"):
-            sig = builders.named_map(Q, name).carrier
+            sig = builders.named_map(Q, name)
             sigmas.append(tuple(phi[sig[phinv[i]]] for i in range(n)))
         return CompletePrediction("3", 8 * n, reg_gens + sigmas)
     dic = _find_dicyclic_structure(G, gens)

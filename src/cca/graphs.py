@@ -7,19 +7,17 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import (ContainsIdentity, NotEdgeRegular, NotInverseClosed,
                      NotNormal)
-from .groups import (FiniteGroup, bfs_tree, close_generators, is_normal,
-                     is_subgroup)
-from .perms import Perm
+from .groups import FiniteGroup, bfs_tree, generated, is_normal, is_subgroup
+from .perms import Perm, reader
 
 
 class PlainGraph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    def __init__(self, n: int, edges, bipartition=None):
+    def __init__(self, n: int, edges):
         self.n = n
         es = set()
         for u, v in edges:
@@ -33,7 +31,6 @@ class PlainGraph:
             self.adj[v].append(u)
         for nb in self.adj:
             nb.sort()
-        self.bipartition = bipartition
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -73,10 +70,7 @@ def subdivision(P: PlainGraph) -> PlainGraph:
     for k, (u, v) in enumerate(P.edges):
         edges.append((u, P.n + k))
         edges.append((v, P.n + k))
-    S = PlainGraph(P.n + len(P.edges), edges,
-                   bipartition=(list(range(P.n)),
-                                list(range(P.n, P.n + len(P.edges)))))
-    return S
+    return PlainGraph(P.n + len(P.edges), edges)
 
 
 def heawood() -> PlainGraph:
@@ -86,11 +80,12 @@ def heawood() -> PlainGraph:
     for i in range(7):
         for d in (0, 1, 3):
             edges.append(((i + d) % 7, 7 + i))
-    return PlainGraph(14, edges, bipartition=(list(range(7)), list(range(7, 14))))
+    return PlainGraph(14, edges)
 
 
-def graph_automorphisms(P: PlainGraph) -> list[Perm]:
-    """All automorphisms, sorted, closed from a strong generating set.
+def graph_automorphisms(P: PlainGraph) -> FiniteGroup:
+    """The automorphism group, grown once by generated from a strong
+    generating set, so its elements are sorted.
 
     The base is a breadth-first order: each component starts at its least
     vertex by (refined colour-class size, index), and every later base
@@ -172,10 +167,10 @@ def graph_automorphisms(P: PlainGraph) -> list[Perm]:
                  if w != v and admissible(k, w) and (g := first_leaf(k, w))]
         gens += found
         size *= 1 + len(found)
-    group = close_generators(gens, P.n, cap=size)
+    group = generated(gens, P.n, cap=size)
     if group.order != size:
         raise RuntimeError("internal error: |Aut| != product of orbit sizes")
-    return sorted(group.elements)
+    return group
 
 
 # -- coloured Cayley graphs ------------------------------------------------
@@ -287,7 +282,7 @@ def quotient_graph(Gamma: ColouredCayleyGraph, N: FiniteGroup) -> ColouredCayley
         return tuple(coset_of[row[c[0]]] for c in cosets)
 
     gen_imgs = [act(G.index[g]) for g in G.generators]
-    Q = close_generators(gen_imgs, len(cosets), cap=len(cosets) + 1)
+    Q = generated(gen_imgs, len(cosets), cap=len(cosets) + 1)
     if Q.order != G.order // N.order:
         raise RuntimeError("internal error: |G/N| != |G|/|N|")
     labels = ["{" + ",".join(G.label(j) for j in cosets[c]) + "}"
@@ -308,15 +303,13 @@ def realize_line_graph_as_cayley(P: PlainGraph, G: FiniteGroup) -> ColouredCayle
 
     Vertex g of the Cayley graph is the edge e0^g, where e0 is the
     lexicographically least edge.  Each element's images of the edges'
-    endpoints are read through one itemgetter over all of them (a tuple,
-    since an edge has two), and each image pair is looked up in one dict
-    that holds both orientations of every edge; every element must map
-    every edge to an edge."""
+    endpoints are read through one reader over all of them, and each image
+    pair is looked up in one dict that holds both orientations of every
+    edge; every element must map every edge to an edge."""
     edge_of_arc = {}
     for e in P.edges:
         edge_of_arc[e] = edge_of_arc[e[::-1]] = e
-    points = [x for e in P.edges for x in e]
-    ends = itemgetter(*points) if points else lambda g: ()
+    ends = reader([x for e in P.edges for x in e])
     for g in G.elements:
         image = iter(ends(g))
         if not all(map(edge_of_arc.__contains__, zip(image, image))):
@@ -324,9 +317,7 @@ def realize_line_graph_as_cayley(P: PlainGraph, G: FiniteGroup) -> ColouredCayle
     if G.order != len(P.edges):
         raise NotEdgeRegular(f"|G| = {G.order} but the graph has {len(P.edges)} edges")
     e0 = P.edges[0]
-    eov = list(map(edge_of_arc.__getitem__,
-                   zip(map(itemgetter(e0[0]), G.elements),
-                       map(itemgetter(e0[1]), G.elements))))
+    eov = list(map(edge_of_arc.__getitem__, map(reader(e0), G.elements)))
     if len(set(eov)) != len(P.edges):
         raise NotEdgeRegular("G is not transitive on edges")
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .errors import (BoundExceeded, ClosureExceedsCap, NotASubgroup,
                      UnknownLabel)
-from .perms import Perm, identity, is_perm, pinv, pmul, porder
+from .perms import Perm, identity, is_perm, pinv, pmul, porder, reader
 
 DEFAULT_CAP = 10_000
 ISO_BOUND = 400
@@ -226,8 +226,10 @@ def trivial_group(degree: int) -> FiniteGroup:
 def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Breadth-first closure from the identity, generators applied in input
     order; the resulting element ordering is deterministic.  Each dequeued
-    element e is applied to every generator g through one itemgetter(*e),
-    which returns the product e*g, so the products are taken in C."""
+    element e is applied to every generator g through one reader of e's
+    points, which returns the product e*g, so the products are taken in C.
+    Only the named groups whose element labels follow this order call it;
+    a derived group is grown once by generated."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = [tuple(g) for g in gens]
@@ -236,14 +238,10 @@ def close_generators(gens, degree: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
             raise ValueError("generators must be permutations of the given degree")
     ident = identity(degree)
     elements = [ident]
-    if degree < 2:
-        # The identity is the only permutation here, and itemgetter of a
-        # single point would return that point rather than a tuple.
-        return FiniteGroup(elements, gens)
     seen = {ident}
     head = 0
     while head < len(elements):
-        act = itemgetter(*elements[head])
+        act = reader(elements[head])
         head += 1
         for g in gens:
             f = act(g)
@@ -267,7 +265,7 @@ def coset_growth(elems, degree: int,
     p to the subgroup H held so far adds the left coset x*H of each x = p,
     and of each product of a generator with a new coset's representative
     that lies outside the set, so the union is closed under left
-    multiplication by the generators.  A coset is one itemgetter of x's
+    multiplication by the generators.  A coset is one reader of x's
     points mapped over H, and a representative takes one product per
     generator, where a breadth-first closure takes one per generator and
     element."""
@@ -281,15 +279,15 @@ def coset_growth(elems, degree: int,
                              "degree")
         p = tuple(p)
         gens.append(p)
-        # g*x for every generator g, as one itemgetter of g's points
-        left = [itemgetter(*g) for g in gens]
+        # g*x for every generator g, as one reader of g's points
+        left = list(map(reader, gens))
         sub = list(seen)
         reps = [p]
         for x in reps:
             if x not in seen:
                 if len(seen) + len(sub) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                seen.update(map(itemgetter(*x), sub))
+                seen.update(map(reader(x), sub))
                 reps += [g(x) for g in left]
     return gens, seen
 
@@ -338,11 +336,9 @@ def is_subgroup(H: FiniteGroup, G: FiniteGroup) -> bool:
 def _conjugator(g: Perm):
     """The map h -> g^-1*h*g on permutations of g's degree, with g's
     inverse taken once: g^-1*h*g sends g^-1(x) where h*g sends x, so it is
-    h*g read at the points of g^-1, one itemgetter built once per g."""
-    if len(g) < 2:
-        return tuple            # the identity is the only permutation
-    at = itemgetter(*pinv(g))
-    return lambda h: at(itemgetter(*h)(g))
+    h*g read at the points of g^-1, one reader built once per g."""
+    at = reader(pinv(g))
+    return lambda h: at(reader(h)(g))
 
 
 def is_normal(H: FiniteGroup, G: FiniteGroup) -> bool:

@@ -21,12 +21,18 @@ def is_perm(p) -> bool:
     return sorted(p) == list(range(len(p)))
 
 
+def reader(points):
+    """p -> tuple(p[x] for x in points), read in C by itemgetter(*points)
+    for two or more points; itemgetter returns a bare value for one point
+    and takes no empty list, so those read in Python."""
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda p: tuple([p[x] for x in points])
+
+
 def pmul(a: Perm, b: Perm) -> Perm:
-    """a*b: apply a, then b.  itemgetter(*a)(b) is the product taken in C;
-    below degree 2 it would return a bare point, not a tuple."""
-    if len(a) > 1:
-        return itemgetter(*a)(b)
-    return tuple(b[x] for x in a)
+    """a*b: apply a, then b, which is b read at the points of a."""
+    return reader(a)(b)
 
 
 def pinv(a: Perm) -> Perm:

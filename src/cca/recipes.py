@@ -12,8 +12,8 @@ from .constructions import (line_graph_construction, subdivision_construction,
 from .engine import autc_group, predicted_autc_complete
 from .graphs import (ColouredCayleyGraph, PlainGraph, complete_cayley,
                      graph_automorphisms, heawood)
-from .groups import (FiniteGroup, close_generators, coset_growth, generated,
-                     normalizer, trivial_group)
+from .groups import (FiniteGroup, coset_growth, generated, normalizer,
+                     trivial_group)
 from .structure import (canonical_sets, converse_build, decompose_structure,
                         enumerate_connection_sets, reduction_gamma_prime)
 
@@ -22,14 +22,13 @@ def _heawood_groups():
     """(Heawood graph, full automorphism group, bipart-preserving subgroup,
     edge-regular order-21 subgroup, arc-regular order-42 subgroup)."""
     P = heawood()
-    auts = graph_automorphisms(P)
-    full = generated(auts, P.n, cap=len(auts) + 1)
-    bip = [p for p in auts if all(p[v] < 7 for v in range(7))]
+    full = graph_automorphisms(P)
+    bip = [p for p in full.elements if all(p[v] < 7 for v in range(7))]
     Hbip = generated(bip, P.n, cap=len(bip) + 1)
     if (full.order, Hbip.order) != (336, 168):
         raise RuntimeError("internal error: Heawood automorphism orders")
     sev = next(p for p in full.elements if full.element_orders[full.index[p]] == 7)
-    C7 = close_generators([sev], P.n, cap=8)
+    C7 = generated([sev], P.n, cap=8)
     G21 = normalizer(Hbip, C7)
     G42 = normalizer(full, C7)
     if (G21.order, G42.order) != (21, 42):
@@ -74,12 +73,11 @@ def _knn_q8_inputs():
     order-64 overgroup of Q8's right-regular copy by the three sigma maps."""
     A = builders.q8_times_z2(0)
     AR = A.right_regular
-    sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
-    B = close_generators(list(AR.generators) + sigmas, 8, cap=65)
+    sigmas = [builders.named_map(A, f"sigma-{u}") for u in "ijk"]
+    B = generated(list(AR.generators) + sigmas, 8, cap=65)
     if B.order != 64:
         raise RuntimeError("internal error: Q8 sigma overgroup order")
-    K = PlainGraph(16, [(i, 8 + j) for i in range(8) for j in range(8)],
-                   bipartition=(list(range(8)), list(range(8, 16))))
+    K = PlainGraph(16, [(i, 8 + j) for i in range(8) for j in range(8)])
     G16 = builders.direct_product(AR, AR)
     H16 = builders.direct_product(B, B)
     return K, G16, H16

@@ -22,9 +22,9 @@ from .errors import (BoundExceeded, DecompositionNotFound, HypothesesNotMet,
                      HypothesisViolated, InvalidSpec, NotConnected)
 from .graphs import ColouredCayleyGraph, cayley, colour_units, is_connected
 from .groups import (FiniteGroup, are_isomorphic, automorphism_transversals,
-                     centralizer, close_generators, coset_growth, generated,
-                     is_normal, is_sylow_cyclic_order_not_div_4,
-                     normal_subgroups, sylow_subgroup, trivial_group)
+                     centralizer, coset_growth, generated, is_normal,
+                     is_sylow_cyclic_order_not_div_4, normal_subgroups,
+                     sylow_subgroup, trivial_group)
 from .perms import identity, pconj, pinv
 
 
@@ -109,7 +109,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
         if r is None:
             raise DecompositionNotFound(
                 "no involution fixed by the vertex-stabiliser of T")
-        R = close_generators([G.right_row(r)], n, cap=3)
+        R = generated([G.right_row(r)], n, cap=3)
 
     F = generated((p for p in G_R.elements if p in T.index), n, cap=n + 1)
     f_is_f21 = F.order == 21 and are_isomorphic(F, builders.f21())
@@ -170,7 +170,7 @@ def _reduce(G: FiniteGroup, S, fset, hset, hr, r: int, fr_gens,
     S' = (F meet S) union {r} union {y^2 : y in Y}, whether every y in Y
     factors as y = y^4 * y^3 with y^4 of order 3 in F and y^3 an involution
     in H x| R outside H, and the reduced graph Cay(F x| R, S'), with F x| R
-    closed from fr_gens.  Sets hold element indices of G.
+    grown by generated from fr_gens.  Sets hold element indices of G.
 
     With a violation message, a y that does not factor raises
     HypothesisViolated before the reduced graph is built."""
@@ -186,7 +186,7 @@ def _reduce(G: FiniteGroup, S, fset, hset, hr, r: int, fr_gens,
         raise HypothesisViolated(violation)
     S_prime = sorted((set(S) & fset) | ({r} if r else set())
                      | {G.imul(y, y) for y in Y})
-    FR = close_generators(fr_gens, G.degree, cap=G.order + 1)
+    FR = generated(fr_gens, G.degree, cap=G.order + 1)
     FR.labels = [G.label(G.index[p]) for p in FR.elements]
     FR.meta = {"spec": G.meta.get("spec")}
     gamma_prime = cayley(FR, [FR.index[G.elements[s]] for s in S_prime])
@@ -338,14 +338,14 @@ class EnumerationReport:
 
 def _unit_action(G: FiniteGroup, units):
     """Distinct permutations of the unit list induced by Aut(G), sorted:
-    the group W closed from the unit permutations that the generators of
-    groups.automorphism_transversals induce.  Aut(G) is never listed, and
-    |Aut(G)| bounds the closure."""
+    the group W that coset_growth grows from the unit permutations that the
+    generators of groups.automorphism_transversals induce.  Aut(G) is never
+    listed, and |Aut(G)| bounds the growth."""
     unit_of = {s: i for i, u in enumerate(units) for s in u}
     maps, size = automorphism_transversals(G)
-    return sorted(close_generators(
+    return sorted(coset_growth(
         [tuple(unit_of[phi[u[0]]] for u in units) for phi in maps],
-        len(units), cap=size).elements)
+        len(units), size)[1])
 
 
 def _class_count(ws) -> int:

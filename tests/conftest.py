@@ -293,7 +293,7 @@ def reference_predicted_autc_complete(G):
             for i, j in enumerate(phi):
                 phinv[j] = i
             sigmas = [tuple(phi[sig[phinv[i]]] for i in range(n))
-                      for sig in (builders.named_map(Q, f"sigma-{u}").carrier
+                      for sig in (builders.named_map(Q, f"sigma-{u}")
                                   for u in "ijk")]
             return CompletePrediction("3", 8 * n, reg_gens + sigmas)
     dic = reference_dicyclic_structure(G)

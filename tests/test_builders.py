@@ -200,14 +200,14 @@ def test_f21xz2():
 
 def test_named_maps():
     Z6 = builders.cyclic(6)
-    inv = builders.named_map(Z6, "inversion").carrier
+    inv = builders.named_map(Z6, "inversion")
     assert inv == tuple(Z6.inverse)
     Q = builders.q8_times_z2(0)
-    sig = builders.named_map(Q, "sigma-i").carrier
+    sig = builders.named_map(Q, "sigma-i")
     i_idx, j_idx = Q.label_index("i"), Q.label_index("j")
     assert sig[i_idx] == Q.inverse[i_idx] and sig[j_idx] == j_idx
     dic = builders.generalized_dicyclic(builders.cyclic(4))
-    iota = builders.named_map(dic, "iota-dicyclic").carrier
+    iota = builders.named_map(dic, "iota-dicyclic")
     coset = dic.meta["dic_coset"]
     for g in range(8):
         assert iota[g] == (dic.inverse[g] if coset[g] else g)
@@ -215,8 +215,8 @@ def test_named_maps():
         builders.named_map(Z6, "sigma-i")
     with pytest.raises(IncompatibleGroup):
         builders.named_map(Z6, "no-such-map")
-    with pytest.raises(ValueError, match="fix the identity"):
-        builders.NamedMap("shift", (1, 2, 3, 4, 5, 0))
+    # each named map is a tuple on element indices that fixes the identity
+    assert all(type(m) is tuple and m[0] == 0 for m in (inv, sig, iota))
 
 
 def test_build_spec_grammar():
@@ -234,6 +234,22 @@ def test_build_spec_grammar():
                 "prod(z2;)"):
         with pytest.raises(InvalidSpec):
             builders.build_spec(bad)
+
+
+def test_build_spec_changes_no_group_another_spec_returned():
+    # prod of one spec copies its factor, so naming the product leaves the
+    # cached named group, and every later build of it, with its own spec;
+    # the trivial and symmetric groups carry their spec too
+    for spec in ("f21", "agl17", "psl27", "pgl27", "f21xz2"):
+        G = builders.build_spec(spec)
+        P = builders.build_spec(f"prod({spec})")
+        assert P is not G and P.meta["spec"] == f"prod({spec})"
+        assert (P.elements, P.generators, P.labels) == \
+            (G.elements, G.generators, G.labels)
+        assert builders.build_spec(spec) is G
+        assert G.meta["spec"] == spec, spec
+    for spec in ("z1", "s1", "s3", "z2^0", "z2^1", "prod(z5)"):
+        assert builders.build_spec(spec).meta["spec"] == spec
 
 
 def test_build_spec_refuses_orders_over_the_cap():

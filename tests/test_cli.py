@@ -45,6 +45,17 @@ def test_cayley_json_and_dot(capsys):
     assert out.startswith("graph cayley {")
 
 
+def test_cayley_json_names_the_spec_given(capsys):
+    # the trivial groups name their spec, and a prod of one named group
+    # leaves that group's spec, read by every later graph on it, as it was
+    for spec in ("z1", "s1"):
+        code, out, _ = run(capsys, ["cayley", spec, "--set="])
+        assert code == 0 and json.loads(out)["group_spec"] == spec
+    for spec in ("prod(f21)", "f21"):
+        code, out, _ = run(capsys, ["cayley", spec, "--set=x,x^6"])
+        assert code == 0 and json.loads(out)["group_spec"] == spec
+
+
 def test_check_verdicts(capsys):
     code, out, _ = run(capsys, ["check", "z6", "--set", "1,5"])
     assert code == 0

@@ -9,7 +9,7 @@ from cca.constructions import (is_complete_colour_pair,
                                subdivision_construction, wreath_witness)
 from cca.engine import autc_group, is_colour_preserving
 from cca.errors import HypothesisViolated, NotArcRegular, NotRegular
-from cca.graphs import PlainGraph, graph_automorphisms, heawood
+from cca.graphs import PlainGraph, heawood, subdivision
 from cca.groups import (FiniteGroup, close_generators, coset_growth,
                         trivial_group)
 from cca.recipes import _dihedral_coset_tau, _heawood_groups, _knn_q8_inputs
@@ -67,7 +67,7 @@ def test_dihedral_coset_tau_satisfies_hypotheses():
 def test_complete_colour_pair_q8():
     A = builders.q8_times_z2(0)
     AR = A.right_regular
-    sigmas = [builders.named_map(A, f"sigma-{u}").carrier for u in "ijk"]
+    sigmas = [builders.named_map(A, f"sigma-{u}") for u in "ijk"]
     B = close_generators(list(AR.generators) + sigmas, 8, cap=65)
     chk = is_complete_colour_pair(AR, B)
     assert chk.is_pair and chk.case == "3"
@@ -109,6 +109,23 @@ def test_line_graph_construction_gates():
         line_graph_construction(square, Z4R, Z4R)
 
 
+def test_line_graph_construction_refuses_a_graph_that_is_not_bipartite():
+    # the biparts are always the graph's own two-colouring: C5 under its
+    # rotations is refused as not bipartite before any orbit is compared
+    C5 = PlainGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    Z5 = close_generators([(1, 2, 3, 4, 0)], 5)
+    with pytest.raises(HypothesisViolated, match="graph is not bipartite"):
+        line_graph_construction(C5, Z5, Z5)
+    # on the shipped graphs the two-colouring is the split into points and
+    # lines, vertices and subdivision points, and the two sides of K_{8,8}
+    H = heawood()
+    assert H.two_colouring() == (list(range(7)), list(range(7, 14)))
+    assert subdivision(H).two_colouring() == (list(range(14)),
+                                              list(range(14, 35)))
+    assert _knn_q8_inputs()[0].two_colouring() == (list(range(8)),
+                                                   list(range(8, 16)))
+
+
 def test_line_graph_construction_needs_generators_of_h():
     P, _, Hbip, G21, _ = _heawood_groups()
     one_gen = FiniteGroup(Hbip.elements, Hbip.generators[:1])
@@ -133,8 +150,7 @@ def test_line_graph_construction_names_colour_breaking_generator(monkeypatch):
     H = close_generators(gens, 10)
     G = close_generators(gens[:2], 10)
     assert (G.order, H.order) == (25, 400)
-    K = PlainGraph(10, [(i, 5 + j) for i in range(5) for j in range(5)],
-                   bipartition=(list(range(5)), list(range(5, 10))))
+    K = PlainGraph(10, [(i, 5 + j) for i in range(5) for j in range(5)])
     monkeypatch.setattr(constructions, "is_complete_colour_pair",
                         lambda loc_G, loc_H: SimpleNamespace(is_pair=True))
     with pytest.raises(HypothesisViolated) as err:

@@ -19,7 +19,8 @@ from cca.errors import NotConnected, StabiliserTooLarge
 from cca.graphs import (ColouredCayleyGraph, colour_units, complete_cayley,
                         quotient_graph)
 from cca.groups import (FiniteGroup, _order_histogram, close_generators,
-                        find_isomorphism, is_normal, normal_subgroups)
+                        find_isomorphism, generated, is_normal,
+                        normal_subgroups)
 from cca.perms import identity, pconj, pmul
 from cca.recipes import _knn_q8_inputs
 from cca.structure import canonical_sets, enumerate_connection_sets
@@ -139,16 +140,17 @@ def test_stabiliser_cap_refuses(monkeypatch):
 
 def test_stabiliser_cap_refuses_before_closure(monkeypatch):
     # |A_1| = 2^m is known from the m strong generators, so a stabiliser
-    # over the cap is refused without closing it
+    # over the cap is refused without growing it
     G = builders.build_spec("q8xz2^2")
     labels = ["(j,1,0)", "(-j,1,0)", "(j,0,0)", "(-j,0,0)", "(-j,1,1)",
               "(j,1,1)", "(j,0,1)", "(-j,0,1)", "(i,1,1)", "(-i,1,1)"]
     Gamma = ColouredCayleyGraph(G, [G.label_index(x) for x in labels])
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("close_generators called")
+        raise AssertionError("a group was grown")
 
-    monkeypatch.setattr("cca.engine.close_generators", no_closure)
+    monkeypatch.setattr("cca.engine.generated", no_closure)
+    monkeypatch.setattr("cca.engine.coset_growth", no_closure)
     with pytest.raises(StabiliserTooLarge, match="exceeds cap 16384"):
         autc_stabiliser(Gamma)
     with pytest.raises(StabiliserTooLarge, match="exceeds cap 16384"):
@@ -276,7 +278,8 @@ def test_aut_pm1_is_the_list_its_search_finds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("aut_pm1_group closed a group")
 
-    monkeypatch.setattr(engine, "close_generators", refuse)
+    monkeypatch.setattr(engine, "generated", refuse)
+    monkeypatch.setattr(engine, "coset_growth", refuse)
     for Gamma, ref in zip(graphs, refs):
         pm1 = aut_pm1_group(Gamma.group, Gamma.conn)
         assert set(pm1.elements) == set(ref.elements)
@@ -343,9 +346,10 @@ def test_cca_check_closes_nothing(monkeypatch):
             for Gamma in graphs]
 
     def no_closure(*args, **kwargs):
-        raise AssertionError("close_generators called")
+        raise AssertionError("a group was grown")
 
-    monkeypatch.setattr("cca.engine.close_generators", no_closure)
+    monkeypatch.setattr("cca.engine.generated", no_closure)
+    monkeypatch.setattr("cca.engine.coset_growth", no_closure)
     checked = nontrivial = 0
     for Gamma, (stab, pm1) in zip(graphs, refs):
         if pm1 != stab:
@@ -771,7 +775,7 @@ def test_autc_group_matches_reference_oracle():
 
 
 def test_full_group_closes_from_strong_generators(monkeypatch):
-    # full_group is one closure, from the generators of G_R and the
+    # full_group is one growth, from the generators of G_R and the
     # search's strong generators, with no listing of A_1 before it, and it
     # is the group the closure route builds from all of A_1, on the graphs
     # compared above
@@ -781,9 +785,9 @@ def test_full_group_closes_from_strong_generators(monkeypatch):
 
     def counted(gens, degree, cap):
         closures.append(len(gens))
-        return close_generators(gens, degree, cap=cap)
+        return generated(gens, degree, cap=cap)
 
-    monkeypatch.setattr("cca.engine.close_generators", counted)
+    monkeypatch.setattr("cca.engine.generated", counted)
     for Gamma, ref in zip(graphs, refs):
         closures.clear()
         res = autc_group(Gamma)

@@ -2,7 +2,8 @@ import random
 
 from hypothesis import given, strategies as st
 
-from cca.perms import identity, is_perm, pconj, pinv, pmul, porder, ppow
+from cca.perms import (identity, is_perm, pconj, pinv, pmul, porder, ppow,
+                       reader)
 
 
 def rand_perm(rng, n):
@@ -83,6 +84,19 @@ def test_low_degree_products_are_tuples():
             assert type(pmul(a, b)) is tuple
     assert pconj((1, 0), (1, 0)) == (1, 0)
     assert ppow((1, 0), 3) == (1, 0)
+
+
+def test_reader_returns_a_tuple_for_any_number_of_points():
+    # itemgetter takes no empty list and returns a bare value for one point
+    p = (4, 3, 2, 1, 0)
+    for points in ([], [2], (3,), [0, 4], (1, 2, 3), range(5)):
+        read = reader(points)
+        assert read(p) == genexpr_pmul(points, p)
+        assert type(read(p)) is tuple
+        assert type(read(list(p))) is tuple
+    assert reader([])(p) == ()
+    assert reader([2])(p) == (2,)
+    assert reader([0, 4])(p) == (4, 0)
 
 
 def test_product_matches_genexpr_seeded():

@@ -321,20 +321,12 @@ def test_readme_module_table():
     assert not bad, bad
 
 
-# the functions that call groups.close_generators: each closes a group that
-# nothing else lists, or names elements by the breadth-first order
+# the functions that call groups.close_generators: the named groups whose
+# element labels (e<i> of s<n>, psl27 and pgl27) follow its breadth-first
+# order, which the check-mix references name
 CLOSURE_SITES = {
-    "builders.symmetric",             # named groups, elements in BFS order
+    "builders.symmetric",
     "builders._projective_family",
-    "engine.AutcResult.full_group",   # Aut_c, on first access
-    "engine.autc_stabiliser",         # A_1, before its descent-order sort
-    "graphs.graph_automorphisms",     # Aut(P) from its strong generators
-    "graphs.quotient_graph",          # G/N from the generators' actions
-    "recipes._heawood_groups",        # C7
-    "recipes._knn_q8_inputs",         # B
-    "structure.decompose_structure",  # R
-    "structure._reduce",              # F x| R, the vertices of Gamma'
-    "structure._unit_action",         # W from Aut(G)'s transversals
 }
 
 
@@ -363,3 +355,23 @@ def test_close_generators_call_sites():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=path.name), path.stem)
     assert sites == CLOSURE_SITES
+
+
+def test_only_perms_and_groups_import_itemgetter():
+    # itemgetter returns a bare value for one point and takes no empty list:
+    # perms.reader handles both, and groups._getter keeps the bare value for
+    # a one-point base; every other module reads points through perms.reader
+    src = Path(cca.__file__).resolve().parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Import):
+                # `import operator` reaches operator.itemgetter as well
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if {"operator", "operator.itemgetter"} & set(names):
+                importers.add(path.stem)
+    assert importers == {"perms", "groups"}, importers
