@@ -172,78 +172,26 @@ def _edge_action(edges, point_of_edge):
     return lambda h: tuple(map(arc_point, zip(tails(h), heads(h))))
 
 
-def _local_groups(P: PlainGraph, A: FiniteGroup) -> list[FiniteGroup]:
-    """The permutation groups induced on the neighbourhood of each vertex v
-    of P by its stabiliser A_v, for A a group of automorphisms of P, listed
-    by vertex.
+def _local_group(P: PlainGraph, A: FiniteGroup, v: int) -> FiniteGroup:
+    """The permutation group induced on the neighbours of v, written on
+    their positions in P.adj[v], by its stabiliser A_v, for A a group of
+    automorphisms of P.
 
-    A is scanned once per orbit.  At the orbit's first vertex v, A_v is
-    selected and its maps of the neighbours are read through one reader
-    per element, then written on neighbour positions once per distinct map.
-    Any t in A with t(v) = x gives A_x = t^-1 A_v t, so the maps at x are
-    those at v conjugated by q, the bijection of neighbour positions that t
-    induces: q(j) is the position at x of t's image of v's j-th neighbour.
-    One t is taken for each x of the orbit, which has |A|/|A_v| points, and
-    the scan for them stops once each has one.
-
-    The induced maps at a vertex are the image of its stabiliser, so they
-    form a group: generated grows it from them with the cap |maps|, and
-    since the members grown hold every map, they are exactly the maps,
-    sorted, unless the cap refuses, which is an internal error.  Vertices
-    with the same maps share one group."""
-    maps = [None] * P.n
-    for v in range(P.n):
-        if maps[v] is not None:
-            continue
-        read = reader(P.adj[v])
-        stab = [g for g in A.elements if g[v] == v]
-        pos = {u: i for i, u in enumerate(P.adj[v])}.__getitem__
-        maps[v] = tuple(sorted(tuple(map(pos, img))
-                               for img in set(map(read, stab))))
-        orbit = {v: None}
-        for t in A.elements:
-            if len(orbit) == A.order // len(stab):
-                break
-            orbit.setdefault(t[v], t)
-        for x, t in orbit.items():
-            if x == v:
-                continue
-            pos = {u: i for i, u in enumerate(P.adj[x])}.__getitem__
-            q = tuple(map(pos, read(t)))
-            conj = reader(sorted(range(len(q)), key=q.__getitem__))
-            maps[x] = tuple(sorted(tuple(map(q.__getitem__, conj(m)))
-                                   for m in maps[v]))
-    groups = {}
-    for induced in maps:
-        if induced not in groups:
-            try:
-                groups[induced] = generated(induced, len(induced[0]),
-                                            len(induced))
-            except ClosureExceedsCap:
-                raise RuntimeError("internal error: the induced maps are no "
-                                   "group") from None
-    return [groups[induced] for induced in maps]
-
-
-def _special_clique_checks(P: PlainGraph, Gamma: ColouredCayleyGraph):
-    """Special cliques (edges through one P-vertex) must partition the edges
-    of the line graph, with each line-graph vertex in exactly two of them."""
-    cliques = []
-    for v in range(P.n):
-        cliques.append({Gamma.vertex_of_edge[(min(v, u), max(v, u))]
-                        for u in P.adj[v]})
-    membership = [0] * Gamma.n
-    for c in cliques:
-        for i in c:
-            membership[i] += 1
-    label = Gamma.group.label
-    for i, k in enumerate(membership):
-        if k != 2:
-            raise HypothesisViolated(f"vertex {label(i)} in {k} special cliques, not 2")
-    for i, j in Gamma.edges:
-        if sum(1 for c in cliques if i in c and j in c) != 1:
-            raise HypothesisViolated(
-                f"edge {label(i)}-{label(j)} not in exactly one special clique")
+    A is scanned once for A_v, whose maps of the neighbours are read
+    through one reader per element and written on neighbour positions once
+    per distinct map.  The induced maps are the image of A_v, so they form
+    a group: generated grows it from them, sorted, with the cap |maps|,
+    and since the members grown hold every map, they are exactly the maps,
+    sorted, unless the cap refuses, which is an internal error."""
+    read = reader(P.adj[v])
+    pos = {u: i for i, u in enumerate(P.adj[v])}.__getitem__
+    induced = sorted(tuple(map(pos, img)) for img in
+                     {read(g) for g in A.elements if g[v] == v})
+    try:
+        return generated(induced, len(induced[0]), len(induced))
+    except ClosureExceedsCap:
+        raise RuntimeError("internal error: the induced maps are no "
+                           "group") from None
 
 
 def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
@@ -252,8 +200,23 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
 
     Hypotheses verified: P connected bipartite; G <= H <= Aut(P); G
     edge-regular; the H-orbits on vertices are exactly the biparts; at every
-    vertex the induced local groups coincide or form a complete colour pair,
-    decided once for each distinct pair of local groups.
+    vertex the induced local groups coincide or form a complete colour pair.
+
+    The local pair is decided at the least vertex of each G-orbit only, in
+    ascending order.  This is exact: every g in G is an automorphism of P
+    lying in H, so for x = g(v), G_x = g G_v g^-1 and H_x = g H_v g^-1, and
+    the pair at x is the pair at v relabelled by the bijection of neighbours
+    that g induces, under which equality, regularity, the subgroup relation
+    and the complete colour pair test all come out the same.  So the first
+    vertex that fails is the least of its orbit, the one a scan over every
+    vertex would name.
+
+    The special cliques, the edges through one vertex of P, partition the
+    line graph's edges with each of its vertices in exactly two of them,
+    which needs no check: P is simple, so each edge lies in the cliques of
+    its two distinct ends and no other, and realize_line_graph_as_cayley
+    refuses unless every Cayley edge joins two edges that share exactly one
+    endpoint, the vertex of the one clique that holds it.
 
     H's generators are checked to act on P and to generate H, on the
     membership set coset_growth grows from them on P's own P.n points with
@@ -288,20 +251,14 @@ def line_graph_construction(P: PlainGraph, G: FiniteGroup, H: FiniteGroup):
     if orbits != {frozenset(bip[0]), frozenset(bip[1])}:
         raise HypothesisViolated("H-orbits on vertices are not the biparts")
 
-    is_pair = {}
-    for v, (loc_G, loc_H) in enumerate(zip(_local_groups(P, G),
-                                           _local_groups(P, H))):
-        key = (frozenset(loc_G.elements), frozenset(loc_H.elements))
-        if key[0] == key[1]:
-            continue
-        if key not in is_pair:
-            is_pair[key] = is_complete_colour_pair(loc_G, loc_H).is_pair
-        if not is_pair[key]:
+    for v in map(min, _vertex_orbits(P, G)):
+        loc_G, loc_H = _local_group(P, G, v), _local_group(P, H, v)
+        if loc_G.elements != loc_H.elements \
+                and not is_complete_colour_pair(loc_G, loc_H).is_pair:
             raise HypothesisViolated(
                 f"local pair condition fails at vertex {v}")
 
     Gamma = realize_line_graph_as_cayley(P, G)
-    _special_clique_checks(P, Gamma)
 
     induced = _edge_action(Gamma.edge_of_vertex, Gamma.vertex_of_edge)
     emb_gens = [induced(h) for h in H.generators]

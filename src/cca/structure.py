@@ -33,7 +33,6 @@ from .perms import identity, pconj, pinv
 @dataclass
 class StructureDecomposition:
     A: FiniteGroup                  # the colour-preserving group
-    G_R: FiniteGroup                # regular copy of the base group
     T: FiniteGroup
     J: FiniteGroup
     F: FiniteGroup
@@ -51,7 +50,7 @@ class StructureDecomposition:
         h = {p[0] for p in self.H.elements}
         r = {p[0] for p in self.R.elements}
         hr = coset_growth(self.H.generators + self.R.generators,
-                          self.F.degree, self.G_R.order + 1)[1]
+                          self.F.degree, self.F.degree + 1)[1]
         return f, h, r, {p[0] for p in hr}
 
     def to_json_dict(self) -> dict:
@@ -89,7 +88,6 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
 
     A = res.full_group
     n = G.order
-    G_R = G.right_regular
 
     T = generated((p for p, o in zip(A.elements, A.element_orders) if o == 7),
                   n, cap=A.order + 1)
@@ -111,14 +109,19 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
                 "no involution fixed by the vertex-stabiliser of T")
         R = generated([G.right_row(r)], n, cap=3)
 
-    F = generated((p for p in G_R.elements if p in T.index), n, cap=n + 1)
+    def regular(t):
+        """t in A lies in G_R iff t = rho(t[0]), as rho(g) sends 0 to g;
+        rho(t[0]), which sends b to b*t[0], lies in A too, so it is enough
+        that the two agree on A's base, and G_R is never listed."""
+        return all(t[b] == G.imul(b, t[0]) for b in A.base)
+
+    F = generated(filter(regular, T.elements), n, cap=n + 1)
     f_is_f21 = F.order == 21 and are_isomorphic(F, builders.f21())
 
     for J in normal_subgroups(centralizer(A, T)):
         if T.order * J.order * R.order != A.order:
             continue
-        H = generated((p for p in G_R.elements if p in J.index), n,
-                      cap=n + 1)
+        H = generated(filter(regular, J.elements), n, cap=n + 1)
         span = coset_growth(T.generators + J.generators + R.generators,
                             n, A.order + 1)[1]
         if len(span) != A.order:
@@ -140,7 +143,7 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
         if all(props.values()) \
                 and len(gspan) == n \
                 and F.order * H.order * R.order == n:
-            return StructureDecomposition(A, G_R, T, J, F, H, R, r, props)
+            return StructureDecomposition(A, T, J, F, H, R, r, props)
     raise DecompositionNotFound(
         "no normal complement J realises all six properties")
 

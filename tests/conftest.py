@@ -852,7 +852,7 @@ def reference_decomposition(Gamma, res):
     else:
         raise AssertionError("no normal complement J realises all six "
                              "properties")
-    dec = StructureDecomposition(A, G_R, T, J, F, H, R, r, props)
+    dec = StructureDecomposition(A, T, J, F, H, R, r, props)
 
     # the reduction, from the element lists of F, H and R
     fset = {p[0] for p in F.elements}

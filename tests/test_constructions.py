@@ -96,6 +96,7 @@ def test_line_graph_construction_heawood():
     assert res.verdict == "NonCCA"
     assert res.full_group.order == 168
     assert set(res.full_group.elements) == set(Hemb.elements)
+    _check_special_cliques(P, Gamma)
 
 
 def test_line_graph_construction_gates():
@@ -133,54 +134,109 @@ def test_line_graph_construction_needs_generators_of_h():
         line_graph_construction(P, G21, one_gen)
 
 
+SHIFT, DOUBLE = (1, 2, 3, 4, 0), (0, 2, 4, 1, 3)
+
+
+def _left(p):
+    return p + (5, 6, 7, 8, 9)
+
+
+def _right(p):
+    return (0, 1, 2, 3, 4) + tuple(5 + x for x in p)
+
+
+def _k55(extra):
+    """K_{5,5}, G = Z5 x Z5 by the shifts of the two sides 0..4 and 5..9,
+    and H generated by G's generators and extra, for L(K_{5,5}) on G."""
+    gens = [_left(SHIFT), _right(SHIFT)]
+    K = PlainGraph(10, [(i, 5 + j) for i in range(5) for j in range(5)])
+    return K, close_generators(gens, 10), close_generators(gens + extra, 10)
+
+
 def test_line_graph_construction_names_colour_breaking_generator(monkeypatch):
     """L(K_{5,5}) on Z5 x Z5 with H = AGL(1,5) x AGL(1,5).  The local pair
     check is patched to pass, so only the colour check on H's generators
     can refuse: the translations keep colours and the doubling x -> 2x,
     which swaps the colours {1, 4} and {2, 3}, does not."""
-    shift, double = (1, 2, 3, 4, 0), (0, 2, 4, 1, 3)
-
-    def left(p):
-        return p + (5, 6, 7, 8, 9)
-
-    def right(p):
-        return (0, 1, 2, 3, 4) + tuple(5 + x for x in p)
-
-    gens = [left(shift), right(shift), left(double), right(double)]
-    H = close_generators(gens, 10)
-    G = close_generators(gens[:2], 10)
+    K, G, H = _k55([_left(DOUBLE), _right(DOUBLE)])
     assert (G.order, H.order) == (25, 400)
-    K = PlainGraph(10, [(i, 5 + j) for i in range(5) for j in range(5)])
     monkeypatch.setattr(constructions, "is_complete_colour_pair",
                         lambda loc_G, loc_H: SimpleNamespace(is_pair=True))
     with pytest.raises(HypothesisViolated) as err:
         line_graph_construction(K, G, H)
     assert str(err.value) == \
-        f"{H.label(H.index[gens[2]])} in H changes line-graph colours"
+        f"{H.label(H.index[_left(DOUBLE)])} in H changes line-graph colours"
+
+
+@pytest.mark.parametrize("extra, vertex", [(_left(DOUBLE), 5),
+                                           (_right(DOUBLE), 0)])
+def test_line_graph_construction_names_the_failing_vertex(extra, vertex):
+    """L(K_{5,5}) on Z5 x Z5 with H = AGL(1,5) x Z5, and Z5 x AGL(1,5).  At
+    a vertex of the side that H's doubling does not move, G_v induces Z5 on
+    the other side and H_v AGL(1,5), which is no complete colour pair, as
+    every complete graph on Z5 is CCA; at the other side both induce Z5.
+    The refusal names the least vertex that fails, 5 or 0."""
+    K, G, H = _k55([extra])
+    assert (G.order, H.order) == (25, 100)
+    with pytest.raises(HypothesisViolated) as err:
+        line_graph_construction(K, G, H)
+    assert str(err.value) == f"local pair condition fails at vertex {vertex}"
+    for v in range(K.n):
+        orders = (len(_reference_local_group(K, G, v)),
+                  len(_reference_local_group(K, H, v)))
+        assert orders == ((5, 20) if (v < 5) == (vertex < 5) else (5, 5)), v
+
+
+def _construction_inputs():
+    """(P, G, H) of the inner line-graph call of the Heawood subdivision,
+    the Heawood line graph, K_{8,8} and the star K_{1,3}."""
+    inputs = []
+    construct = constructions.line_graph_construction
+
+    def recorded(P, G, H):
+        inputs.append((P, G, H))
+        return construct(P, G, H)
+
+    P, full, Hbip, G21, G42 = _heawood_groups()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "line_graph_construction", recorded)
+        subdivision_construction(P, G42, full)
+    star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
+    S3 = close_generators([(0, 2, 3, 1), (0, 2, 1, 3)], 4)
+    Z3 = close_generators([(0, 2, 3, 1)], 4)
+    return inputs + [(P, G21, Hbip), _knn_q8_inputs(), (star, Z3, S3)]
 
 
 def test_line_graph_decides_each_local_pair_once(monkeypatch):
-    # on K_{8,8} all 16 vertices see one pair of local groups: the complete
-    # colour pair check runs once for it, not once per vertex
-    K, G, H = _knn_q8_inputs()
-    pairs = set()
-    for v in range(K.n):
-        key = (frozenset(_reference_local_group(K, G, v)),
-               frozenset(_reference_local_group(K, H, v)))
-        if key[0] != key[1]:
-            pairs.add(key)
-    calls = []
+    # the local groups are built at the least vertex of each G-orbit only,
+    # in ascending order, and the complete colour pair check runs there
+    # once where the two differ: twice on K_{8,8}, not once per vertex
+    built, calls = [], []
+    local_group = constructions._local_group
     check = constructions.is_complete_colour_pair
 
+    def recorded(P, A, v):
+        built.append(v)
+        return local_group(P, A, v)
+
     def counted(loc_G, loc_H):
-        calls.append((frozenset(loc_G.elements), frozenset(loc_H.elements)))
+        calls.append((loc_G, loc_H))
         return check(loc_G, loc_H)
 
+    monkeypatch.setattr(constructions, "_local_group", recorded)
     monkeypatch.setattr(constructions, "is_complete_colour_pair", counted)
-    Gamma, Hemb = line_graph_construction(K, G, H)
-    assert (Gamma.n, Hemb.order) == (64, 4096)
-    assert len(calls) == len(pairs) == 1
-    assert set(calls) == pairs
+    counts = []
+    for P, G, H in _construction_inputs():
+        built.clear()
+        calls.clear()
+        line_graph_construction(P, G, H)
+        least = sorted({min(g[v] for g in G.elements) for v in range(P.n)})
+        assert built == [v for v in least for _ in "GH"]
+        differ = [v for v in least if _reference_local_group(P, G, v)
+                  != _reference_local_group(P, H, v)]
+        assert len(calls) == len(differ) <= len(least)
+        counts.append((len(calls), len(least), P.n))
+    assert counts == [(1, 2, 35), (2, 2, 14), (2, 2, 16), (1, 2, 4)]
 
 
 def test_line_graph_construction_refuses_generators_of_a_subgroup():
@@ -204,17 +260,27 @@ def _reference_local_group(P, A, v):
 
 
 def _check_local_groups(P, A):
-    """_local_groups at every vertex: the elements are the reference's,
+    """_local_group at every vertex: the elements are the reference's,
     sorted, and the generators the first-fit ones coset_growth takes from
-    them, as when each vertex's stabiliser was scanned on its own."""
-    local = constructions._local_groups(P, A)
-    assert len(local) == P.n
-    for v, loc in enumerate(local):
+    them."""
+    for v in range(P.n):
+        loc = constructions._local_group(P, A, v)
         induced = sorted(_reference_local_group(P, A, v))
         assert loc.elements == induced, v
         assert loc.generators \
             == coset_growth(induced, len(P.adj[v]), len(induced))[0], v
         assert loc.degree == len(P.adj[v])
+
+
+def _check_special_cliques(P, Gamma):
+    """The special cliques, the line-graph vertices of the edges through
+    one vertex of P, put every line-graph vertex in exactly two of them
+    and every line-graph edge in exactly one."""
+    cliques = [{Gamma.vertex_of_edge[min(v, u), max(v, u)] for u in P.adj[v]}
+               for v in range(P.n)]
+    assert all(sum(i in c for c in cliques) == 2 for i in range(Gamma.n))
+    assert all(sum(i in c and j in c for c in cliques) == 1
+               for i, j in Gamma.edges)
 
 
 def test_local_groups_match_reference_at_every_degree():
@@ -230,12 +296,11 @@ def test_local_groups_match_reference_at_every_degree():
     _check_local_groups(star, S3)
     _check_local_groups(star, Z3)
     # K_4 under the dihedral group of the square: the stabiliser of v
-    # swaps two of its neighbours, a subgroup that is not normal in S3, so
-    # the conjugation to the other vertices must go the right way
+    # swaps two of its neighbours, a subgroup that is not normal in S3
     K4 = PlainGraph(4, list(itertools.combinations(range(4), 2)))
     _check_local_groups(K4, close_generators([(1, 2, 3, 0), (2, 1, 0, 3)],
                                              4))
-    assert constructions._local_groups(star, S3)[1].elements == [(0,)]
+    assert constructions._local_group(star, S3, 1).elements == [(0,)]
     P, full, Hbip, G21, G42 = _heawood_groups()
     K, G, H = _knn_q8_inputs()
     for Q, groups in ((P, (full, Hbip, G21, G42)), (K, (G, H))):
@@ -255,19 +320,22 @@ def test_local_groups_match_reference_at_every_degree():
     _check_local_groups(SP, G2)
     _check_local_groups(SP, H2)
     # one edge, and three edges through a vertex of degree 3
-    Gamma, Hemb = line_graph_construction(PlainGraph(2, [(0, 1)]),
-                                          trivial_group(2), trivial_group(2))
+    edge = PlainGraph(2, [(0, 1)])
+    Gamma, Hemb = line_graph_construction(edge, trivial_group(2),
+                                          trivial_group(2))
     assert (Gamma.n, Hemb.elements) == (1, [(0,)])
+    _check_special_cliques(edge, Gamma)
     Gamma, Hemb = line_graph_construction(star, Z3, S3)
     assert Gamma.n == 3 and Hemb.order == 6
     assert sorted(Hemb.elements) == sorted(itertools.permutations(range(3)))
 
 
 def test_complete_colour_pair_ignores_local_element_order(monkeypatch):
-    # _local_groups lists its elements sorted, not in closure order: on
-    # every distinct local pair of the Heawood, subdivision and K_{8,8}
-    # constructions, reversing the non-identity elements of both groups
-    # leaves is_pair and the case as they are
+    # _local_group lists its elements sorted, not in closure order: on
+    # every local pair the Heawood, subdivision and K_{8,8} constructions
+    # check, one per G-orbit where the two groups differ, reversing the
+    # non-identity elements of both groups leaves is_pair and the case as
+    # they are
     pairs = []
     check = constructions.is_complete_colour_pair
 
@@ -280,7 +348,7 @@ def test_complete_colour_pair_ignores_local_element_order(monkeypatch):
     line_graph_construction(P, G21, Hbip)
     subdivision_construction(P, G42, full)
     line_graph_construction(*_knn_q8_inputs())
-    assert len(pairs) == 3
+    assert len(pairs) == 5
 
     def reversed_copy(A):
         return FiniteGroup(A.elements[:1] + A.elements[:0:-1], A.generators)
@@ -304,22 +372,8 @@ def test_embedding_is_grown_from_generator_images(monkeypatch):
     # generators the images of H's generators in order; the edge map is
     # computed once per generator of H.  On the inner line-graph call of
     # the Heawood subdivision, the Heawood line graph, K_{8,8} and the
-    # star K_{1,3}
-    inputs = []
-    construct = constructions.line_graph_construction
-
-    def recorded(P, G, H):
-        inputs.append((P, G, H))
-        return construct(P, G, H)
-
-    monkeypatch.setattr(constructions, "line_graph_construction", recorded)
-    P, full, Hbip, G21, G42 = _heawood_groups()
-    subdivision_construction(P, G42, full)
-    monkeypatch.undo()
-    star = PlainGraph(4, [(0, 1), (0, 2), (0, 3)])
-    S3 = close_generators([(0, 2, 3, 1), (0, 2, 1, 3)], 4)
-    Z3 = close_generators([(0, 2, 3, 1)], 4)
-    inputs += [(P, G21, Hbip), _knn_q8_inputs(), (star, Z3, S3)]
+    # star K_{1,3}, whose special cliques are checked too
+    inputs = _construction_inputs()
 
     edge_action = constructions._edge_action
     calls = []
@@ -343,6 +397,7 @@ def test_embedding_is_grown_from_generator_images(monkeypatch):
         assert set(Hemb.elements) == {_reference_edge_image(Gamma, h)
                                       for h in H.elements}
         assert Hemb.elements == sorted(Hemb.elements)
+        _check_special_cliques(P, Gamma)
         orders.append(Hemb.order)
     assert orders == [336, 168, 4096, 6]
 
@@ -352,6 +407,7 @@ def test_subdivision_construction_heawood():
     Gamma, Hemb = subdivision_construction(P, G42, full)
     assert Gamma.n == 42
     assert Hemb.order == 336
+    _check_special_cliques(subdivision(P), Gamma)
     res = autc_group(Gamma)
     assert res.verdict == "NonCCA"
     assert res.full_group.order == 336
