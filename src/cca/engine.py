@@ -26,8 +26,8 @@ from functools import cached_property
 
 from .errors import NotConnected, StabiliserTooLarge
 from .graphs import ColouredCayleyGraph
-from .groups import (FiniteGroup, bfs_tree, coset_growth, find_isomorphism,
-                     generated, isomorphisms)
+from .groups import (FiniteGroup, bfs_tree, coset_growth, generated,
+                     isomorphisms)
 from .perms import Perm, identity
 
 STABILISER_CAP = 2 ** 14
@@ -383,20 +383,27 @@ def _index_two_kernels(G: FiniteGroup, gens: list[int]):
             yield {v for v in range(n) if (word[v] & p).bit_count() % 2 == 0}
 
 
-def _find_dicyclic_structure(G: FiniteGroup, gens: list[int]):
-    """Locate (A, x, y), A the set of element indices of an abelian
-    subgroup of index 2 and exponent above 2, x outside A with x^2 = y an
-    involution and x^-1*a*x = a^-1 for all a in A; None if G is not
-    generalised dicyclic.  gens are element indices that generate G.
-
-    The subgroups of index 2 come from _index_two_kernels, and no subgroup
-    is listed.  An x that inverts every element of A makes A abelian, as
+def _dicyclic_structures(G: FiniteGroup, gens: list[int]):
+    """Yield every (A, x, y) that makes G generalised dicyclic: A the set of
+    element indices of an abelian subgroup of index 2 and exponent above 2,
+    x outside A with x^2 = y an involution and x^-1*a*x = a^-1 for all a in
+    A.  gens are element indices that generate G.  The A come from
+    _index_two_kernels, so no subgroup is listed, in normal_subgroups'
+    order, by the sorted list of their element permutations, each with its
+    least x.  An x that inverts every element of A makes A abelian, as
     inversion is then an automorphism of A, so that is not tested apart.
-    Of the qualifying A, the one that comes first in normal_subgroups' order,
-    by the sorted list of its element permutations, is returned, with its
-    least x."""
+
+    One structure makes G generalised dicyclic; two make G = Q8 x Z2^m,
+    which has three.  x*a inverts A and squares to y, so every element
+    outside A does.  For A1 != A2, Z = A1 meet A2 is centralised by A1 and
+    A2, which generate G, so Z = Z(G), of index 4, and x1 inverts it, so Z
+    has exponent 2.  With A1 = <Z, a> and A2 = <Z, b>, a, b and ab lie
+    outside A2, A1 and both, so a^2 = b^2 = (ab)^2 = y and b inverts a:
+    <a, b> = Q8, and G = Q8 x E, E a complement of <y> in Z.  Conversely,
+    an abelian A of index 2 in Q8 x E projects onto an abelian <u> in Q8,
+    u = i, j or k, so A = <u> x E, inverted by every element outside it."""
     if G.order % 4 != 0 or G.is_abelian():
-        return None
+        return
     inv, order_of = G.inverse, G.order_of
     for aset in sorted(_index_two_kernels(G, gens),
                        key=lambda a: sorted(G.elements[i] for i in a)):
@@ -409,30 +416,8 @@ def _find_dicyclic_structure(G: FiniteGroup, gens: list[int]):
             if order_of[y] != 2:
                 continue
             if all(G.imul(G.imul(inv[x], a), x) == inv[a] for a in aset):
-                return aset, x, y
-    return None
-
-
-def _is_hamiltonian(G: FiniteGroup, gens: list[int]) -> bool:
-    """True iff G is nonabelian and every subgroup of G is normal, given
-    element indices gens that generate G: each generator conjugates each
-    element g into <g>, so every cyclic subgroup is normal, and with them
-    every subgroup, each being generated by cyclic ones.
-
-    By Dedekind's theorem (R. Dedekind, Math. Ann. 48, 1897; R. Baer,
-    1933) such a group is Q8 x E x O, E an elementary abelian 2-group and O
-    abelian of odd order; so one of order 8*2^m is Q8 x Z2^m."""
-    if G.is_abelian():
-        return False
-    inv = G.inverse
-    for g in range(1, G.order):
-        powers, p = {0}, g
-        while p:
-            powers.add(p)
-            p = G.imul(p, g)
-        if any(G.imul(G.imul(inv[s], g), s) not in powers for s in gens):
-            return False
-    return True
+                yield aset, x, y
+                break
 
 
 def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
@@ -442,39 +427,27 @@ def predicted_autc_complete(G: FiniteGroup) -> CompletePrediction:
 
     The structure is read from G's generators, and no subgroup is listed.
     G_R is given by its generators, the right rows of G's generators, and
-    is not closed.  Q8 x Z2^m is searched for only when Dedekind's test
-    (_is_hamiltonian) finds every subgroup normal, and then it must be
-    found; the generalised dicyclic structure is read from the kernels of
-    the homomorphisms G -> Z2 on the first-fit generators that
-    groups.coset_growth takes from G's, at most log2 |G| of them."""
-    from . import builders
-
+    is not closed.  Cases 2 and 3 come from one scan of
+    _dicyclic_structures on coset_growth's first-fit generators, at most
+    log2 |G|: one structure is case 2, iota inverting the elements outside
+    its A; three are Q8 x Z2^m, each sigma inverting one A, in their order."""
     n = G.order
     gens = _first_fit_generators(G)
     reg_gens = [G.right_row(G.index[g]) for g in G.generators]
     inv_perm = tuple(G.inverse)
     if G.is_abelian() and G.exponent() > 2:
         return CompletePrediction("1", 2 * n, reg_gens + [inv_perm])
-    m = (n // 8).bit_length() - 1
-    if n >= 8 and n == 8 * 2 ** m and _is_hamiltonian(G, gens):
-        Q = builders.q8_times_z2(m)
-        phi = find_isomorphism(Q, G)
-        if phi is None:
-            raise RuntimeError("internal error: a Hamiltonian group of order "
-                               "8*2^m is not Q8 x Z2^m")
-        sigmas = []
-        phinv = [0] * n
-        for i, j in enumerate(phi):
-            phinv[j] = i
-        for name in ("sigma-i", "sigma-j", "sigma-k"):
-            sig = builders.named_map(Q, name)
-            sigmas.append(tuple(phi[sig[phinv[i]]] for i in range(n)))
-        return CompletePrediction("3", 8 * n, reg_gens + sigmas)
-    dic = _find_dicyclic_structure(G, gens)
-    if dic is not None:
-        aset = dic[0]
-        iota = tuple(i if i in aset else G.inverse[i] for i in range(n))
+    structures = [aset for aset, _, _ in _dicyclic_structures(G, gens)]
+    if len(structures) == 1:
+        iota = tuple(i if i in structures[0] else inv_perm[i]
+                     for i in range(n))
         return CompletePrediction("2", 2 * n, reg_gens + [iota])
+    if structures:
+        if len(structures) != 3:
+            raise RuntimeError("internal error: two structures, not three")
+        sigmas = [tuple(inv_perm[i] if i in aset else i for i in range(n))
+                  for aset in structures]
+        return CompletePrediction("3", 8 * n, reg_gens + sigmas)
     pm1 = aut_pm1_group(G, list(range(1, n)))
     return CompletePrediction(
         "CCA", n * pm1.order,

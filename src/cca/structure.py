@@ -116,7 +116,8 @@ def decompose_structure(Gamma: ColouredCayleyGraph,
         return all(t[b] == G.imul(b, t[0]) for b in A.base)
 
     F = generated(filter(regular, T.elements), n, cap=n + 1)
-    f_is_f21 = F.order == 21 and are_isomorphic(F, builders.f21())
+    # Z21 and F21 are the only groups of order 21, as 3 divides 7 - 1
+    f_is_f21 = F.order == 21 and not F.is_cyclic()
 
     for J in normal_subgroups(centralizer(A, T)):
         if T.order * J.order * R.order != A.order:
@@ -230,9 +231,10 @@ def converse_build(F: FiniteGroup, H: FiniteGroup, R: FiniteGroup, S):
 
     S lists elements of the product as (f, h, r) factor-index triples, or as
     product element indices."""
-    if not are_isomorphic(F, builders.f21()):
+    # Z21 and F21 are the only groups of order 21, as 3 divides 7 - 1
+    if F.order != 21 or F.is_cyclic():
         raise HypothesisViolated("F must be a copy of F21")
-    if R.order not in (1, 2) or not R.is_cyclic():
+    if R.order not in (1, 2):
         raise HypothesisViolated("R must be trivial or of order 2")
     G = builders.direct_product(F, H, R)
     if not is_sylow_cyclic_order_not_div_4(G):

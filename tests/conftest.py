@@ -232,17 +232,23 @@ def reference_graph_automorphisms(P):
 
 def reference_normal_subgroups(G):
     """normal_subgroups by the plain fixpoint: join every pair of the
-    subgroups found so far, in every round, until a round adds none."""
+    subgroups found so far, in every round, until a round adds none.  Each
+    unordered pair is joined once: a later join of it, in either order,
+    could only find the subgroup its first join listed."""
     found = {frozenset([identity(G.degree)]): trivial_group(G.degree)}
     for cls in conjugacy_classes(G):
         N = G.subgroup([G.elements[i] for i in cls if i != 0])
         found.setdefault(frozenset(N.elements), N)
+    joined = set()
     changed = True
     while changed:
         changed = False
-        current = list(found.values())
-        for A in current:
-            for B in current:
+        current = list(found.items())
+        for ka, A in current:
+            for kb, B in current:
+                if (pair := frozenset((ka, kb))) in joined:
+                    continue
+                joined.add(pair)
                 J = G.subgroup(A.generators + B.generators)
                 key = frozenset(J.elements)
                 if key not in found:
@@ -279,7 +285,9 @@ def reference_dicyclic_structure(G):
 def reference_predicted_autc_complete(G):
     """predicted_autc_complete by listings: G_R closed in full for its
     generators, an isomorphism search from Q8 x Z2^m on every group of
-    order 8*2^m, and reference_dicyclic_structure."""
+    order 8*2^m, and reference_dicyclic_structure.  The three sigma maps
+    come in the order of the subgroup each inverts, {i : sigma[i] = i^-1},
+    sorted as normal_subgroups sorts."""
     n = G.order
     reg_gens = G.right_regular.generators
     if G.is_abelian() and G.exponent() > 2:
@@ -295,6 +303,8 @@ def reference_predicted_autc_complete(G):
             sigmas = [tuple(phi[sig[phinv[i]]] for i in range(n))
                       for sig in (builders.named_map(Q, f"sigma-{u}")
                                   for u in "ijk")]
+            sigmas.sort(key=lambda sig: sorted(
+                G.elements[i] for i in range(n) if sig[i] == G.inverse[i]))
             return CompletePrediction("3", 8 * n, reg_gens + sigmas)
     dic = reference_dicyclic_structure(G)
     if dic is not None:

@@ -28,6 +28,19 @@ def test_wreath_witness_z3():
     assert autc_group(W.graph).verdict == "NonCCA"
 
 
+def test_wreath_witness_relabels_top_group_fixing_point_zero():
+    # H swaps points 1 and 2 and fixes point 0, the coordinate tau' acts
+    # on, so its points are relabelled first; without that, tau' is a group
+    # automorphism of X
+    Z3 = builders.cyclic(3)
+    H = FiniteGroup([(0, 1, 2), (0, 2, 1)], [(0, 2, 1)])
+    W = wreath_witness(Z3, [1, 2], builders.named_map(Z3, "inversion"), H)
+    assert W.X.order == 54
+    assert is_colour_preserving(W.graph, W.tau_prime)
+    assert W.non_hom_pair == (9, 27)
+    assert autc_group(W.graph).verdict == "NonCCA"
+
+
 def test_wreath_witness_hypothesis_gates():
     Z3 = builders.cyclic(3)
     Z4 = builders.cyclic(4)

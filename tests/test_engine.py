@@ -10,9 +10,9 @@ import pytest
 import cca
 from cca import builders, engine, groups
 from cca.constructions import line_graph_construction
-from cca.engine import (AutcResult, _find_dicyclic_structure,
-                        _first_fit_generators, _is_hamiltonian, aut_pm1_group,
-                        autc_group, autc_stabiliser, colour_break,
+from cca.engine import (AutcResult, _dicyclic_structures,
+                        _first_fit_generators, aut_pm1_group, autc_group,
+                        autc_stabiliser, colour_break,
                         fast_cca_verdict, is_colour_preserving,
                         multiplicative_break, predicted_autc_complete)
 from cca.errors import NotConnected, StabiliserTooLarge
@@ -612,30 +612,36 @@ def test_dicyclic_structure_matches_normal_subgroup_scan():
         for H in (G, _with_every_generator(G)):
             gens = _first_fit_generators(H)
             assert len(gens) <= H.order.bit_length() - 1
-            assert _find_dicyclic_structure(H, gens) == ref, name
+            assert next(_dicyclic_structures(H, gens), None) == ref, name
     assert {"dic(z6xz2)", "dic(z10)", "dic(z12)"} <= set(found), found
 
 
-def test_dedekind_test_matches_q8_search():
-    # every subgroup normal and G nonabelian iff G is Q8 x Z2^m, on every
-    # group of order 8*2^m in the pool: dic(z4xz2) has Q8 x Z2's order
-    # histogram but is not it, and z2^k is abelian
-    q8 = {m: builders.q8_times_z2(m) for m in range(3)}
-    seen = set()
-    for _, G in _prediction_pool():
+def test_structure_count_matches_q8_search():
+    # G has 0, 1 or 3 dicyclic structures, and 3 iff G is Q8 x Z2^m, on
+    # every group of order 8*2^m in the pool, with both generator lists,
+    # and on q8xz2^3 and Z4 x| Z4: dic(z4xz2) has Q8 x Z2's order
+    # histogram but is not it, and z2^3 is abelian
+    q8 = {m: builders.q8_times_z2(m) for m in range(4)}
+    extra = [builders.build_spec(spec)
+             for spec in ("q8xz2^3", "dic(prod(z4;z2);y=(0,1))")]
+    counts = []
+    for G in [G for _, G in _prediction_pool()] + extra:
         m = (G.order // 8).bit_length() - 1
         if G.order < 8 or G.order != 8 * 2 ** m:
             continue
         iso = find_isomorphism(q8[m], G) is not None
         for H in (G, _with_every_generator(G)):
-            assert _is_hamiltonian(H, _first_fit_generators(H)) == iso
-        seen.add(iso)
-    assert seen == {True, False}
+            count = len(list(_dicyclic_structures(
+                H, _first_fit_generators(H))))
+            assert count in (0, 1, 3)
+            assert (count == 3) == iso
+            counts.append(count)
+    assert set(counts) == {0, 1, 3}
     D = dict(builders.catalog())["dic(z4xz2)"]
     assert _order_histogram(D) == _order_histogram(q8[1])
-    assert not _is_hamiltonian(D, _first_fit_generators(D))
+    assert len(list(_dicyclic_structures(D, _first_fit_generators(D)))) == 1
     E = builders.build_spec("z2^3")
-    assert not _is_hamiltonian(E, _first_fit_generators(E))
+    assert not list(_dicyclic_structures(E, _first_fit_generators(E)))
 
 
 def test_predictions_list_no_subgroup(monkeypatch):
